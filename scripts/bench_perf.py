@@ -87,11 +87,10 @@ def cell_name(workload, letter, cores):
     return "{}/{}/{}c".format(workload, letter, cores)
 
 
-def measure_cell(workload, letter, cores, ops_per_thread, reps,
-                 backend="reference", oracle=None):
+def measure_cell(workload, letter, cores, ops_per_thread, reps, oracle=None):
     """Best-of-``reps`` wall time for one cell; returns the cell dict."""
     config = SimConfig.for_design(
-        design_name(letter), num_cores=cores, backend=backend,
+        design_name(letter), num_cores=cores,
         **({"oracle": oracle} if oracle is not None else {})
     )
     best_wall = None
@@ -122,7 +121,6 @@ def measure_cell(workload, letter, cores, ops_per_thread, reps,
         "num_cores": cores,
         "ops_per_thread": ops_per_thread,
         "seed": SEED,
-        "backend": backend,
         **({"oracle": oracle} if oracle is not None else {}),
         "events": events,
         "wall_seconds": round(best_wall, 4),
@@ -133,7 +131,7 @@ def measure_cell(workload, letter, cores, ops_per_thread, reps,
 
 
 def run_measurement(reps, ops_per_thread, cores_override=None, progress=print,
-                    backend="reference", oracle=None):
+                    oracle=None):
     cells = {}
     for workload, letter, cores in CELLS:
         if cores_override is not None:
@@ -142,7 +140,7 @@ def run_measurement(reps, ops_per_thread, cores_override=None, progress=print,
         if name in cells:  # cores_override collapses the 8/32 pair
             continue
         cell = measure_cell(workload, letter, cores, ops_per_thread, reps,
-                            backend=backend, oracle=oracle)
+                            oracle=oracle)
         cells[name] = cell
         progress(
             "{:18s} {:>9,} events  {:7.3f}s  {:>10,.1f} ev/s".format(
@@ -232,7 +230,6 @@ def parse_args(argv):
         "--json", metavar="OUT", default=None,
         help="dump the measurement as JSON (cell schema of BENCH_PERF.json)",
     )
-    cli.add_backend_flag(parser)
     cli.add_oracle_flag(parser)
     parser.add_argument(
         "--compare", nargs="?", const=LAST_POINT, default=None,
@@ -301,10 +298,10 @@ def main(argv=None):
     cores = 4 if micro else None
     started = time.time()
     measurement = run_measurement(args.reps, ops, cores_override=cores,
-                                  backend=args.backend, oracle=args.oracle)
-    print("measured {} cell(s) in {:.1f}s (best of {} rep(s), {} backend{})"
+                                  oracle=args.oracle)
+    print("measured {} cell(s) in {:.1f}s (best of {} rep(s){})"
           .format(len(measurement["cells"]), time.time() - started,
-                  args.reps, args.backend,
+                  args.reps,
                   ", oracle={}".format(args.oracle) if args.oracle else ""))
     if args.json:
         with open(args.json, "w") as handle:

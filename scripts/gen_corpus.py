@@ -77,7 +77,6 @@ def parse_args(argv):
              "with the online monitor armed",
     )
     cli.add_design_flag(parser, default="clear")
-    cli.add_backend_flag(parser)
     parser.add_argument(
         "--cores", type=int, default=4, metavar="N",
         help="cores for --record/--check runs (default: %(default)s)",
@@ -112,9 +111,7 @@ def build_specs(args):
 
 def main(argv=None):
     args = parse_args(argv if argv is not None else sys.argv[1:])
-    config = SimConfig(
-        num_cores=args.cores, design=args.design, backend=args.backend,
-    )
+    config = SimConfig(num_cores=args.cores, design=args.design)
     check_config = config.replaced(oracle="online")
     try:
         specs = build_specs(args)

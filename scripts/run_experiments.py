@@ -77,7 +77,6 @@ def parse_args(argv):
         help="output JSON path (default: .exp_results.json)",
     )
     cli.add_engine_flags(parser)
-    cli.add_backend_flag(parser)
     cli.add_journal_flags(parser)
     cli.add_trace_flags(parser)
     parser.add_argument(
@@ -105,12 +104,6 @@ def parse_args(argv):
         help="run every simulated cell under cProfile, dump per-cell "
              ".prof files next to the cache dir, and print a top-15 "
              "cumulative-time table (cache hits are not profiled)",
-    )
-    parser.add_argument(
-        "--debug-conflict-check", action="store_true",
-        help="cross-validate the sharer-index conflict path against the "
-             "legacy full peer scan on every resolution (slow; any "
-             "divergence raises)",
     )
     args = parser.parse_args(argv)
     cli.validate_engine_flags(parser, args)
@@ -142,11 +135,6 @@ def main(argv=None):
         )
     if args.oracle is not None:
         settings.config_overrides["oracle"] = args.oracle
-    # Always journalled (even for the default) so a resumed sweep can
-    # verify it is continuing with the same event loop.
-    settings.config_overrides["backend"] = args.backend
-    if args.debug_conflict_check:
-        settings.config_overrides["debug_conflict_check"] = True
     jobs = cli.resolve_jobs(args)
     cache_dir = cli.resolve_cache_dir(args)
     profile_dir = None

@@ -245,9 +245,6 @@ def simulate(workload, config=None, *, seeds=1, trim=PAPER_TRIM, trace=False,
         ``"clear+powertm"``/``"lrw"``/``"bigatomics"``), or None for
         defaults. The paper letters ``"B"``/``"P"``/``"C"``/``"W"``
         still resolve, with a :class:`DeprecationWarning`.
-        ``config.backend`` selects the event loop (``"reference"`` or
-        the bit-identical, faster ``"batch"``; see DESIGN.md §14) —
-        results are the same either way.
     seeds:
         One seed (int) or an iterable of seeds; one run per seed.
     trim:

@@ -53,25 +53,6 @@ def add_design_flag(parser, default="baseline"):
     return parser
 
 
-def add_backend_flag(parser, default="reference"):
-    """Attach the shared ``--backend`` knob selecting the event loop.
-
-    Choices come from :data:`~repro.sim.config.BACKENDS` — the
-    reference heap loop and the batched calendar-queue loop. Both
-    produce bit-identical results; the flag is a pure performance
-    choice and is threaded into ``SimConfig.backend`` (and therefore
-    cache fingerprints and sweep journals) by the calling script.
-    """
-    from repro.sim.config import BACKENDS
-
-    parser.add_argument(
-        "--backend", choices=BACKENDS, default=default,
-        help="simulation event loop (default: %(default)s; 'batch' is "
-             "the fused calendar-queue loop, bit-identical results)",
-    )
-    return parser
-
-
 def add_oracle_flag(parser, default=None):
     """Attach the shared ``--oracle`` checker-mode knob.
 
@@ -284,7 +265,6 @@ def wants_trace(args):
 
 __all__ = [
     "add_engine_flags",
-    "add_backend_flag",
     "add_design_flag",
     "add_oracle_flag",
     "add_journal_flags",

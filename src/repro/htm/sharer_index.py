@@ -18,13 +18,13 @@ incrementally at the exact points transactional membership changes:
   passes through the zombie path first, so a doomed or failed core has
   no residue here.
 
-The invariant, checked by ``validate_machine``: the index equals the
-union of read/write sets over exactly those cores the legacy
-``Machine.peer_views`` scan would expose with ``is_failed=False`` —
-i.e. phase BODY, speculative mode other than failed discovery, live
-rwsets, no pending abort. ``ConflictArbiter.resolve_line`` over this
-index is then equivalent to ``ConflictArbiter.resolve`` over full peer
-views, by construction.
+The invariant, checked by ``validate_machine`` against a from-scratch
+rebuild: the index equals the union of read/write sets over exactly
+the conflict-visible cores — phase BODY, speculative mode other than
+failed discovery, live indexed rwsets, no pending abort.
+``ConflictArbiter.resolve_line`` over this index is then equivalent
+to ``ConflictArbiter.resolve`` over a ``TxPeerView`` per such core, by
+construction (``tests/unit/test_sharer_index.py`` compares the two).
 """
 
 

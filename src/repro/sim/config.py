@@ -41,13 +41,6 @@ from repro.htm.design import (
 
 _UNSET = object()
 
-#: Registered simulation backends: the reference event loop and the
-#: batched calendar-queue loop (repro.sim.batch). The reference
-#: backend is the semantic oracle; "batch" is bit-identical but
-#: trades per-event hook granularity for throughput (hooks that need
-#: per-event fidelity degrade it back to the reference loop).
-BACKENDS = ("reference", "batch")
-
 #: Serializability-checker modes for ``SimConfig.oracle``:
 #:
 #: - ``"off"``: no checking (the default).
@@ -191,11 +184,6 @@ class SimConfig(Serializable):
     lock_release_cycles: int = 4
     # -- run control --
     max_cycles: int = 60_000_000
-    # Event-loop implementation: "reference" (the oracle heap loop) or
-    # "batch" (bucketed calendar queue + fused struct-of-arrays fast
-    # path; bit-identical results, degrades to the reference loop when
-    # a per-event hook such as trace/oracle/faults/scheduler is armed).
-    backend: str = "reference"
     # -- robustness: fault injection (repro.sim.faults) --
     # All default to "off"; with every rate/amplitude at zero the
     # machine builds no FaultPlan and every hook is a skipped None
@@ -224,11 +212,6 @@ class SimConfig(Serializable):
     # Livelock watchdog: trip when no AR commits within this many
     # cycles while cores are still runnable (0 disables).
     watchdog_cycles: int = 0
-    # Cross-validate every sharer-index conflict resolution against the
-    # legacy full peer scan (the oracle path); any divergence raises
-    # ConflictIndexMismatch. Host-time cost only, zero simulated-time
-    # effect — results are identical either way.
-    debug_conflict_check: bool = False
 
     def __post_init__(self):
         if self.num_cores <= 0:
@@ -285,12 +268,6 @@ class SimConfig(Serializable):
         if self.oracle_validate_interval < 1:
             raise ConfigurationError(
                 "oracle_validate_interval must be >= 1"
-            )
-        if self.backend not in BACKENDS:
-            raise ConfigurationError(
-                "unknown backend {!r}; choose from {}".format(
-                    self.backend, ", ".join(BACKENDS)
-                )
             )
 
     @property
@@ -491,7 +468,6 @@ SimConfig.__init__ = _shim_init
 
 
 __all__ = [
-    "BACKENDS",
     "ORACLE_MODES",
     "HtmPolicy",
     "SimConfig",

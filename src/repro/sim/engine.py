@@ -69,7 +69,10 @@ from repro.workloads import make_workload, workload_cache_token
 #: v4: SimConfig.oracle is a checker-mode string ("off"/"shadow"/
 #: "online"/"cross-check") instead of a boolean (from_dict migrates
 #: v3 payloads).
-SCHEMA_VERSION = 4
+#: v5: SimConfig lost its event-loop ``backend`` field and the legacy
+#: conflict cross-check flag, so pre-v5 job folders are refused
+#: instead of re-run.
+SCHEMA_VERSION = 5
 
 DEFAULT_CACHE_DIR = ".exp_cache"
 

@@ -16,14 +16,18 @@ region invocation proceeds through attempts:
 
 The executor is driven by :class:`repro.sim.machine.Machine` via
 :meth:`step`, which performs one bounded action and reports either a
-cycle cost or a blocking condition.
+cycle cost or a blocking condition. The BODY phase has a fast path,
+:meth:`CoreExecutor._fused_body_step`, for the plain speculative and
+fallback operations that dominate every run.
 """
 
+from repro.common.constants import WORDS_PER_LINE
 from repro.core.modes import ExecMode
 from repro.htm.abort import AbortReason, counts_toward_retry_limit, NON_MEMORY_REASONS
-from repro.htm.arbiter import TxPeerView
 from repro.htm.rwset import CapacityExceeded, ReadWriteSets
+from repro.htm.sharer_index import LineSharers
 from repro.memory.address import line_of_word
+from repro.memory.directory import DirectoryEntry
 from repro.memory.locking import LockDenied, NackError
 from repro.obs.events import (
     ARAbort,
@@ -72,7 +76,7 @@ class CoreExecutor:
         "_fault_abort_reason", "fallback_read_held", "fallback_write_held",
         "locked_lines", "_lock_groups", "_lock_group_idx", "_lock_set_held",
         "finish_time", "trace", "attempt_begin_cycle", "first_lock_cycle",
-        "fallback_entry_cycle", "ledger", "monitor",
+        "fallback_entry_cycle", "ledger", "monitor", "_body_step",
     )
 
     def __init__(self, core, machine, controller=None):
@@ -133,6 +137,9 @@ class CoreExecutor:
         self._lock_group_idx = 0
         self._lock_set_held = None
         self.finish_time = None
+        # The BODY-phase step: the fused fast path when this run can
+        # take it, else the general one.
+        self._body_step = self._fused_body_step() or self._step_body
 
     # ------------------------------------------------------------------
     # Engine interface
@@ -145,7 +152,7 @@ class CoreExecutor:
         # the phases are mutually exclusive so order is free to choose.
         phase = self.phase
         if phase == BODY:
-            return self._step_body()
+            return self._body_step()
         if phase == IDLE:
             return self._step_idle(now)
         if phase == RETRY:
@@ -169,27 +176,6 @@ class CoreExecutor:
             self.phase == BODY
             and self.mode is not None
             and self.mode.is_speculative
-        )
-
-    def peer_view(self):
-        """Arbiter view of this core's transaction, or None.
-
-        A transaction with a pending abort is a zombie: its speculative
-        state is already doomed and will be discarded, so it must not
-        arbitrate — in particular a doomed power-mode transaction must
-        not NACK (and thereby abort) a fallback execution whose direct
-        stores cannot be rolled back.
-        """
-        if not self.in_flight_speculative or self.rwsets is None:
-            return None
-        if self.pending_abort is not None:
-            return None
-        return TxPeerView(
-            core=self.core,
-            rwsets=self.rwsets,
-            is_power=self.machine.power.is_power(self.core),
-            conflict_detection_active=True,
-            is_failed=self.mode is ExecMode.FAILED_DISCOVERY,
         )
 
     # ------------------------------------------------------------------
@@ -555,6 +541,10 @@ class CoreExecutor:
         except StopIteration:
             return self._region_end()
         self.gen_send_value = None
+        return self._exec_op(op)
+
+    def _exec_op(self, op):
+        """Execute one operation the body yielded (the general path)."""
         if isinstance(op, Load):
             return self._exec_memory_op(op, is_store=False)
         if isinstance(op, Store):
@@ -580,8 +570,8 @@ class CoreExecutor:
         raise TypeError("AR body yielded unknown op {!r}".format(op))
 
     def _exec_memory_op(self, op, is_store):
-        # Hot path: runs once per memory operation. Everything touched
-        # more than once is bound to a local up front.
+        # Every memory op the fused body step does not cover. Everything
+        # touched more than once is bound to a local up front.
         machine = self.machine
         memsys = machine.memsys
         mode = self.mode
@@ -668,13 +658,7 @@ class CoreExecutor:
                 else:
                     rwsets.record_read(line)
             except CapacityExceeded as exc:
-                if discovery is not None:
-                    entry = self.controller.ert.ensure(self.invocation.region_id)
-                    entry.is_convertible = False
-                return self._abort_attempt(
-                    self.design.classify_capacity_abort(executor=self, exc=exc),
-                    line=exc.line,
-                )
+                return self._capacity_abort(exc)
 
         # Discovery footprint and indirection tracking.
         failed = mode is ExecMode.FAILED_DISCOVERY
@@ -712,6 +696,365 @@ class CoreExecutor:
                 self.monitor.note_fallback_load(self.core, word_addr, value)
         self.gen_send_value = TaintedValue(value, tainted=True)
         return self._busy(latency, failed_discovery=failed)
+
+    def _capacity_abort(self, exc):
+        """Abort on a tracking-set overflow; the region is not convertible."""
+        if self.discovery is not None:
+            entry = self.controller.ert.ensure(self.invocation.region_id)
+            entry.is_convertible = False
+        return self._abort_attempt(
+            self.design.classify_capacity_abort(executor=self, exc=exc),
+            line=exc.line,
+        )
+
+    # ------------------------------------------------------------------
+    # Body execution: the fused fast path
+    # ------------------------------------------------------------------
+
+    def _fused_body_step(self):
+        """This core's fused BODY step, or None if the run cannot take it.
+
+        The fused step is :meth:`_step_body` plus :meth:`_exec_memory_op`
+        written out for the dominant event: a Load/Store of a plain
+        speculative HTM attempt (cache-geometry ``ReadWriteSets`` in the
+        machine's sharer index, no locked lines) or of a plain fallback
+        execution with no monitor armed, plus Compute and Branch ops.
+        Lock gate, sharer-index arbitration, the private-hit memory
+        path, rwset tracking and data movement run in one frame over
+        per-core state bound here, instead of ~40 calls. Everything
+        else — a pending abort, failed discovery, CL modes, bounded
+        ``lrw`` sets, cache misses, rare op classes — calls the general
+        methods, so the fused step only shortcuts the common case and
+        never re-implements a slow one.
+
+        It exists when the run has HTM speculation (SLE bounds every op
+        by the ROB/LQ/SQ window) and no fault plan (injected aborts and
+        latency jitter live on the general path). Trace, scheduler,
+        retry ledger, watchdog and the checkers observe nothing inside
+        a plain body op, so they leave it on; the online monitor's
+        first-read epochs are recorded inline. Conflicts are arbitrated
+        by ``machine.resolve_conflict``, looked up on every call so an
+        override on the instance sees each resolution that can find a
+        conflict; a line no other core tracks cannot conflict and is
+        not arbitrated.
+        """
+        machine = self.machine
+        if machine.faults is not None or self.config.speculation != "htm":
+            return None
+        core = self.core
+        stats = machine.stats
+        core_stats = stats.cores[core]
+        accesses = stats.accesses_by_level
+        compute_ops = stats._compute_ops
+        branch_ops = stats._branch_ops
+        sharer_index = machine.sharer_index
+        sharer_lines = sharer_index._lines
+        memsys = machine.memsys
+        lock_holders = memsys.locks._holders
+        directory_entries = memsys.directory._entries
+        l1_sets, l1_nsets = memsys.l1[core]._sets, memsys.l1[core].num_sets
+        l2 = memsys.l2[core]
+        l2_sets, l2_nsets, l2_install = l2._sets, l2.num_sets, l2.install
+        l3 = memsys.l3
+        l3_sets, l3_nsets, l3_install = l3._sets, l3.num_sets, l3.install
+        l1_latency = memsys.l1_latency
+        mem_read = memsys._read
+        mem_write = memsys._write
+        drop_private = memsys._drop_private_line
+        memory = machine.memory
+        mem_words = memory._words
+        monitor = self.monitor
+        tv_new = TaintedValue.__new__
+        speculative = ExecMode.SPECULATIVE
+        fallback_mode = ExecMode.FALLBACK
+
+        def fused_body_step():
+            if self.pending_abort is not None:
+                return self._step_body()
+            attempt_ops = self.attempt_ops + 1
+            self.attempt_ops = attempt_ops
+            if attempt_ops > MAX_OPS_PER_ATTEMPT:
+                return self._abort_attempt(AbortReason.OTHER)
+            try:
+                op = self.gen.send(self.gen_send_value)
+            except StopIteration:
+                return self._region_end()
+            self.gen_send_value = None
+            cls = op.__class__
+            if cls is Load or cls is Store:
+                is_store = cls is Store
+                rwsets = self.rwsets
+                mode = self.mode
+                if (
+                    mode is speculative
+                    and rwsets.__class__ is ReadWriteSets
+                    and rwsets._index is sharer_index
+                    and not self.locked_lines
+                ):
+                    spec = True
+                elif (
+                    mode is fallback_mode
+                    and rwsets is None
+                    and self.discovery is None
+                    and monitor is None
+                    and not self.locked_lines
+                    and not lock_holders
+                ):
+                    # Fallback runs under mutual exclusion with direct
+                    # stores: no lock gate (the table is empty), no
+                    # arbitration, no tracking sets. With a monitor
+                    # armed its eager fallback hooks need the general
+                    # path (fallback traffic is rare).
+                    spec = False
+                else:
+                    return self._exec_memory_op(op, is_store)
+                addr = op.addr
+                addr_is_tv = addr.__class__ is TaintedValue
+                word_addr = addr.value if addr_is_tv else int(addr)
+                line = word_addr // WORDS_PER_LINE
+                if is_store:
+                    self.attempt_stores += 1
+                else:
+                    self.attempt_loads += 1
+
+                if spec:
+                    # Cacheline lock gate: speculative requesters are
+                    # always nackable, and only designs with CL modes
+                    # ever populate the table.
+                    if lock_holders:
+                        holder = lock_holders.get(line)
+                        if holder is not None and holder != core:
+                            return self._abort_attempt(
+                                AbortReason.NACKED, line=line, enemy=holder
+                            )
+                    # Arbitrate only when some other core tracks the
+                    # line; the self-only case is NO_CONFLICT by
+                    # construction and by far the most common one.
+                    sharers = sharer_lines.get(line)
+                    if sharers is not None:
+                        writers = sharers.writers
+                        if is_store:
+                            readers = sharers.readers
+                            foreign = (
+                                (writers and (len(writers) > 1
+                                              or core not in writers))
+                                or (readers and (len(readers) > 1
+                                                 or core not in readers))
+                            )
+                        else:
+                            foreign = writers and (len(writers) > 1
+                                                   or core not in writers)
+                        if foreign:
+                            resolution = machine.resolve_conflict(
+                                core, line, is_store
+                            )
+                            if resolution.requester_abort_reason is not None:
+                                return self._abort_attempt(
+                                    resolution.requester_abort_reason,
+                                    line=line, enemy=resolution.nacking_core,
+                                )
+                            for victim in resolution.victims:
+                                machine.executors[victim].receive_remote_conflict(
+                                    line, is_store, core
+                                )
+
+                # Memory system: a private hit is classified, moves the
+                # directory and refreshes LRU here; anything needing the
+                # full model (misses, upgrades, invalidations, C2C)
+                # runs MemorySystem._read/_write.
+                l1_entries = l1_sets[line % l1_nsets]
+                in_l1 = line in l1_entries
+                dentry = directory_entries.get(line)
+                fused_fill = False
+                if is_store:
+                    if in_l1 and dentry is not None:
+                        owner = dentry.owner
+                        dsharers = dentry.sharers
+                        if (owner == core and not dsharers) or (
+                            owner is None
+                            and len(dsharers) == 1
+                            and core in dsharers
+                        ):
+                            # Private re-write: the exclusive (or sole
+                            # shared) copy is in our L1, so record_write
+                            # invalidates nobody and C2C cannot apply.
+                            if dsharers:
+                                dsharers.clear()
+                            dentry.owner = core
+                            latency = l1_latency
+                            accesses["L1"] += 1
+                            fused_fill = True
+                    if not fused_fill:
+                        result = mem_write(core, line)
+                        accesses[result.level] += 1
+                        latency = result.latency
+                elif in_l1:
+                    # L1 read hit: the level is L1 whatever the directory
+                    # says (C2C only upgrades L3/MEM), so only the
+                    # record_read transition remains.
+                    if dentry is None:
+                        dentry = DirectoryEntry()
+                        directory_entries[line] = dentry
+                    else:
+                        owner = dentry.owner
+                        if owner is not None and owner != core:
+                            dentry.sharers.add(owner)
+                            dentry.owner = None
+                    dentry.sharers.add(core)
+                    latency = l1_latency
+                    accesses["L1"] += 1
+                    fused_fill = True
+                else:
+                    result = mem_read(core, line)
+                    accesses[result.level] += 1
+                    latency = result.latency
+                if fused_fill:
+                    # MemorySystem._fill with each install on its hit
+                    # path; a level missing the line takes the real
+                    # install/evict machinery.
+                    entries = l3_sets[line % l3_nsets]
+                    if line in entries:
+                        entries.move_to_end(line)
+                    else:
+                        l3_install(line)
+                    entries = l2_sets[line % l2_nsets]
+                    if line in entries:
+                        entries.move_to_end(line)
+                    else:
+                        l2_evicted = l2_install(line)
+                        if l2_evicted is not None:
+                            drop_private(core, l2_evicted)
+                    l1_entries.move_to_end(line)
+
+                if not spec:
+                    # Fallback data movement: straight to memory.
+                    if is_store:
+                        value = op.value
+                        memory.store_count += 1
+                        mem_words[word_addr] = (
+                            value.value if value.__class__ is TaintedValue
+                            else int(value)
+                        )
+                    else:
+                        memory.load_count += 1
+                        loaded = tv_new(TaintedValue)
+                        loaded.value = mem_words.get(word_addr, 0)
+                        loaded.tainted = True
+                        self.gen_send_value = loaded
+                    core_stats.busy_cycles += latency
+                    return (STEP_DELAY, latency)
+
+                # Speculative tracking: ReadWriteSets.record_write/
+                # record_read with the sharer-index registration inline.
+                if is_store:
+                    write_set = rwsets.write_set
+                    if line not in write_set:
+                        write_set.add(line)
+                        entry = sharer_lines.get(line)
+                        if entry is None:
+                            entry = sharer_lines[line] = LineSharers()
+                        entry.writers.add(core)
+                        l2_geom = rwsets._l2_sets
+                        if l2_geom is not None and line not in rwsets.read_set:
+                            counts = rwsets._union_counts
+                            idx = line % l2_geom
+                            count = counts.get(idx, 0) + 1
+                            counts[idx] = count
+                            if count == rwsets._l2_assoc + 1:
+                                rwsets._union_over += 1
+                        l1_geom = rwsets._l1_sets
+                        if l1_geom is not None:
+                            counts = rwsets._write_counts
+                            idx = line % l1_geom
+                            count = counts.get(idx, 0) + 1
+                            counts[idx] = count
+                            if count == rwsets._l1_assoc + 1:
+                                rwsets._write_over += 1
+                            if rwsets._write_over:
+                                return self._capacity_abort(
+                                    CapacityExceeded("write", line)
+                                )
+                else:
+                    read_set = rwsets.read_set
+                    if line not in read_set:
+                        read_set.add(line)
+                        entry = sharer_lines.get(line)
+                        if entry is None:
+                            entry = sharer_lines[line] = LineSharers()
+                        entry.readers.add(core)
+                        epochs = rwsets._monitor_epochs
+                        if epochs is not None:
+                            rwsets.monitor_reads[line] = epochs.get(line, 0)
+                        l2_geom = rwsets._l2_sets
+                        if l2_geom is not None:
+                            if line not in rwsets.write_set:
+                                counts = rwsets._union_counts
+                                idx = line % l2_geom
+                                count = counts.get(idx, 0) + 1
+                                counts[idx] = count
+                                if count == rwsets._l2_assoc + 1:
+                                    rwsets._union_over += 1
+                            if rwsets._union_over:
+                                return self._capacity_abort(
+                                    CapacityExceeded("read", line)
+                                )
+
+                # Discovery footprint tracking (CLEAR designs). The mode
+                # is SPECULATIVE, so failed discovery cannot exhaust.
+                discovery = self.discovery
+                if discovery is not None:
+                    tainted = addr_is_tv and addr.tainted
+                    if is_store:
+                        discovery.on_store(line, tainted)
+                    else:
+                        discovery.on_load(line, tainted)
+
+                if is_store:
+                    value = op.value
+                    rwsets._write_buffer[word_addr] = (
+                        value.value if value.__class__ is TaintedValue
+                        else int(value)
+                    )
+                else:
+                    buffered = rwsets._write_buffer
+                    value = buffered.get(word_addr) if buffered else None
+                    if value is None:
+                        memory.load_count += 1
+                        value = mem_words.get(word_addr, 0)
+                    # TaintedValue(value, tainted=True) without the
+                    # constructor's coercions: buffered and
+                    # architectural words are always plain ints.
+                    loaded = tv_new(TaintedValue)
+                    loaded.value = value
+                    loaded.tainted = True
+                    self.gen_send_value = loaded
+                core_stats.busy_cycles += latency
+                return (STEP_DELAY, latency)
+            if cls is Compute:
+                discovery = self.discovery
+                if discovery is not None:
+                    discovery.on_compute(op.ops)
+                compute_ops.value += op.ops
+                cycles = op.cycles
+                if cycles < 1:
+                    cycles = 1
+                core_stats.busy_cycles += cycles
+                return (STEP_DELAY, cycles)
+            if cls is Branch:
+                discovery = self.discovery
+                if discovery is not None:
+                    condition = op.condition
+                    discovery.on_branch(
+                        condition.__class__ is TaintedValue
+                        and condition.tainted
+                    )
+                branch_ops.value += 1
+                core_stats.busy_cycles += 1
+                return (STEP_DELAY, 1)
+            # Rare ops and op subclasses.
+            return self._exec_op(op)
+
+        return fused_body_step
 
     # ------------------------------------------------------------------
     # Region end (XEnd)
@@ -805,9 +1148,10 @@ class CoreExecutor:
         if self.pending_abort is None:
             self.pending_abort = AbortReason.MEMORY_CONFLICT
             self.pending_abort_detail = (line, from_core, remote_is_write)
-        # Zombie from here on: the legacy scan hides a doomed peer via
-        # peer_view() -> None, so the index must forget it at the same
-        # instant.
+        # Zombie from here on: a doomed transaction must stop
+        # arbitrating at once (a doomed power-mode holder must not NACK
+        # a fallback execution whose direct stores cannot roll back),
+        # so the index forgets it now rather than at the abort step.
         if self.rwsets is not None:
             self.rwsets.detach_index()
 

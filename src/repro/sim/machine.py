@@ -13,7 +13,6 @@ paper's directory-retry rule).
 import heapq
 
 from repro.common.errors import (
-    ConflictIndexMismatch,
     CycleLimitExceeded,
     DeadlockError,
     LivelockError,
@@ -128,8 +127,6 @@ class Machine:
         # sharers instead of scanning all cores (see htm/sharer_index).
         self.sharer_index = SharerIndex()
         self._sharer_get = self.sharer_index.get
-        self._debug_conflict_check = config.debug_conflict_check
-        self.conflict_cross_checks = 0
         self.stats = MachineStats(config.num_cores)
         # Event-loop pops in the last run() (host-side perf metric; not
         # part of MachineStats so result serialization is unchanged).
@@ -196,66 +193,22 @@ class Machine:
         """Next thread-level action for a core (Invoke/Think/None)."""
         return self.workload.next_action(core, self._action_rngs[core])
 
-    def peer_views(self, exclude):
-        """Arbiter views of every other in-flight transaction."""
-        views = []
-        for executor in self.executors:
-            if executor.core == exclude:
-                continue
-            view = executor.peer_view()
-            if view is not None:
-                views.append(view)
-        return views
-
     def resolve_conflict(self, core, line, is_write, requester_failed=False,
                          requester_unstoppable=False):
         """Arbitrate one memory request via the sharer index.
 
-        O(sharers of ``line``); equivalent to arbitrating against
-        :meth:`peer_views` (which stays as the oracle path — enable
-        ``debug_conflict_check`` to cross-validate every resolution).
+        O(sharers of ``line``). Every arbitration goes through this
+        method on the instance — the executor's general op path, its
+        fused body step, and CL lock acquisition — so replacing it on a
+        machine (a planted arbiter bug) reaches every resolution that
+        can find a conflict.
         """
-        resolution = self.arbiter.resolve_line(
+        return self.arbiter.resolve_line(
             core, line, is_write, requester_failed,
             self._sharer_get(line),
             power_core=self.power.holder,
             requester_unstoppable=requester_unstoppable,
         )
-        if self._debug_conflict_check:
-            self._cross_check_resolution(
-                core, line, is_write, requester_failed,
-                requester_unstoppable, resolution,
-            )
-        return resolution
-
-    def _cross_check_resolution(self, core, line, is_write, requester_failed,
-                                requester_unstoppable, resolution):
-        self.conflict_cross_checks += 1
-        legacy = self.arbiter.resolve(
-            core, line, is_write, requester_failed,
-            peers=self.peer_views(exclude=core),
-            requester_unstoppable=requester_unstoppable,
-        )
-        if (list(resolution.victims) != list(legacy.victims)
-                or resolution.requester_abort_reason
-                is not legacy.requester_abort_reason
-                or resolution.nacking_core != legacy.nacking_core):
-            raise ConflictIndexMismatch(
-                "sharer-index resolution diverged from the legacy peer "
-                "scan for core {} {} line {}".format(
-                    core, "writing" if is_write else "reading", line
-                ),
-                details={
-                    "core": core,
-                    "line": line,
-                    "is_write": is_write,
-                    "requester_failed": requester_failed,
-                    "requester_unstoppable": requester_unstoppable,
-                    "indexed": repr(resolution),
-                    "legacy": repr(legacy),
-                    "sharers": repr(self.sharer_index.get(line)),
-                },
-            )
 
     def abort_all_speculative(self, reason, exclude):
         """Fallback acquisition: doom every in-flight speculative AR."""
@@ -286,6 +239,11 @@ class Machine:
 
     def run(self):
         """Run to completion; returns the populated MachineStats.
+
+        This heap loop is the simulator's only event loop; its fast
+        path lives in the executors (``CoreExecutor._fused_body_step``),
+        so every hook below sees the same pops whether or not a core's
+        step took it.
 
         Raises a typed :class:`~repro.common.errors.SimulationStallError`
         subclass when the run cannot complete, each carrying a
@@ -487,19 +445,10 @@ class Machine:
 
 def build_machine(config, workload, seed=1, trace=None, scheduler=None,
                   retry_ledger=None):
-    """Construct the machine class selected by ``config.backend``.
+    """Construct the :class:`Machine` for one run.
 
-    ``"reference"`` builds the :class:`Machine` above (the semantic
-    oracle); ``"batch"`` builds :class:`repro.sim.batch.BatchMachine`,
-    a bit-identical calendar-queue backend that degrades to the
-    reference loop whenever a per-event hook is armed. The import is
-    lazy because the batch backend subclasses :class:`Machine`.
+    The construction seam every entry point uses (``api.simulate``,
+    engine workers, the scripts and the benchmark).
     """
-    if config.backend == "batch":
-        from repro.sim.batch import BatchMachine
-
-        cls = BatchMachine
-    else:
-        cls = Machine
-    return cls(config, workload, seed, trace=trace, scheduler=scheduler,
-               retry_ledger=retry_ledger)
+    return Machine(config, workload, seed, trace=trace, scheduler=scheduler,
+                   retry_ledger=retry_ledger)

@@ -56,13 +56,15 @@ Non-speculative paths:
   value map and its stores are applied to it as they are issued; the
   lines touched get their epoch bump when the region ends.
 
-Event loops: the monitor deliberately has *no per-pop hook* — commit
-hooks, first-access recording, and the end-of-run sweep only — so
-``backend="batch"`` keeps its fused fast path (the first-read epoch
-store is inlined there) instead of degrading to the reference loop the
-way the per-pop-sampling shadow oracle does. The periodic
-``validate_machine`` sampling stays a shadow/cross-check feature for
-exactly that reason.
+Fast path: the monitor deliberately has *no per-op hook* on
+speculative accesses — commit hooks, first-read recording, and the
+end-of-run sweep only — so the executor's fused body step stays on
+while it is armed (the first-read epoch store is inlined there).
+Fallback accesses are the exception: their eager load/store hooks
+live on the general op path, which fallback ops take while a monitor
+is armed. The periodic ``validate_machine`` sampling stays a
+shadow/cross-check feature, so checking with the monitor costs only
+what its hooks do.
 
 ``oracle="cross-check"`` arms both checkers: the monitor defers its
 commit-time verdicts, both finalize, and
@@ -101,8 +103,8 @@ class OnlineMonitor:
         #: Global commit clock; epoch N belongs to the N-th commit.
         self.clock = 0
         #: line -> commit epoch of the last committed write (0 = never
-        #: written by a committed AR). Shared by reference (via the
-        #: rwsets hook) and batch (inlined) first-read recording.
+        #: written by a committed AR). Read by the rwsets first-read
+        #: hook and by its inlined copy in the fused body step.
         self.line_epochs = {}
         #: word -> value as of the committed prefix (plus pokes and
         #: fallback stores); diffed against memory at finalize.
@@ -342,7 +344,7 @@ def cross_check_finalize(oracle, monitor):
 def finalize_checkers(machine):
     """End-of-run dispatch over the armed checker combination.
 
-    Called by both event loops when a run completes cleanly; a no-op
+    Called by ``Machine.run`` when a run completes cleanly; a no-op
     when nothing is armed, one checker's ``finalize`` when one is, and
     the cross-check comparison when both are.
     """

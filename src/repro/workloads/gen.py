@@ -336,7 +336,7 @@ class GeneratedWorkload(Workload):
     private cursor word per thread driving the mutable regions' moving
     windows. Every store is a ``+1`` increment (cursors advance by the
     window size), so generated workloads commute: the final memory
-    state is identical across schedules, backends, and engine fan-out —
+    state is identical across schedules and engine fan-out —
     the property the determinism suites pin.
     """
 

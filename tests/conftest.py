@@ -1,9 +1,46 @@
 """Shared fixtures for the test suite."""
 
+import contextlib
+import json
+from unittest import mock
+
 import pytest
 
 from repro.htm.design import design_name
 from repro.sim.config import SimConfig
+from repro.sim.executor import CoreExecutor
+
+
+@contextlib.contextmanager
+def general_path():
+    """Machines built inside the block never take the fused body step.
+
+    Test-only: every executor's BODY phase runs the general
+    ``_step_body`` path, the reference the fast path is compared with.
+    """
+    with mock.patch.object(CoreExecutor, "_fused_body_step",
+                           lambda self: None):
+        yield
+
+
+def run_digest(machine):
+    """Everything observable about one finished run, comparably encoded."""
+    stats = machine.run()
+    memory = machine.memory
+    return {
+        "stats": json.dumps(stats.to_dict(), sort_keys=True),
+        "events": machine.event_count,
+        "memory": sorted(memory.snapshot().items()),
+        "memory_ops": (memory.load_count, memory.store_count),
+    }
+
+
+def both_paths(build):
+    """``(fast digest, general digest)`` of the machine ``build()`` makes."""
+    fast = run_digest(build())
+    with general_path():
+        general = run_digest(build())
+    return fast, general
 
 
 @pytest.fixture

@@ -1,17 +1,12 @@
-"""Equivalence of sharer-index conflict detection with the legacy scan.
+"""The micro experiment matrix reproduces the committed golden.
 
-Three layers of evidence that the O(sharers) hot path computes exactly
-what the O(num_cores) peer scan did:
-
-1. the ``debug_conflict_check`` knob runs *both* paths on every single
-   resolution and raises :class:`ConflictIndexMismatch` on any
-   divergence — a full micro matrix (all 19 benchmarks x B/P/C/W)
-   completing under it is millions of agreeing arbitrations;
-2. the figure payload of that matrix equals the stored pre-refactor
-   golden (``tests/goldens/figures_micro.json``), with and without the
-   debug knob — the observable simulation is bit-for-bit unchanged;
-3. a direct run asserts the knob actually exercises the cross-check
-   (``conflict_cross_checks > 0``), so layer 1 cannot pass vacuously.
+``tests/goldens/figures_micro.json`` was generated before the sharer
+index replaced the O(num_cores) peer scan, and every hot-path change
+since (the index, the executor's fused body step) has kept the figure
+payload of the full micro matrix (all 19 benchmarks x B/P/C/W) equal
+to it byte for byte. The index itself is checked against a
+from-scratch rebuild by ``validate_machine`` and against the peer-scan
+arbiter by ``tests/unit/test_sharer_index.py``.
 """
 
 import json
@@ -22,23 +17,10 @@ import pytest
 pytestmark = pytest.mark.slow
 
 from repro.analysis.experiments import ExperimentSettings, figure_payload, run_config_matrix
-from repro.sim.config import SimConfig
-from repro.sim.machine import Machine
-from repro.workloads import make_workload
 
 GOLDEN_PATH = os.path.join(
     os.path.dirname(__file__), "..", "goldens", "figures_micro.json"
 )
-
-
-def micro_payload(debug_conflict_check):
-    settings = ExperimentSettings.micro()
-    if debug_conflict_check:
-        settings.config_overrides["debug_conflict_check"] = True
-    matrix = run_config_matrix(settings)
-    # Round-trip through JSON so tuples/sets collapse exactly as they
-    # do in the stored golden.
-    return json.loads(json.dumps(figure_payload(matrix)))
 
 
 @pytest.fixture(scope="module")
@@ -48,23 +30,8 @@ def golden():
 
 
 class TestConflictEquivalence:
-    def test_debug_knob_exercises_cross_check(self):
-        config = SimConfig(num_cores=4, debug_conflict_check=True)
-        machine = Machine(config, make_workload("mwobject", ops_per_thread=8), seed=1)
-        machine.run()
-        assert machine.conflict_cross_checks > 0
-
-    def test_debug_knob_off_by_default(self):
-        config = SimConfig(num_cores=4)
-        machine = Machine(config, make_workload("mwobject", ops_per_thread=8), seed=1)
-        machine.run()
-        assert machine.conflict_cross_checks == 0
-
     def test_micro_matrix_matches_golden(self, golden):
-        assert micro_payload(debug_conflict_check=False) == golden
-
-    def test_micro_matrix_under_cross_check_matches_golden(self, golden):
-        # Completing at all proves zero index/scan divergences (any
-        # mismatch raises); matching the golden proves the knob itself
-        # perturbs nothing observable.
-        assert micro_payload(debug_conflict_check=True) == golden
+        matrix = run_config_matrix(ExperimentSettings.micro())
+        # Round-trip through JSON so tuples/sets collapse exactly as they
+        # do in the stored golden.
+        assert json.loads(json.dumps(figure_payload(matrix))) == golden

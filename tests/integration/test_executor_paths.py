@@ -153,18 +153,29 @@ class TestCrtPopulation:
 
 class TestZombieArbitration:
     def test_peer_view_hides_doomed_transactions(self):
+        # A doomed (zombie) transaction stops arbitrating the instant it
+        # is doomed: the sharer index forgets it, so later requesters
+        # no longer see it as a victim (or, in power mode, a nacker).
         script = [slow_counter_invoke() for _ in range(6)]
-        machine, _, _ = run_scripted({0: list(script), 1: list(script)})
-        executor = machine.executors[0]
-        # Simulate a doomed in-flight transaction.
-        executor.phase = "body"
-        executor.mode = ExecMode.SPECULATIVE
-        from repro.htm.rwset import ReadWriteSets
+        machine, _, _ = run_scripted(
+            {0: list(script), 1: list(script), 2: list(script)}, cores=3
+        )
+        index = machine.sharer_index
+        for core in (0, 1):
+            executor = machine.executors[core]
+            executor.phase = "body"
+            executor.mode = ExecMode.SPECULATIVE
+            executor.rwsets = executor._new_rwsets()
+            executor.rwsets.record_read(7)
+        assert index.get(7).readers == {0, 1}
+        assert machine.resolve_conflict(2, 7, True).victims == [0, 1]
 
-        executor.rwsets = ReadWriteSets(l1_sets=None, l2_sets=None)
-        assert executor.peer_view() is not None
-        executor.pending_abort = AbortReason.OTHER_FALLBACK
-        assert executor.peer_view() is None
+        machine.executors[0].receive_remote_conflict(7, True, 2)
+        assert machine.executors[0].pending_abort is AbortReason.MEMORY_CONFLICT
+        assert index.get(7).readers == {1}
+        machine.abort_all_speculative(AbortReason.OTHER_FALLBACK, exclude=2)
+        assert index.get(7) is None
+        assert not machine.resolve_conflict(2, 7, True).victims
 
 
 class TestRetryModeTransitions:

@@ -25,32 +25,6 @@ def arm_speculative(executor, mode=ExecMode.SPECULATIVE, lines=(5,)):
         executor.rwsets.record_read(line)
 
 
-class TestPeerViews:
-    def test_no_transactions_no_views(self):
-        machine = fresh_machine()
-        assert machine.peer_views(exclude=0) == []
-
-    def test_excludes_requester(self):
-        machine = fresh_machine()
-        arm_speculative(machine.executors[0])
-        assert machine.peer_views(exclude=0) == []
-        views = machine.peer_views(exclude=1)
-        assert [view.core for view in views] == [0]
-
-    def test_view_carries_power_flag(self):
-        machine = fresh_machine("P")
-        arm_speculative(machine.executors[0])
-        machine.power.try_acquire(0)
-        view = machine.peer_views(exclude=2)[0]
-        assert view.is_power
-
-    def test_failed_mode_flagged(self):
-        machine = fresh_machine()
-        arm_speculative(machine.executors[1], mode=ExecMode.FAILED_DISCOVERY)
-        view = machine.peer_views(exclude=0)[0]
-        assert view.is_failed
-
-
 class TestAbortAllSpeculative:
     def test_dooms_speculative_peers(self):
         machine = fresh_machine()

@@ -1,8 +1,8 @@
 """Integration tests for the online serializability monitor.
 
 The monitor (``oracle="online"``) must stay silent on correct
-executions, change no simulated results, keep the batch backend on its
-fused fast path (no reference-loop degradation), and catch the same
+executions, change no simulated results, leave the executor's fused
+body step on (matching the general path exactly), and catch the same
 planted violations the shadow oracle catches — plus commit-time stale
 reads from a broken arbiter, which it flags *at the violating commit*
 rather than at end of run. ``oracle="cross-check"`` runs both checkers
@@ -14,10 +14,10 @@ import pytest
 from repro.common.errors import OracleDivergence, OracleViolation
 from repro.htm.arbiter import NO_CONFLICT
 from repro.htm.design import DESIGN_REGISTRY
-from repro.sim.batch import BatchMachine
 from repro.sim.config import SimConfig
-from repro.sim.machine import Machine, build_machine
+from repro.sim.machine import Machine
 from repro.workloads import ALL_NAMES, make_workload
+from tests.conftest import general_path
 
 
 def monitor_config(design="clear", **overrides):
@@ -86,67 +86,53 @@ class TestMonitorPasses:
         assert stats.total_commits > 0
 
 
-class TestBatchBackendComposition:
-    """``backend="batch"`` + online monitoring stays on the fused path."""
+class TestFastPathComposition:
+    """Online monitoring keeps the fused body step, bit-identically."""
 
-    def batch_config(self, **overrides):
-        return monitor_config(backend="batch", num_cores=8, **overrides)
-
-    def test_online_monitor_does_not_degrade_batch(self):
-        machine = build_machine(
-            self.batch_config(), make_workload("genome", ops_per_thread=8),
-            seed=1,
+    def monitored(self, workload, seed=1, ops_per_thread=8, **overrides):
+        return Machine(
+            monitor_config(num_cores=8, **overrides),
+            make_workload(workload, ops_per_thread=ops_per_thread), seed,
         )
-        assert isinstance(machine, BatchMachine)
-        assert not machine._needs_reference_loop()
 
-    def test_shadow_oracle_still_degrades_batch(self):
-        # Pins the PR 8 hook-degradation rule: the shadow oracle's
-        # per-pop sampling forces the reference loop; the monitor
-        # (commit hooks only) must not.
-        machine = build_machine(
-            self.batch_config(oracle="shadow"),
-            make_workload("genome", ops_per_thread=8), seed=1,
-        )
-        assert machine._needs_reference_loop()
+    def fast_and_general(self, workload, **overrides):
+        fast = self.monitored(workload, **overrides)
+        with general_path():
+            general = self.monitored(workload, **overrides)
+        return fast, general
+
+    @pytest.mark.parametrize("oracle", ["online", "shadow", "cross-check"])
+    def test_checkers_keep_the_fused_step(self, oracle):
+        machine = self.monitored("genome", oracle=oracle)
+        assert all(executor._body_step != executor._step_body
+                   for executor in machine.executors)
 
     @pytest.mark.parametrize("workload", ["hashmap", "genome", "mwobject"])
-    def test_batch_monitored_stats_bit_identical(self, workload):
-        batch = build_machine(
-            self.batch_config(), make_workload(workload, ops_per_thread=8),
-            seed=1,
-        )
-        batch_stats = batch.run()
-        reference = Machine(
-            monitor_config(num_cores=8),
-            make_workload(workload, ops_per_thread=8), seed=1,
-        )
-        assert batch_stats.to_dict() == reference.run().to_dict()
-        assert batch.monitor.reads_checked == reference.monitor.reads_checked
+    def test_fast_monitored_stats_bit_identical(self, workload):
+        fast, general = self.fast_and_general(workload)
+        assert fast.run().to_dict() == general.run().to_dict()
+        assert fast.monitor.reads_checked == general.monitor.reads_checked
 
-    def test_batch_monitor_catches_tampering(self):
-        machine = build_machine(
-            self.batch_config(), make_workload("hashmap", ops_per_thread=6),
-            seed=3,
-        )
+    def test_fast_monitor_catches_tampering(self):
+        machine = self.monitored("hashmap", seed=3, ops_per_thread=6)
         machine.memory.store(10_000_000, 42)
         with pytest.raises(OracleViolation):
             machine.run()
 
-    def test_batch_fallback_heavy_run_checked(self):
-        # Fused fallback execution is disabled while the monitor is
-        # armed (the hooks live on the reference op path); results must
-        # still match the reference loop exactly.
-        batch = build_machine(
-            self.batch_config(retry_threshold=1),
-            make_workload("mwobject", ops_per_thread=8), seed=1,
-        )
-        batch_stats = batch.run()
-        reference = Machine(
-            monitor_config(num_cores=8, retry_threshold=1),
-            make_workload("mwobject", ops_per_thread=8), seed=1,
-        )
-        assert batch_stats.to_dict() == reference.run().to_dict()
+    def test_fast_fallback_heavy_run_checked(self):
+        # Fused fallback ops are off while the monitor is armed (its
+        # eager hooks live on the general op path); results must still
+        # match the general path exactly.
+        fast, general = self.fast_and_general("mwobject", retry_threshold=1)
+        assert fast.run().to_dict() == general.run().to_dict()
+
+    def test_fast_monitor_catches_dropped_conflicts(self):
+        # The fused step arbitrates through the instance's
+        # resolve_conflict, so a planted arbiter bug reaches it.
+        machine = self.monitored("mwobject", design="baseline")
+        drop_all_conflicts(machine)
+        with pytest.raises(OracleViolation, match="stale read"):
+            machine.run()
 
 
 class TestMonitorCatches:

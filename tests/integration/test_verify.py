@@ -127,13 +127,15 @@ class TestExhaustiveExploration:
 
 
 def plant_arbiter_bug(machine):
-    """Test-only arbiter bug: resolutions 16-21 are silently dropped.
+    """Test-only arbiter bug: resolutions 3-5 are silently dropped.
 
     Models an arbiter queue overflow that loses a burst of conflict-
     resolution requests: every check in the burst reports NO_CONFLICT,
     so two overlapping atomic regions can both commit. Which accesses
     fall inside the burst depends on the interleaving — the default
     schedule happens to survive it, so only exploration can find it.
+    The count covers resolutions that can find a conflict: the fused
+    body step never arbitrates a line no other core tracks.
     """
     real = machine.resolve_conflict
     state = {"calls": 0}
@@ -141,7 +143,7 @@ def plant_arbiter_bug(machine):
     def buggy(core, line, is_write, requester_failed=False,
               requester_unstoppable=False):
         state["calls"] += 1
-        if 16 <= state["calls"] < 22:
+        if 3 <= state["calls"] < 6:
             return NO_CONFLICT
         return real(core, line, is_write, requester_failed,
                     requester_unstoppable)

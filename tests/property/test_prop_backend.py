@@ -1,15 +1,14 @@
-"""Property-based backend equivalence: random cells, identical results.
+"""Property-based body-step equivalence: random cells, identical results.
 
 Hypothesis drives random (workload, design, seed, scale) cells through
-the reference heap loop and the batched calendar-queue loop and asserts
+the executor's fused body step and through the general ``_step_body``
+path (forced with the test-only ``general_path()`` patch) and asserts
 the two are indistinguishable: equal stats dicts, equal event-loop pop
 counts, and equal final architectural memory. This catches equivalence
 bugs the pinned matrices cannot — odd core counts, unusual retry
 thresholds, and the SLE speculation substrate crossed with the
 post-paper designs.
 """
-
-import json
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,19 +17,7 @@ from repro.htm.design import DESIGN_REGISTRY
 from repro.sim.config import SimConfig
 from repro.sim.machine import build_machine
 from repro.workloads import ALL_NAMES, make_workload
-
-
-def run_digest(config, workload_name, ops_per_thread, seed):
-    machine = build_machine(
-        config, make_workload(workload_name, ops_per_thread=ops_per_thread),
-        seed=seed,
-    )
-    stats = machine.run()
-    return {
-        "stats": json.dumps(stats.to_dict(), sort_keys=True),
-        "events": machine.event_count,
-        "memory": sorted(machine.memory.snapshot().items()),
-    }
+from tests.conftest import both_paths
 
 
 @given(
@@ -46,11 +33,12 @@ def run_digest(config, workload_name, ops_per_thread, seed):
 def test_backends_indistinguishable(workload, design, seed, num_cores,
                                     ops_per_thread, retry_threshold,
                                     speculation):
-    digests = {}
-    for backend in ("reference", "batch"):
-        config = SimConfig.for_design(
-            design, num_cores=num_cores, backend=backend,
-            retry_threshold=retry_threshold, speculation=speculation,
-        )
-        digests[backend] = run_digest(config, workload, ops_per_thread, seed)
-    assert digests["batch"] == digests["reference"]
+    config = SimConfig.for_design(
+        design, num_cores=num_cores, retry_threshold=retry_threshold,
+        speculation=speculation,
+    )
+    fast, general = both_paths(lambda: build_machine(
+        config, make_workload(workload, ops_per_thread=ops_per_thread),
+        seed=seed,
+    ))
+    assert fast == general

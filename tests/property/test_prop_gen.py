@@ -7,7 +7,7 @@ promises the ``gen:`` namespace makes:
 - re-running a (spec, seed) cell from a fresh workload instance yields
   byte-identical stats and final memory — the generator carries no
   hidden process state;
-- the reference heap loop and the batched calendar-queue loop are
+- the executor's fused body step and its general path are
   indistinguishable on generated kernels, exactly as they are on the
   built-ins;
 - the canonical spec string and the registered fingerprint resolve to
@@ -27,6 +27,7 @@ from repro.sim.config import SimConfig
 from repro.sim.machine import build_machine
 from repro.workloads import make_workload
 from repro.workloads.gen import MUTABILITY_CLASSES, GenSpec, register_spec
+from tests.conftest import general_path
 
 
 def run_digest(config, workload_name, ops_per_thread, seed):
@@ -80,13 +81,11 @@ def test_same_spec_and_seed_is_byte_identical(spec, design, seed, num_cores):
 def test_backends_indistinguishable_on_generated(spec, design, seed,
                                                  num_cores):
     name = "gen:" + spec.canonical()
-    digests = {}
-    for backend in ("reference", "batch"):
-        config = SimConfig.for_design(
-            design, num_cores=num_cores, backend=backend
-        )
-        digests[backend] = run_digest(config, name, 4, seed)
-    assert digests["batch"] == digests["reference"]
+    config = SimConfig.for_design(design, num_cores=num_cores)
+    fast = run_digest(config, name, 4, seed)
+    with general_path():
+        general = run_digest(config, name, 4, seed)
+    assert fast == general
 
 
 @given(
