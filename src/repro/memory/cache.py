@@ -6,24 +6,24 @@ locking residency: a locked line may not be evicted, and a cache set
 whose every way is pinned cannot accept a new line. The same mechanism
 answers the discovery-phase assessment *"can we simultaneously lock the
 cachelines accessed within the AR?"* (paper §4.1, item 2).
+
+Sets are allocated on first fill: every set starts as one shared,
+read-only empty mapping, and :meth:`SetAssocCache.install` — the only
+method that adds a line — gives a set its own ``OrderedDict`` the first
+time a line lands in it. Building a machine therefore costs only the
+sets its run touches (DESIGN.md §9.2).
 """
 
 from collections import OrderedDict
+from types import MappingProxyType
 
 from repro.common.errors import ConfigurationError
 
-
-class CacheLookup:
-    """Result of a cache probe."""
-
-    __slots__ = ("hit", "evicted")
-
-    def __init__(self, hit, evicted=None):
-        self.hit = hit
-        self.evicted = evicted
-
-    def __repr__(self):
-        return "CacheLookup(hit={}, evicted={})".format(self.hit, self.evicted)
+#: The stand-in for every set no line has been installed in yet. It
+#: answers ``in``, ``len``, ``get`` and iteration like an empty set and
+#: refuses writes, so a mutator that skips the residency check fails
+#: loudly instead of writing into every untouched set at once.
+_EMPTY_SET = MappingProxyType({})
 
 
 class SetAssocCache:
@@ -51,9 +51,9 @@ class SetAssocCache:
             )
         self.assoc = assoc
         self.num_sets = num_lines // assoc
-        # Each set is an OrderedDict line -> pinned flag; insertion order is
-        # LRU order (least recently used first).
-        self._sets = [OrderedDict() for _ in range(self.num_sets)]
+        # Each set is an OrderedDict line -> pinned flag once filled;
+        # insertion order is LRU order (least recently used first).
+        self._sets = [_EMPTY_SET] * self.num_sets
 
     def set_index(self, line):
         """Cache set an address maps to."""
@@ -63,40 +63,26 @@ class SetAssocCache:
         """True if the line is currently resident."""
         return line in self._sets[line % self.num_sets]
 
-    def touch(self, line):
-        """Mark the line most recently used. Returns True if resident."""
-        entries = self._sets[self.set_index(line)]
-        if line not in entries:
-            return False
-        entries.move_to_end(line)
-        return True
-
-    def insert(self, line):
-        """Install a line, evicting the LRU unpinned victim if needed.
-
-        Returns a :class:`CacheLookup` whose ``hit`` reflects prior
-        residency and whose ``evicted`` is the victim line id or None.
-        Raises :class:`OverflowError` if the set is full of pinned lines.
-        """
-        hit = line in self._sets[line % self.num_sets]
-        return CacheLookup(hit=hit, evicted=self.install(line))
-
     def install(self, line):
-        """Allocation-free :meth:`insert`: returns the victim line or None.
+        """Fill a line, evicting the LRU unpinned victim if its set is full.
 
-        The per-access fill path only needs the eviction victim, so this
-        skips the :class:`CacheLookup` construction (three per memory
-        access otherwise).
+        A resident line only becomes most recently used. Returns the
+        victim line id, or None when nothing was evicted. Raises
+        :class:`OverflowError` if the set is full of pinned lines.
         """
-        entries = self._sets[line % self.num_sets]
+        index = line % self.num_sets
+        entries = self._sets[index]
         if line in entries:
             entries.move_to_end(line)
+            return None
+        if entries is _EMPTY_SET:
+            self._sets[index] = OrderedDict(((line, False),))
             return None
         if len(entries) >= self.assoc:
             victim = self._find_victim(entries)
             if victim is None:
                 raise OverflowError(
-                    "cache set {} has all ways pinned".format(line % self.num_sets)
+                    "cache set {} has all ways pinned".format(index)
                 )
             del entries[victim]
             entries[line] = False
@@ -136,10 +122,6 @@ class SetAssocCache:
             if entries[line]:
                 raise OverflowError("cannot invalidate pinned (locked) line")
             del entries[line]
-
-    def pinned_count(self, set_index):
-        """Number of pinned ways in the given set."""
-        return sum(1 for pinned in self._sets[set_index].values() if pinned)
 
     def can_coreside(self, lines):
         """True if all given lines could be resident simultaneously.

@@ -1,9 +1,12 @@
 """Unit tests for the set-associative cache model."""
 
+import tracemalloc
+
 import pytest
 
 from repro.common.errors import ConfigurationError
 from repro.memory.cache import SetAssocCache
+from repro.memory.system import MemorySystem
 
 
 def tiny_cache(sets=2, assoc=2):
@@ -35,55 +38,54 @@ class TestInsertLookup:
     def test_miss_then_hit(self):
         cache = tiny_cache()
         assert not cache.contains(0)
-        first = cache.insert(0)
-        assert not first.hit
+        assert cache.install(0) is None
         assert cache.contains(0)
-        assert cache.insert(0).hit
+        assert cache.install(0) is None
+        assert cache.resident_lines() == [0]
 
     def test_lru_eviction_order(self):
         cache = tiny_cache(sets=1, assoc=2)
-        cache.insert(0)
-        cache.insert(1)
-        cache.touch(0)  # 1 becomes LRU
-        result = cache.insert(2)
-        assert result.evicted == 1
+        cache.install(0)
+        cache.install(1)
+        cache.install(0)  # resident: 0 becomes MRU, 1 becomes LRU
+        assert cache.install(2) == 1
         assert cache.contains(0)
 
     def test_eviction_only_within_set(self):
         cache = tiny_cache(sets=2, assoc=1)
-        cache.insert(0)  # set 0
-        result = cache.insert(1)  # set 1, no eviction
-        assert result.evicted is None
+        cache.install(0)  # set 0
+        assert cache.install(1) is None  # set 1, no eviction
         assert cache.contains(0)
 
-    def test_touch_missing_returns_false(self):
+    def test_probe_missing_leaves_cache_empty(self):
         cache = tiny_cache()
-        assert cache.touch(40) is False
+        assert not cache.contains(40)
+        assert not cache.is_pinned(40)
+        assert cache.resident_lines() == []
 
     def test_resident_lines_reports_all(self):
         cache = tiny_cache()
-        cache.insert(0)
-        cache.insert(1)
+        cache.install(0)
+        cache.install(1)
         assert sorted(cache.resident_lines()) == [0, 1]
 
 
 class TestPinning:
     def test_pinned_line_never_evicted(self):
         cache = tiny_cache(sets=1, assoc=2)
-        cache.insert(0)
+        cache.install(0)
         cache.pin(0)
-        cache.insert(1)
-        result = cache.insert(2)
-        assert result.evicted == 1
+        cache.install(1)
+        assert cache.install(2) == 1
         assert cache.contains(0)
 
     def test_full_pinned_set_overflows(self):
         cache = tiny_cache(sets=1, assoc=2)
         for line in (0, 1):
-            cache.insert(line)
+            cache.install(line)
             cache.pin(line)
         with pytest.raises(OverflowError):
-            cache.insert(2)
+            cache.install(2)
 
     def test_pin_missing_raises(self):
         cache = tiny_cache()
@@ -92,11 +94,10 @@ class TestPinning:
 
     def test_unpin_allows_eviction_again(self):
         cache = tiny_cache(sets=1, assoc=1)
-        cache.insert(0)
+        cache.install(0)
         cache.pin(0)
         cache.unpin(0)
-        result = cache.insert(1)
-        assert result.evicted == 0
+        assert cache.install(1) == 0
 
     def test_unpin_missing_is_noop(self):
         cache = tiny_cache()
@@ -104,23 +105,43 @@ class TestPinning:
 
     def test_invalidate_pinned_raises(self):
         cache = tiny_cache()
-        cache.insert(0)
+        cache.install(0)
         cache.pin(0)
         with pytest.raises(OverflowError):
             cache.invalidate(0)
 
     def test_invalidate_removes_line(self):
         cache = tiny_cache()
-        cache.insert(0)
+        cache.install(0)
         cache.invalidate(0)
         assert not cache.contains(0)
 
     def test_pinned_count(self):
         cache = tiny_cache(sets=1, assoc=2)
-        cache.insert(0)
-        cache.insert(1)
+        cache.install(0)
+        cache.install(1)
         cache.pin(0)
-        assert cache.pinned_count(0) == 1
+        assert [cache.is_pinned(line) for line in (0, 1)] == [True, False]
+
+
+class TestLazySets:
+    def test_untouched_set_refuses_writes(self):
+        cache = tiny_cache(sets=2)
+        cache.install(0)  # fills set 0 only
+        with pytest.raises(TypeError):
+            cache._sets[1][1] = False
+        assert cache.resident_lines() == [0]
+
+    def test_machine_memory_allocates_only_touched_sets(self):
+        # The Table 2 geometry at 32 cores has 38,912 sets; one
+        # OrderedDict each would take about 5 MB.
+        tracemalloc.start()
+        try:
+            MemorySystem(num_cores=32)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1024 * 1024
 
 
 class TestCanCoreside:
