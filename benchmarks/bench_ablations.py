@@ -28,9 +28,9 @@ OPS = 12
 
 def run(name, **overrides):
     config = SimConfig.for_design("clear", num_cores=CORES, **overrides)
-    return api.run_seeds(
+    return api.simulate(
         name, config, seeds=SEEDS, trim=0, ops_per_thread=OPS
-    )
+    ).aggregate()
 
 
 BENCHMARKS = ("mwobject", "arrayswap", "queue", "bitcoin", "intruder", "bst")
@@ -140,12 +140,12 @@ def test_ablation_retry_threshold(benchmark):
         table = {}
         for name in names:
             table[name] = {
-                threshold: api.run_seeds(
+                threshold: api.simulate(
                     name,
                     SimConfig.for_design("baseline", num_cores=CORES,
                                          retry_threshold=threshold),
                     seeds=SEEDS, trim=0, ops_per_thread=OPS,
-                ).cycles
+                ).aggregate().cycles
                 for threshold in thresholds
             }
         return table

@@ -21,8 +21,8 @@ Scales:
   artifacts and the CI smoke both use this, so regenerating is cheap.
 - ``full``: 8 cores, 12 ops/thread, seeds 1-3.
 
-Every cell runs with the invariant oracles armed; an oracle violation
-in any design on any workload fails the whole benchmark.
+Every cell runs with the online serializability monitor armed; a
+violation in any design on any workload fails the whole benchmark.
 """
 
 import json
@@ -55,7 +55,7 @@ ANNOTATION_KEYS = ("multiword_commits",)
 def measure_cell(workload, design, scale, engine, journal=None):
     """One workload x design cell: seed-averaged metrics as a dict."""
     config = SimConfig.for_design(
-        design, num_cores=scale["cores"], oracle="shadow",
+        design, num_cores=scale["cores"], oracle="online",
     )
     report = api.simulate(
         workload, config, seeds=scale["seeds"],

@@ -39,8 +39,7 @@ def parse_args(argv):
     )
     parser.add_argument(
         "--config", default="baseline", metavar="DESIGN",
-        help="HTM design name (legacy B/P/C/W letters still resolve; "
-             "default: %(default)s)",
+        help="HTM design name (default: %(default)s)",
     )
     parser.add_argument(
         "--seed", type=int, default=1, metavar="S",

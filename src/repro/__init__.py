@@ -22,9 +22,7 @@ Quickstart::
 designs are pluggable: :class:`repro.HtmDesign` is the backend
 protocol, :data:`repro.DESIGN_REGISTRY` maps design names to
 implementations, and :func:`repro.register_design` adds new ones (see
-DESIGN.md §12). The historical ``run_workload``/``run_seeds``/
-``sweep_retry_threshold`` trio still lives in :mod:`repro.sim.runner`
-with a :class:`DeprecationWarning` but is no longer re-exported here.
+DESIGN.md §12).
 """
 
 from repro.core.modes import ExecMode
@@ -34,7 +32,6 @@ from repro.sim.engine import ExperimentEngine, RunSpec, run_specs
 from repro.sim.faults import FaultPlan
 from repro.sim.machine import Machine
 from repro.sim.monitor import OnlineMonitor
-from repro.sim.oracle import RuntimeOracle
 from repro.sim.runner import AggregateResult, RunResult
 from repro.energy.model import EnergyModel
 from repro.workloads import ALL_NAMES, make_workload
@@ -64,7 +61,6 @@ __all__ = [
     "FaultPlan",
     "ORACLE_MODES",
     "OnlineMonitor",
-    "RuntimeOracle",
     "run_specs",
     "EnergyModel",
     "ALL_NAMES",

@@ -1,8 +1,6 @@
 """The unified simulation facade.
 
-One entry point — :func:`simulate` — replaces the historical trio of
-``run_workload`` / ``run_seeds`` / ``sweep_retry_threshold`` spread
-across :mod:`repro.sim.runner`. It accepts a workload by name or
+One entry point — :func:`simulate` — accepts a workload by name or
 factory, a configuration by object or design name, any number of
 seeds, and optional tracing/oracle/engine knobs, and returns a
 :class:`SimulationReport` that carries every run, the trimmed-mean
@@ -17,29 +15,22 @@ Quickstart::
     report.write_chrome_trace("trace.json")      # load in Perfetto
     print(report.forensic_report())
 
-Migration from the deprecated entry points:
-
-=====================================  ====================================
-Old                                    New
-=====================================  ====================================
-``run_workload(f, cfg, seed=3)``       ``simulate(f, cfg, seeds=3).run``
-``run_seeds(f, cfg, seeds=S)``         ``simulate(f, cfg, seeds=S).aggregate()``
-``sweep_retry_threshold(w, cfg, ...)`` ``api.sweep_retry_threshold(w, cfg, ...)``
-=====================================  ====================================
+A single run is ``simulate(f, cfg, seeds=3).run``, a multi-seed
+aggregate is ``simulate(f, cfg, seeds=S).aggregate()``, and the
+paper's retry-threshold sweep is :func:`sweep_retry_threshold`.
 """
 
 import numbers
-import warnings
 
 from repro.common.constants import PAPER_TRIM, SWEEP_TRIM
 from repro.common.errors import ConfigurationError
 from repro.common.serialize import Serializable
-from repro.htm.design import DESIGN_REGISTRY, LEGACY_LETTER_DESIGNS
+from repro.htm.design import DESIGN_REGISTRY
 from repro.obs.chrome import write_chrome_trace
 from repro.obs.report import forensic_report as _forensic_report
 from repro.obs.report import write_forensic_report
 from repro.obs.trace import EventTrace, TraceSink
-from repro.sim.config import SimConfig, resolve_oracle_mode
+from repro.sim.config import SimConfig
 from repro.sim.runner import (
     AggregateResult,
     RunResult,
@@ -47,47 +38,32 @@ from repro.sim.runner import (
     _sweep_retry_threshold,
 )
 
-def _resolve_config(config, oracle=None):
-    """Accept a SimConfig, a design name, a legacy paper letter, or None.
 
-    Design names (``DESIGN_REGISTRY`` keys) are the canonical string
-    spelling; the paper letters B/P/C/W still resolve but raise a
-    :class:`DeprecationWarning`.
+def _resolve_config(config, oracle=None):
+    """Accept a SimConfig, a design name (a ``DESIGN_REGISTRY`` key), or None.
 
     ``oracle`` is the facade-level checker-mode override: ``None``
     (the default) leaves the config's own mode untouched — an explicit
     config-level mode is never silently downgraded by the kwarg
     default — while a mode name from
-    :data:`~repro.sim.config.ORACLE_MODES` (or a deprecated boolean,
-    which warns and maps to ``"shadow"``/``"off"``) replaces it.
+    :data:`~repro.sim.config.ORACLE_MODES` replaces it.
     """
     if config is None:
         config = SimConfig()
     elif isinstance(config, str):
-        if config in DESIGN_REGISTRY:
-            config = SimConfig.for_design(config)
-        elif config in LEGACY_LETTER_DESIGNS:
-            name = LEGACY_LETTER_DESIGNS[config]
-            warnings.warn(
-                "config letter {!r} is deprecated; pass the design name "
-                "{!r} instead".format(config, name),
-                DeprecationWarning,
-                stacklevel=3,
-            )
-            config = SimConfig.for_design(name)
-        else:
+        if config not in DESIGN_REGISTRY:
             raise ConfigurationError(
                 "config must name a registered design ({}), not "
                 "{!r}".format(", ".join(sorted(DESIGN_REGISTRY)), config)
             )
+        config = SimConfig.for_design(config)
     elif not isinstance(config, SimConfig):
         raise TypeError(
             "config must be a SimConfig, a design name, or None, not "
             "{!r}".format(type(config).__name__)
         )
-    mode = resolve_oracle_mode(oracle, stacklevel=4)
-    if mode is not None and config.oracle != mode:
-        config = config.replaced(oracle=mode)
+    if oracle is not None and config.oracle != oracle:
+        config = config.replaced(oracle=oracle)
     return config
 
 
@@ -243,8 +219,7 @@ def simulate(workload, config=None, *, seeds=1, trim=PAPER_TRIM, trace=False,
         A :class:`~repro.sim.config.SimConfig`, a registered design
         name (``"baseline"``/``"powertm"``/``"clear"``/
         ``"clear+powertm"``/``"lrw"``/``"bigatomics"``), or None for
-        defaults. The paper letters ``"B"``/``"P"``/``"C"``/``"W"``
-        still resolve, with a :class:`DeprecationWarning`.
+        defaults.
     seeds:
         One seed (int) or an iterable of seeds; one run per seed.
     trim:
@@ -257,12 +232,10 @@ def simulate(workload, config=None, *, seeds=1, trim=PAPER_TRIM, trace=False,
         that sink instead (single-seed only). Simulated results are
         identical with tracing on or off.
     oracle:
-        Serializability-checker mode for these runs: ``"off"``,
-        ``"shadow"`` (replay oracle), ``"online"`` (incremental
-        monitor, cheap enough to leave on), or ``"cross-check"``
-        (both, verdicts compared). ``None`` (the default) keeps the
-        config's own mode; the deprecated ``True``/``False`` map to
-        ``"shadow"``/``"off"`` with a :class:`DeprecationWarning`.
+        Serializability-checker mode for these runs: ``"off"`` or
+        ``"online"`` (the incremental commit-order monitor, cheap
+        enough to leave on). ``None`` (the default) keeps the config's
+        own mode.
     engine:
         An :class:`~repro.sim.engine.ExperimentEngine` to fan the seeds
         out through (parallel and cached). Requires ``workload`` by
@@ -374,26 +347,15 @@ def verify(workload, config=None, **kwargs):
     return _verify(workload, config, **kwargs)
 
 
-def run_seeds(workload, config=None, *, seeds=range(1, 11), trim=PAPER_TRIM,
-              **kwargs):
-    """Multi-seed convenience: the :class:`AggregateResult` directly.
-
-    Equivalent to ``simulate(..., seeds=seeds, trim=trim).aggregate()``.
-    """
-    return simulate(
-        workload, config, seeds=seeds, trim=trim, **kwargs
-    ).aggregate()
-
-
 def sweep_retry_threshold(workload, config=None, thresholds=range(1, 11),
                           seeds=(1, 2, 3), trim=SWEEP_TRIM, *,
                           ops_per_thread=None, engine=None, oracle=None):
     """Best retry threshold per application (paper §6 methodology).
 
-    The supported replacement for the deprecated
-    ``repro.sim.runner.sweep_retry_threshold``; same contract, plus the
-    facade's config-letter convenience. Returns ``(best_aggregate,
-    best_threshold)``.
+    ``workload`` is a benchmark name (fanned out through ``engine``,
+    or an inline single-process engine) or a zero-argument factory
+    (run inline); ``config`` resolves like :func:`simulate`'s. Returns
+    ``(best_aggregate, best_threshold)``.
     """
     config = _resolve_config(config, oracle)
     return _sweep_retry_threshold(
@@ -406,6 +368,5 @@ __all__ = [
     "SimulationReport",
     "simulate",
     "verify",
-    "run_seeds",
     "sweep_retry_threshold",
 ]

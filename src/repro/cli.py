@@ -57,20 +57,17 @@ def add_oracle_flag(parser, default=None):
     """Attach the shared ``--oracle`` checker-mode knob.
 
     Choices come from :data:`~repro.sim.config.ORACLE_MODES`. A bare
-    ``--oracle`` (no value) arms the shadow-replay oracle — the
-    spelling the old boolean flag had — while ``--oracle online`` and
-    ``--oracle cross-check`` select the commit-order monitor and the
-    differential mode. The default of None means "leave the script's
-    config untouched".
+    ``--oracle`` (no value) arms the online commit-order monitor, the
+    same as ``--oracle online``; ``--oracle off`` disarms it. The
+    default of None means "leave the script's config untouched".
     """
     from repro.sim.config import ORACLE_MODES
 
     parser.add_argument(
-        "--oracle", nargs="?", const="shadow", default=default,
+        "--oracle", nargs="?", const="online", default=default,
         choices=ORACLE_MODES, metavar="MODE",
-        help="serializability checker mode: off, shadow (replay "
-             "oracle; the bare-flag default), online (commit-order "
-             "monitor), or cross-check (both, verdicts compared)",
+        help="serializability checker mode: off, or online (the "
+             "commit-order monitor; the bare-flag default)",
     )
     return parser
 

@@ -83,15 +83,6 @@ class OracleViolation(SimulationError):
         self.details = details if details is not None else {}
 
 
-class OracleDivergence(OracleViolation):
-    """The online monitor and the shadow oracle disagreed.
-
-    Raised only under ``oracle="cross-check"``: one checker flagged the
-    run and the other passed it, which means a checker (not the
-    machine) is wrong. ``details`` carries both verdicts.
-    """
-
-
 class ExperimentCellError(ReproError):
     """An experiment cell failed permanently after bounded retries.
 

@@ -67,7 +67,7 @@ class ConflictArbiter:
     ``design`` is the machine's :class:`~repro.htm.design.HtmDesign`
     instance; when present, its ``conflict_nacker`` hook decides whether
     the power-token holder NACKs the requester. Without a design (unit
-    tests, the legacy oracle path) the built-in PowerTM rule applies —
+    tests) the built-in PowerTM rule applies —
     which is exactly what every registered design currently implements,
     keeping the ``resolve``/``resolve_line`` cross-check valid.
 

@@ -302,11 +302,11 @@ class BigAtomicsDesign(ClearDesign):
 
 
 def design_name(spec):
-    """Canonical design name for a name or legacy letter (no warning).
+    """Canonical design name for a name or a paper figure letter.
 
-    The silent translation helper for internal call sites; user-facing
-    surfaces (``SimConfig.for_letter``, ``repro.api``) wrap it with a
-    :class:`DeprecationWarning` for the letter spelling.
+    For internal call sites that key results by the paper's B/P/C/W
+    labels; user-facing surfaces (``SimConfig``, ``repro.api``) take
+    design names only.
     """
     return LEGACY_LETTER_DESIGNS.get(spec, spec)
 

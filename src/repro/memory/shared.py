@@ -18,9 +18,9 @@ class SharedMemory:
         self.load_count = 0
         self.store_count = 0
         # Optional (addr, value) callback observing every poke. The
-        # runtime oracle mirrors workload-level initialization writes
-        # (e.g. node-pool refills issued outside any AR) into its
-        # shadow memory through this; None outside oracle runs.
+        # online monitor mirrors workload-level initialization writes
+        # (e.g. node-pool refills issued outside any AR) into its value
+        # map through this; None outside monitored runs.
         self.poke_mirror = None
 
     def load(self, word_addr):

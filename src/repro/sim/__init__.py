@@ -9,8 +9,8 @@
 - :mod:`repro.sim.executor` — the per-core AR execution state machine.
 - :mod:`repro.sim.machine` — the assembled multicore machine and its
   event loop.
-- :mod:`repro.sim.runner` — multi-seed runs with the paper's trimmed
-  mean, and the retry-threshold design-space sweep.
+- :mod:`repro.sim.runner` — run results, the paper's trimmed mean, and
+  the retry-threshold design-space sweep behind :mod:`repro.api`.
 - :mod:`repro.sim.engine` — the parallel, cached experiment engine
   fanning independent (workload, config, seed) cells over worker
   processes with content-addressed on-disk memoization.
@@ -22,16 +22,13 @@
 - :mod:`repro.sim.enginefaults` — seeded fault injection against the
   engine substrate itself (worker SIGKILLs, cache corruption, torn
   journal writes, ENOSPC).
-- :mod:`repro.sim.oracle` — the shadow-replay serializability oracle
-  (``oracle="shadow"``: commit-order replay, invariant sampling, leak
-  checks).
 - :mod:`repro.sim.monitor` — the online commit-order serializability
   monitor (``oracle="online"``: incremental epoch checking at
-  production rate, same leak checks).
+  production rate, plus end-of-run leak checks).
 """
 
 from repro.common.retry import RetryPolicy
-from repro.sim.config import SimConfig, HtmPolicy
+from repro.sim.config import SimConfig
 from repro.sim.engine import (
     CellFailure,
     DiskCache,
@@ -45,15 +42,13 @@ from repro.sim.enginefaults import EngineFaultPlan
 from repro.sim.faults import FaultPlan
 from repro.sim.journal import SweepJournal
 from repro.sim.monitor import OnlineMonitor
-from repro.sim.oracle import RuntimeOracle
 from repro.sim.program import Load, Store, Compute, Branch, AbortOp, Invoke, Think
 from repro.sim.stats import MachineStats, CoreStats
 from repro.sim.machine import Machine
-from repro.sim.runner import run_workload, run_seeds, RunResult, AggregateResult
+from repro.sim.runner import RunResult, AggregateResult
 
 __all__ = [
     "SimConfig",
-    "HtmPolicy",
     "CellFailure",
     "DiskCache",
     "EngineFaultPlan",
@@ -65,7 +60,6 @@ __all__ = [
     "ProgressEvent",
     "RunSpec",
     "OnlineMonitor",
-    "RuntimeOracle",
     "run_specs",
     "Load",
     "Store",
@@ -77,8 +71,6 @@ __all__ = [
     "MachineStats",
     "CoreStats",
     "Machine",
-    "run_workload",
-    "run_seeds",
     "RunResult",
     "AggregateResult",
 ]

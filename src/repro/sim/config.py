@@ -13,11 +13,6 @@ C           ``clear``
 W           ``clear+powertm``
 ========== ===================
 
-The historical ``powertm``/``clear`` booleans survive as deprecated
-constructor aliases (and silent read properties) that normalize into
-``design``; :meth:`SimConfig.from_dict` migrates pre-v3 payloads that
-still spell them.
-
 :class:`SimConfig` is a frozen dataclass: every field is declared
 exactly once, and ``replaced()``/``to_dict()``/``from_dict()``/
 ``fingerprint()`` are all derived from :func:`dataclasses.fields`, so
@@ -26,10 +21,8 @@ copying, serialization, and the experiment cache key.
 """
 
 import dataclasses
-import enum
 import hashlib
 import json
-import warnings
 
 from repro.common.errors import ConfigurationError
 from repro.common.serialize import Serializable
@@ -39,76 +32,13 @@ from repro.htm.design import (
     design_name,
 )
 
-_UNSET = object()
-
 #: Serializability-checker modes for ``SimConfig.oracle``:
 #:
 #: - ``"off"``: no checking (the default).
-#: - ``"shadow"``: the legacy :class:`~repro.sim.oracle.RuntimeOracle`
-#:   — commit-order replay against a shadow memory plus periodic
-#:   ``validate_machine`` sampling. Thorough but host-slow.
 #: - ``"online"``: the :class:`~repro.sim.monitor.OnlineMonitor` —
 #:   incremental epoch/region tracking checked at each commit, cheap
 #:   enough to leave on under the bench grid and ``repro.verify``.
-#: - ``"cross-check"``: both checkers run and their verdicts are
-#:   compared; any divergence raises
-#:   :class:`~repro.common.errors.OracleDivergence`.
-ORACLE_MODES = ("off", "shadow", "online", "cross-check")
-
-
-class HtmPolicy(enum.Enum):
-    """Conflict-resolution baseline."""
-
-    REQUESTER_WINS = "requester_wins"
-    POWER_TM = "power_tm"
-
-
-def _design_from_flags(powertm, clear):
-    """The design name the legacy boolean pair spells."""
-    if clear:
-        return "clear+powertm" if powertm else "clear"
-    return "powertm" if powertm else "baseline"
-
-
-def _warn_flag_kwargs():
-    warnings.warn(
-        "SimConfig(powertm=..., clear=...) is deprecated; pass "
-        "design='baseline'/'powertm'/'clear'/'clear+powertm' instead",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-
-
-def _warn_oracle_bool(stacklevel=3):
-    warnings.warn(
-        "oracle=True/False is deprecated; pass an oracle mode name "
-        "('off', 'shadow', 'online', or 'cross-check') instead",
-        DeprecationWarning,
-        stacklevel=stacklevel,
-    )
-
-
-def resolve_oracle_mode(value, *, stacklevel=3):
-    """Normalize an ``oracle=`` argument to a canonical mode name.
-
-    ``None`` passes through (meaning "leave the config's mode alone");
-    the deprecated booleans warn and map to exactly ``"shadow"`` /
-    ``"off"``; mode names validate against :data:`ORACLE_MODES`. The
-    single compat funnel for the constructor shim, ``from_dict``, the
-    :mod:`repro.api` facade, and the CLI flag layer.
-    """
-    if value is None:
-        return None
-    if isinstance(value, bool):
-        _warn_oracle_bool(stacklevel=stacklevel + 1)
-        return "shadow" if value else "off"
-    if value not in ORACLE_MODES:
-        raise ConfigurationError(
-            "oracle must be one of {}, not {!r}".format(
-                ", ".join(repr(mode) for mode in ORACLE_MODES), value
-            )
-        )
-    return value
+ORACLE_MODES = ("off", "online")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -149,8 +79,7 @@ class SimConfig(Serializable):
     backoff_base: int = 8
     backoff_max_exponent: int = 6
     # -- HTM design (repro.htm.design) --
-    # Canonical registry key selecting the protocol backend; the
-    # deprecated powertm/clear constructor aliases normalize into it.
+    # Canonical registry key selecting the protocol backend.
     design: str = "baseline"
     # -- CLEAR --
     ert_entries: int = 16
@@ -198,17 +127,10 @@ class SimConfig(Serializable):
     fault_jitter_cycles: int = 0
     # Max extra cycles a parked core's lock-release wakeup is delayed.
     fault_wakeup_delay_cycles: int = 0
-    # -- robustness: serializability checkers (repro.sim.oracle /
-    # repro.sim.monitor) --
-    # Checker mode, one of ORACLE_MODES: "off", "shadow" (replay
-    # oracle), "online" (incremental epoch monitor), or "cross-check"
-    # (both, verdicts compared). Zero simulated-time cost in every
-    # mode; the deprecated True/False spellings normalize to
-    # "shadow"/"off" through the constructor shim below.
+    # -- robustness: serializability checker (repro.sim.monitor) --
+    # Checker mode, one of ORACLE_MODES: "off" or "online" (the
+    # incremental epoch monitor). Zero simulated-time cost either way.
     oracle: str = "off"
-    # Event-loop pops between validate_machine samples while the
-    # shadow oracle is enabled.
-    oracle_validate_interval: int = 4096
     # Livelock watchdog: trip when no AR commits within this many
     # cycles while cores are still runnable (0 disables).
     watchdog_cycles: int = 0
@@ -265,25 +187,11 @@ class SimConfig(Serializable):
                     self.oracle,
                 )
             )
-        if self.oracle_validate_interval < 1:
-            raise ConfigurationError(
-                "oracle_validate_interval must be >= 1"
-            )
-
-    @property
-    def oracle_armed(self):
-        """True when any serializability checker is enabled."""
-        return self.oracle != "off"
-
-    @property
-    def shadow_oracle(self):
-        """True when the shadow-replay oracle runs (shadow/cross-check)."""
-        return self.oracle in ("shadow", "cross-check")
 
     @property
     def online_monitor(self):
-        """True when the online monitor runs (online/cross-check)."""
-        return self.oracle in ("online", "cross-check")
+        """True when the online monitor runs (``oracle="online"``)."""
+        return self.oracle == "online"
 
     @property
     def chaos_enabled(self):
@@ -301,50 +209,12 @@ class SimConfig(Serializable):
         return DESIGN_REGISTRY[self.design]
 
     @property
-    def powertm(self):
-        """Whether the selected design uses power-token priority.
-
-        Read-only compatibility property over ``design``; reading it is
-        not deprecated (the flag spelling in constructors is).
-        """
-        return self.design_class.powertm
-
-    @property
-    def clear(self):
-        """Whether the selected design runs the CLEAR mechanism."""
-        return self.design_class.clear
-
-    @property
-    def htm_policy(self):
-        """The conflict-resolution baseline in use."""
-        return HtmPolicy.POWER_TM if self.powertm else HtmPolicy.REQUESTER_WINS
-
-    @property
     def config_letter(self):
         """The paper's letter (B/P/C/W), or the design name otherwise."""
         return self.design_class.letter or self.design
 
     def replaced(self, **overrides):
-        """A copy of this configuration with some fields replaced.
-
-        Accepts the deprecated ``powertm``/``clear`` aliases (with a
-        :class:`DeprecationWarning`), layering them over the current
-        design's flags and normalizing the pair into ``design``.
-        """
-        legacy_powertm = overrides.pop("powertm", _UNSET)
-        legacy_clear = overrides.pop("clear", _UNSET)
-        if legacy_powertm is not _UNSET or legacy_clear is not _UNSET:
-            _warn_flag_kwargs()
-            flags_design = _design_from_flags(
-                self.powertm if legacy_powertm is _UNSET else legacy_powertm,
-                self.clear if legacy_clear is _UNSET else legacy_clear,
-            )
-            declared = overrides.setdefault("design", flags_design)
-            if declared != flags_design:
-                raise ConfigurationError(
-                    "design={!r} conflicts with the deprecated powertm/clear "
-                    "flags (which spell {!r})".format(declared, flags_design)
-                )
+        """A copy of this configuration with some fields replaced."""
         return dataclasses.replace(self, **overrides)
 
     def to_dict(self):
@@ -358,33 +228,10 @@ class SimConfig(Serializable):
     def from_dict(cls, data):
         """Rebuild a configuration from :meth:`to_dict` output.
 
-        Pre-v3 payloads spelled the design as ``powertm``/``clear``
-        booleans; they are migrated silently (no warning — cached
-        results are not the caller's code) into the equivalent
-        ``design`` name, so legacy payloads deserialize to the same
-        normalized fingerprint as their modern spelling. Pre-v4
-        payloads spelled ``oracle`` as a boolean; it migrates to the
-        equivalent mode name the same way. Other unknown keys still
-        raise :class:`ConfigurationError` rather than being silently
-        dropped, so stale cache entries or hand-edited configs fail
-        loudly.
+        Unknown keys raise :class:`ConfigurationError` rather than being
+        silently dropped, so stale cache entries or hand-edited configs
+        fail loudly.
         """
-        data = dict(data)
-        if isinstance(data.get("oracle"), bool):
-            data["oracle"] = "shadow" if data["oracle"] else "off"
-        legacy_powertm = data.pop("powertm", _UNSET)
-        legacy_clear = data.pop("clear", _UNSET)
-        if legacy_powertm is not _UNSET or legacy_clear is not _UNSET:
-            migrated = _design_from_flags(
-                legacy_powertm is not _UNSET and legacy_powertm,
-                legacy_clear is not _UNSET and legacy_clear,
-            )
-            declared = data.setdefault("design", migrated)
-            if declared != migrated:
-                raise ConfigurationError(
-                    "design {!r} conflicts with the legacy powertm/clear "
-                    "keys (which spell {!r})".format(declared, migrated)
-                )
         known = {field.name for field in dataclasses.fields(cls)}
         unknown = set(data) - known
         if unknown:
@@ -408,71 +255,16 @@ class SimConfig(Serializable):
     def for_design(cls, name, **overrides):
         """Build a configuration for a registered design by name.
 
-        The canonical constructor convenience; ``name`` must be a
-        :data:`~repro.htm.design.DESIGN_REGISTRY` key (legacy letters
-        belong to the deprecated :meth:`for_letter`).
+        ``name`` must be a :data:`~repro.htm.design.DESIGN_REGISTRY`
+        key.
         """
         return cls(design=name, **overrides)
-
-    @classmethod
-    def for_letter(cls, letter, **overrides):
-        """Deprecated: build from the paper's B/P/C/W naming.
-
-        Use :meth:`for_design` with the design name instead ("B" ->
-        "baseline", "P" -> "powertm", "C" -> "clear", "W" ->
-        "clear+powertm").
-        """
-        if letter not in LEGACY_LETTER_DESIGNS:
-            raise ConfigurationError("unknown configuration {!r}".format(letter))
-        name = LEGACY_LETTER_DESIGNS[letter]
-        warnings.warn(
-            "SimConfig.for_letter({!r}) is deprecated; use "
-            "SimConfig.for_design({!r})".format(letter, name),
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return cls(design=name, **overrides)
-
-
-# The generated __init__ is wrapped (not replaced) so the deprecated
-# powertm/clear keyword aliases and oracle booleans keep working one
-# release longer: they warn, normalize into `design` / an oracle mode
-# name, and the flag pair is rejected when inconsistent with an
-# explicitly passed design. dataclasses.replace() and every internal
-# construction path go through the same wrapper with plain field
-# kwargs, paying one tuple check.
-_FIELD_INIT = SimConfig.__init__
-
-
-def _shim_init(self, *args, powertm=_UNSET, clear=_UNSET, **kwargs):
-    if powertm is not _UNSET or clear is not _UNSET:
-        _warn_flag_kwargs()
-        flags_design = _design_from_flags(
-            powertm is not _UNSET and powertm,
-            clear is not _UNSET and clear,
-        )
-        declared = kwargs.setdefault("design", flags_design)
-        if declared != flags_design:
-            raise ConfigurationError(
-                "design={!r} conflicts with the deprecated powertm/clear "
-                "flags (which spell {!r})".format(declared, flags_design)
-            )
-    if isinstance(kwargs.get("oracle"), bool):
-        _warn_oracle_bool()
-        kwargs["oracle"] = "shadow" if kwargs["oracle"] else "off"
-    _FIELD_INIT(self, *args, **kwargs)
-
-
-_shim_init.__wrapped__ = _FIELD_INIT
-SimConfig.__init__ = _shim_init
 
 
 __all__ = [
     "ORACLE_MODES",
-    "HtmPolicy",
     "SimConfig",
     "DESIGN_REGISTRY",
     "LEGACY_LETTER_DESIGNS",
     "design_name",
-    "resolve_oracle_mode",
 ]

@@ -72,7 +72,11 @@ from repro.workloads import make_workload, workload_cache_token
 #: v5: SimConfig lost its event-loop ``backend`` field and the legacy
 #: conflict cross-check flag, so pre-v5 job folders are refused
 #: instead of re-run.
-SCHEMA_VERSION = 5
+#: v6: SimConfig lost ``oracle_validate_interval``, its oracle modes
+#: collapsed to "off"/"online", and from_dict stopped migrating v2/v3
+#: payloads (powertm/clear booleans, a boolean oracle); v5 cache
+#: entries miss and v5 job folders are refused.
+SCHEMA_VERSION = 6
 
 DEFAULT_CACHE_DIR = ".exp_cache"
 

@@ -92,7 +92,7 @@ class CoreExecutor:
         # oracle (repro.verify); None on ordinary runs.
         self.ledger = machine.retry_ledger
         # Online serializability monitor (repro.sim.monitor); None
-        # unless config.oracle is "online"/"cross-check".
+        # unless config.oracle is "online".
         self.monitor = machine.monitor
         self.phase = IDLE
         self.mode = None
@@ -1085,13 +1085,6 @@ class CoreExecutor:
         # Ask the design for the commit cost while the attempt state
         # (mode, rwsets) is still live; _clear_attempt_state nulls both.
         commit_cycles = self.design.commit_cycles(executor=self)
-        if machine.oracle is not None:
-            # Commit-order replay against the shadow memory; via_abort
-            # marks fallback regions ended at an explicit XAbort (the
-            # replay then also stops at the AbortOp).
-            machine.oracle.record_commit(
-                self.core, self.invocation, mode, via_abort=via_abort
-            )
         if self.monitor is not None:
             # Epoch staleness check + value-map fold; needs the write
             # buffer intact, so it runs before drain_to below.
@@ -1192,7 +1185,7 @@ class CoreExecutor:
         if mode is ExecMode.FALLBACK and self.monitor is not None:
             # A fallback abort (MAX_OPS bound) still persisted its
             # direct stores; the monitor stamps their lines now.
-            self.monitor.note_fallback_abort(self.core)
+            self.monitor.note_fallback_abort(self.core, self.invocation)
         self._release_all_holdings()
         if counts_toward_retry_limit(reason):
             self.counting_retries += 1

@@ -8,7 +8,7 @@ and real wakeups from lock releases are not instantaneous. This module
 injects all four fault classes so the paper's robustness claims — the
 NS-CL completion guarantee, the S-CL NACK/retry deadlock avoidance, and
 the bounded-retry decision tree — can be stressed adversarially while
-the runtime oracles (:mod:`repro.sim.oracle`) watch.
+the online serializability monitor (:mod:`repro.sim.monitor`) watches.
 
 Every draw flows through dedicated child streams of the run's
 :class:`~repro.common.rng.DeterministicRng`, so:

@@ -41,12 +41,11 @@ from repro.sim.executor import (
     CoreExecutor,
 )
 from repro.sim.faults import FaultPlan
-from repro.sim.monitor import OnlineMonitor, finalize_checkers
-from repro.sim.oracle import RuntimeOracle
+from repro.sim.monitor import OnlineMonitor
 from repro.sim.stats import MachineStats
 
-# The watchdog and oracle-sampling checks run every this-many event-loop
-# pops (power of two so the modulo is cheap).
+# The watchdog check runs every this-many event-loop pops (power of two
+# so the modulo is cheap).
 WATCHDOG_CHECK_EVENTS = 1024
 
 # How many trailing trace events a stall diagnostic ships.
@@ -142,22 +141,10 @@ class Machine:
         # child streams of the run seed (reproducible, and invisible to
         # every other consumer of the rng).
         self.faults = FaultPlan.from_config(config, self.rng, config.num_cores)
-        # Serializability checkers (config.oracle mode): constructed
-        # after workload setup so shadow memory / the monitor's value
-        # map seed from the exact post-setup architectural state. The
-        # monitor comes second so its poke mirror chains onto the
-        # shadow's in cross-check mode; it defers commit-time verdicts
-        # there so both checkers see the whole run before comparison.
-        self.oracle = None
-        self.monitor = None
-        if config.shadow_oracle:
-            self.oracle = RuntimeOracle(
-                self, validate_interval=config.oracle_validate_interval
-            )
-        if config.online_monitor:
-            self.monitor = OnlineMonitor(
-                self, defer_violations=self.oracle is not None
-            )
+        # Serializability monitor (oracle="online"): constructed after
+        # workload setup so its value map seeds from the exact
+        # post-setup architectural state.
+        self.monitor = OnlineMonitor(self) if config.online_monitor else None
         self.executors = []
         for core in range(config.num_cores):
             controller = self.design.make_controller(core=core, machine=self)
@@ -258,11 +245,9 @@ class Machine:
           default).
         """
         config = self.config
-        oracle = self.oracle
         faults = self.faults
         trace = self.trace
         watchdog = config.watchdog_cycles
-        validate_interval = oracle.validate_interval if oracle is not None else 0
         # Hot loop: bind everything touched per pop to locals.
         executors = self.executors
         # One bound method per core, fetched by index: saves an
@@ -314,8 +299,6 @@ class Machine:
                     stats=stats,
                 )
             events += 1
-            if validate_interval and events % validate_interval == 0:
-                oracle.sample()
             if watchdog and events % WATCHDOG_CHECK_EVENTS == 0:
                 commits = stats.total_commits
                 if commits != watchdog_commits:
@@ -378,8 +361,8 @@ class Machine:
         annotations = self.design.stat_annotations(machine=self)
         if annotations:
             self.stats.design_annotations = dict(annotations)
-        if oracle is not None or self.monitor is not None:
-            finalize_checkers(self)
+        if self.monitor is not None:
+            self.monitor.finalize()
         return self.stats
 
     # -- diagnostics ----------------------------------------------------------

@@ -1,14 +1,16 @@
 """Online commit-order serializability monitor (``oracle="online"``).
 
-The shadow-replay oracle (:mod:`repro.sim.oracle`) proves commit-order
-serializability by re-executing every committed AR on the host — sound
-and complete, but far too slow to leave on under the bench grid or a
-large ``repro.verify`` fuzzing campaign. This module provides the same
-guarantee at production rate, in the style of RegionTrack
-(arXiv 2008.04479) and fast online atomicity monitors: instead of a
-full shadow memory replay it tracks *commit epochs* per cacheline and
-checks, at each commit, that the transactional happens-before graph
-the commit would close stays acyclic.
+The paper's guarantees are *robustness* claims — committed schedules
+stay serializable, NS-CL always completes, locks and the power token
+never leak. This module checks them while a run executes, so a chaos
+run under :mod:`repro.sim.faults` is a proof, not a hope. Re-executing
+every committed AR against a shadow memory would prove commit-order
+serializability too, but far too slowly to leave on under the bench
+grid or a large ``repro.verify`` fuzzing campaign. The monitor gives the same guarantee at production rate, in the style
+of RegionTrack (arXiv 2008.04479) and fast online atomicity monitors:
+it tracks *commit epochs* per cacheline and checks, at each commit,
+that the transactional happens-before graph the commit would close
+stays acyclic.
 
 Algorithm
 ---------
@@ -43,8 +45,10 @@ in commit order. The check is
 The monitor also maintains a word-value map (seeded from the
 post-setup snapshot, updated from each committed write buffer, poke
 mirror, and fallback store) so the end of the run can diff it against
-architectural memory — the same final check the shadow oracle does,
-catching out-of-band tampering with no committed-AR fingerprint.
+architectural memory, catching out-of-band tampering with no
+committed-AR fingerprint. After the last thread finishes the cacheline
+lock table must be empty and the fallback lock and power token free
+(:func:`check_leaks`).
 
 Non-speculative paths:
 
@@ -54,7 +58,8 @@ Non-speculative paths:
 - **Fallback** runs under global mutual exclusion with direct
   (unbuffered) stores, so its loads are checked eagerly against the
   value map and its stores are applied to it as they are issued; the
-  lines touched get their epoch bump when the region ends.
+  lines touched get their epoch bump when the region ends — also when
+  it ends in an abort, whose direct stores persist.
 
 Fast path: the monitor deliberately has *no per-op hook* on
 speculative accesses — commit hooks, first-read recording, and the
@@ -62,45 +67,107 @@ end-of-run sweep only — so the executor's fused body step stays on
 while it is armed (the first-read epoch store is inlined there).
 Fallback accesses are the exception: their eager load/store hooks
 live on the general op path, which fallback ops take while a monitor
-is armed. The periodic ``validate_machine`` sampling stays a
-shadow/cross-check feature, so checking with the monitor costs only
-what its hooks do.
+is armed. ``validate_machine`` runs once, at the end of the run, so
+checking with the monitor costs only what its hooks do.
 
-``oracle="cross-check"`` arms both checkers: the monitor defers its
-commit-time verdicts, both finalize, and
-:func:`cross_check_finalize` raises
-:class:`~repro.common.errors.OracleDivergence` whenever one checker
-flags a run the other passes.
+Violations raise :class:`repro.common.errors.OracleViolation` carrying
+a structured ``details`` dict. The monitor costs zero simulated
+cycles; it is pure host-side measurement machinery.
 """
 
 from repro.common.constants import WORDS_PER_LINE
-from repro.common.errors import OracleDivergence, OracleViolation
-from repro.sim.oracle import MAX_DIFF_REPORT, CommitRecord, check_leaks
+from repro.common.errors import OracleViolation
+from repro.core.modes import ExecMode
 from repro.sim.validate import validate_machine
 
 #: How many trailing commit records a violation report carries.
 COMMIT_TAIL = 32
+
+#: How many diverging addresses a serializability violation reports.
+MAX_DIFF_REPORT = 16
+
+
+def check_leaks(machine):
+    """End-of-run leak checks.
+
+    After the last thread finishes, the cacheline lock table must be
+    empty and the fallback lock and power token free; anything held is
+    a protocol leak and raises :class:`OracleViolation`.
+    """
+    locks = machine.memsys.locks
+    if locks.locked_line_count():
+        raise OracleViolation(
+            "lock-table leak: {} cacheline lock(s) survived the run".format(
+                locks.locked_line_count()
+            ),
+            details={"held": locks.snapshot()},
+        )
+    fallback = machine.fallback
+    if fallback.is_write_held() or fallback.readers:
+        raise OracleViolation(
+            "fallback-lock leak after run completion",
+            details={
+                "writer": fallback.writer,
+                "readers": sorted(fallback.readers),
+            },
+        )
+    if machine.power.holder is not None:
+        raise OracleViolation(
+            "power-token leak: core {} still holds the token".format(
+                machine.power.holder
+            ),
+            details={"holder": machine.power.holder},
+        )
+
+
+class CommitRecord:
+    """One region that advanced the commit clock, for violation reports.
+
+    Every committed AR gets one, in commit order (``order`` is its index
+    among the commits). A fallback region that aborted after storing
+    gets one too (``aborted``), because its direct stores persist and
+    move epochs like a commit; its ``order`` is the number of commits
+    before it.
+    """
+
+    __slots__ = ("order", "core", "region_id", "mode", "via_abort", "aborted")
+
+    def __init__(self, order, core, region_id, mode, via_abort,
+                 aborted=False):
+        self.order = order
+        self.core = core
+        self.region_id = region_id
+        self.mode = mode
+        self.via_abort = via_abort
+        self.aborted = aborted
+
+    def to_dict(self):
+        """JSON-serializable form (used in violation details)."""
+        return {
+            "order": self.order,
+            "core": self.core,
+            "region": list(self.region_id)
+            if isinstance(self.region_id, tuple) else self.region_id,
+            "mode": self.mode.value,
+            "via_abort": self.via_abort,
+            "aborted": self.aborted,
+        }
 
 
 class OnlineMonitor:
     """Incremental serializability checker for one machine run.
 
     Construct *after* workload setup (the value map seeds from the
-    post-setup architectural state) and after the shadow oracle when
-    both run (the poke mirror chains onto whatever is already armed).
-    Executors call :meth:`record_commit` on every commit and the
-    fallback hooks on direct memory traffic; the machine calls
-    :meth:`finalize` once the run completes cleanly.
-
-    ``defer_violations=True`` (cross-check mode) collects commit-time
-    verdicts instead of raising, so both checkers see the whole run
-    and their conclusions can be compared at the end.
+    post-setup architectural state). Executors call
+    :meth:`record_commit` on every commit and the fallback hooks on
+    direct memory traffic; the machine calls :meth:`finalize` once the
+    run completes cleanly.
     """
 
-    def __init__(self, machine, defer_violations=False):
+    def __init__(self, machine):
         self.machine = machine
-        self.defer_violations = defer_violations
-        #: Global commit clock; epoch N belongs to the N-th commit.
+        #: Global commit clock, advanced once per commit and once per
+        #: aborted fallback region that stored.
         self.clock = 0
         #: line -> commit epoch of the last committed write (0 = never
         #: written by a committed AR). Read by the rwsets first-read
@@ -111,21 +178,14 @@ class OnlineMonitor:
         self._values = dict(machine.memory.snapshot())
         #: Lines stored to by the current fallback region, per core.
         self._fallback_lines = [set() for _ in range(machine.config.num_cores)]
+        #: Committed ARs, in commit order.
         self.commits = []
+        #: The record that wrote each epoch: epoch N is ``_writers[N - 1]``.
+        self._writers = []
         self.reads_checked = 0
-        self.deferred = []
         # Mirror out-of-AR pokes (workload node refills etc.) into the
-        # value map. In cross-check mode the shadow oracle already
-        # holds the single mirror slot, so fan out to both.
-        previous = machine.memory.poke_mirror
-        if previous is None:
-            machine.memory.poke_mirror = self._note_poke
-        else:
-            def fanout(word_addr, value, _prev=previous,
-                       _mine=self._note_poke):
-                _prev(word_addr, value)
-                _mine(word_addr, value)
-            machine.memory.poke_mirror = fanout
+        # value map.
+        machine.memory.poke_mirror = self._note_poke
 
     # -- commit hook ---------------------------------------------------------
 
@@ -138,9 +198,11 @@ class OnlineMonitor:
         """
         clock = self.clock + 1
         self.clock = clock
-        self.commits.append(CommitRecord(
+        record = CommitRecord(
             len(self.commits), core, invocation.region_id, mode, via_abort
-        ))
+        )
+        self.commits.append(record)
+        self._writers.append(record)
         epochs = self.line_epochs
         if rwsets is None:
             # Fallback: direct stores already landed in the value map;
@@ -161,7 +223,7 @@ class OnlineMonitor:
                         {"line": line, "read_epoch": seen,
                          "current_epoch": current,
                          "intervening_commit":
-                             self.commits[current - 1].to_dict()
+                             self._writers[current - 1].to_dict()
                              if current else None}
                     )
             if stale:
@@ -220,17 +282,22 @@ class OnlineMonitor:
                 },
             )
 
-    def note_fallback_abort(self, core):
+    def note_fallback_abort(self, core, invocation):
         """A fallback region aborted (MAX_OPS bound): stores persist.
 
         The fallback path is not a transaction — its direct stores are
         already architectural — so the lines it touched still get an
-        epoch stamp even though no commit is recorded.
+        epoch stamp, written by an ``aborted`` record that a later
+        stale-read report can name, though no commit is recorded.
         """
         lines = self._fallback_lines[core]
         if lines:
             clock = self.clock + 1
             self.clock = clock
+            self._writers.append(CommitRecord(
+                len(self.commits), core, invocation.region_id,
+                ExecMode.FALLBACK, False, aborted=True,
+            ))
             epochs = self.line_epochs
             for line in lines:
                 epochs[line] = clock
@@ -245,18 +312,11 @@ class OnlineMonitor:
     # -- end of run ----------------------------------------------------------
 
     def finalize(self):
-        """Leak checks + invariants + final value diff; raises on violation.
-
-        In defer mode (cross-check) any commit-time verdicts collected
-        during the run are raised here instead, after the checks both
-        checkers share.
-        """
+        """Leak checks + invariants + final value diff; raises on violation."""
         machine = self.machine
         check_leaks(machine)
         validate_machine(machine)
         self._check_final_state()
-        if self.deferred:
-            raise self.deferred[0]
         machine.memory.poke_mirror = None
 
     def _check_final_state(self):
@@ -287,72 +347,9 @@ class OnlineMonitor:
                         for record in self.commits[-COMMIT_TAIL:]
                     ],
                 },
-                defer=False,
             )
 
     # -- violation plumbing --------------------------------------------------
 
-    def _violation(self, message, details, defer=True):
-        error = OracleViolation(message, details=details)
-        if defer and self.defer_violations:
-            self.deferred.append(error)
-            return
-        raise error
-
-
-def cross_check_finalize(oracle, monitor):
-    """Finalize both checkers and compare their verdicts.
-
-    Used under ``oracle="cross-check"``: the shadow oracle and the
-    online monitor each finalize (leak checks, invariants, and their
-    respective serializability sweeps). If exactly one of them flags
-    the run, the *checkers* disagree and :class:`OracleDivergence` is
-    raised; if both flag it the shadow verdict propagates (with the
-    online verdict chained in its details).
-    """
-    shadow_error = None
-    try:
-        oracle.finalize()
-    except OracleViolation as exc:
-        shadow_error = exc
-    online_error = None
-    try:
-        monitor.finalize()
-    except OracleViolation as exc:
-        online_error = exc
-    if (shadow_error is None) != (online_error is None):
-        flagging, silent = (
-            ("shadow", "online") if shadow_error is not None
-            else ("online", "shadow")
-        )
-        error = shadow_error if shadow_error is not None else online_error
-        raise OracleDivergence(
-            "serializability checkers diverged: the {} checker flagged the "
-            "run but the {} checker passed it".format(flagging, silent),
-            details={
-                "flagging_checker": flagging,
-                "violation": str(error),
-                "violation_details": dict(error.details),
-            },
-        )
-    if shadow_error is not None:
-        shadow_error.details = dict(shadow_error.details)
-        shadow_error.details["online_verdict"] = str(online_error)
-        raise shadow_error
-
-
-def finalize_checkers(machine):
-    """End-of-run dispatch over the armed checker combination.
-
-    Called by ``Machine.run`` when a run completes cleanly; a no-op
-    when nothing is armed, one checker's ``finalize`` when one is, and
-    the cross-check comparison when both are.
-    """
-    oracle = machine.oracle
-    monitor = machine.monitor
-    if oracle is not None and monitor is not None:
-        cross_check_finalize(oracle, monitor)
-    elif oracle is not None:
-        oracle.finalize()
-    elif monitor is not None:
-        monitor.finalize()
+    def _violation(self, message, details):
+        raise OracleViolation(message, details=details)

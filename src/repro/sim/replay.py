@@ -45,8 +45,8 @@ def replay_body(body_factory, memory, commit=False, stop_on_abort=False):
     ``stop_on_abort=True`` ends the replay at the first
     :class:`~repro.sim.program.AbortOp`, mirroring the executor's
     fallback-path semantics (an XAbort there simply ends the region, so
-    only the stores issued before it are architectural). The
-    serializability oracle replays with this enabled.
+    only the stores issued before it are architectural). A commit-order
+    replay of committed regions needs this enabled.
     """
     footprint = set()
     buffered = {}

@@ -3,7 +3,7 @@
 The paper executes every application "10 times with different seeds and
 the trimmed mean is used to remove 3 outliers"; :func:`trimmed_mean`
 implements that (dropping the 2 highest and 1 lowest by default when
-removing 3), and :func:`run_seeds` wires it to the simulator.
+removing 3), and :func:`repro.api.simulate` wires it to the simulator.
 
 :class:`RunResult` and :class:`AggregateResult` round-trip losslessly
 through ``to_dict()``/``from_dict()``; the experiment engine's on-disk
@@ -20,14 +20,6 @@ from repro.obs.trace import EventTrace
 from repro.sim.config import SimConfig
 from repro.sim.machine import build_machine
 from repro.sim.stats import MachineStats
-
-
-def _deprecated(old, new):
-    warnings.warn(
-        "{}() is deprecated; use {} instead".format(old, new),
-        DeprecationWarning,
-        stacklevel=3,
-    )
 
 
 def trimmed_mean(values, trim=PAPER_TRIM):
@@ -209,8 +201,8 @@ def _simulate_one(workload_factory, config, *, seed=1, energy_model=None,
                   trace=None):
     """Simulate one (workload, config, seed) and return a RunResult.
 
-    The non-deprecated implementation behind :func:`repro.api.simulate`
-    and the experiment engine. ``trace`` is an optional
+    The implementation behind :func:`repro.api.simulate` and the
+    experiment engine. ``trace`` is an optional
     :class:`~repro.obs.trace.TraceSink` the machine emits into; when it
     is an :class:`~repro.obs.trace.EventTrace` it is also attached to
     the returned result.
@@ -223,43 +215,6 @@ def _simulate_one(workload_factory, config, *, seed=1, energy_model=None,
     attached = trace if isinstance(trace, EventTrace) else None
     return RunResult(workload.name, config, seed, stats, energy,
                      trace=attached)
-
-
-def _run_seeds(workload_factory, config, *, seeds=range(1, 11),
-               trim=PAPER_TRIM, energy_model=None, trace_factory=None):
-    """Simulate several seeds and aggregate with the paper's trimmed mean.
-
-    ``trace_factory`` (seed -> TraceSink or None) lets the facade trace
-    individual runs of a multi-seed simulation.
-    """
-    runs = [
-        _simulate_one(
-            workload_factory, config, seed=seed, energy_model=energy_model,
-            trace=trace_factory(seed) if trace_factory is not None else None,
-        )
-        for seed in seeds
-    ]
-    return AggregateResult(runs[0].workload_name, config, runs, trim)
-
-
-def run_workload(workload_factory, config, *, seed=1, energy_model=None):
-    """Deprecated: use :func:`repro.api.simulate`.
-
-    Simulates one (workload, config, seed) and returns a RunResult,
-    exactly as before; new code should call ``repro.api.simulate`` which
-    returns the richer :class:`~repro.api.SimulationReport`.
-    """
-    _deprecated("run_workload", "repro.api.simulate")
-    return _simulate_one(workload_factory, config, seed=seed,
-                         energy_model=energy_model)
-
-
-def run_seeds(workload_factory, config, *, seeds=range(1, 11),
-              trim=PAPER_TRIM, energy_model=None):
-    """Deprecated: use :func:`repro.api.simulate` with ``seeds=...``."""
-    _deprecated("run_seeds", "repro.api.simulate")
-    return _run_seeds(workload_factory, config, seeds=seeds, trim=trim,
-                      energy_model=energy_model)
 
 
 def select_best_threshold(aggregates_by_threshold):
@@ -294,13 +249,13 @@ def _sweep_retry_threshold(workload, config, thresholds=range(1, 11),
     the named workload; ``None`` keeps its default).
     """
     if callable(workload):
-        aggregates = {
-            threshold: _run_seeds(
-                workload, config.replaced(retry_threshold=threshold),
-                seeds=seeds, trim=trim,
+        aggregates = {}
+        for threshold in thresholds:
+            swept = config.replaced(retry_threshold=threshold)
+            runs = [_simulate_one(workload, swept, seed=seed) for seed in seeds]
+            aggregates[threshold] = AggregateResult(
+                runs[0].workload_name, swept, runs, trim
             )
-            for threshold in thresholds
-        }
         return select_best_threshold(aggregates)
 
     # Imported lazily: the engine module imports this one.
@@ -325,13 +280,3 @@ def _sweep_retry_threshold(workload, config, thresholds=range(1, 11),
         )
     return select_best_threshold(aggregates)
 
-
-def sweep_retry_threshold(workload, config, thresholds=range(1, 11),
-                          seeds=(1, 2, 3), trim=SWEEP_TRIM, *,
-                          ops_per_thread=None, engine=None):
-    """Deprecated: use :func:`repro.api.sweep_retry_threshold`."""
-    _deprecated("sweep_retry_threshold", "repro.api.sweep_retry_threshold")
-    return _sweep_retry_threshold(
-        workload, config, thresholds=thresholds, seeds=seeds, trim=trim,
-        ops_per_thread=ops_per_thread, engine=engine,
-    )

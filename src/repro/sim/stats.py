@@ -20,11 +20,10 @@ latency histograms (abort latency, retries per committed AR, cacheline
 lock hold time, fallback hold time) — all pure functions of simulated
 cycles, so they are identical with tracing on or off.
 
-The serializability checkers (:mod:`repro.sim.oracle`,
-:mod:`repro.sim.monitor`) keep their own counters (commit records,
-reads checked, samples taken) *outside* this surface on purpose: a
-checked run must serialize, fingerprint, and golden-compare exactly
-like an unchecked one.
+The serializability monitor (:mod:`repro.sim.monitor`) keeps its own
+counters (commit records, reads checked) *outside* this surface on
+purpose: a checked run must serialize, fingerprint, and golden-compare
+exactly like an unchecked one.
 """
 
 from collections import Counter
@@ -424,12 +423,10 @@ class MachineStats(Serializable):
              for region, count in data["per_region_aborts"]}
         )
         stats.accesses_by_level = Counter(data["accesses_by_level"])
-        metrics = data.get("metrics")
-        if metrics is not None:
-            stats.metrics = MetricRegistry.from_dict(metrics)
-            stats._bind_metrics()
-        # The legacy scalar keys are authoritative (and present in every
-        # schema version); with a "metrics" section they agree anyway.
+        stats.metrics = MetricRegistry.from_dict(data["metrics"])
+        stats._bind_metrics()
+        # The scalar keys duplicate registry counters; they are restored
+        # last so the two always agree.
         stats._compute_ops.value = data["compute_ops"]
         stats._branch_ops.value = data["branch_ops"]
         stats._tx_begins.value = data["tx_begins"]

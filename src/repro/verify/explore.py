@@ -4,7 +4,7 @@
 the default deterministic one, a seeded random/PCT fuzzing batch, or a
 DPOR-lite exhaustive enumeration of the decision tree for micro
 configurations — and checks every run against the three oracles
-(serializability via the online commit-order monitor by default, the
+(serializability via the online commit-order monitor, the
 single-retry bound via the
 :class:`~repro.verify.oracles.RetryLedger`, and cross-schedule
 state/commit equivalence). A failing schedule is ddmin-shrunk
@@ -111,9 +111,9 @@ def run_schedule(factory, config, seed, scheduler, *, trace=None,
                  machine_hook=None):
     """Run one schedule under full instrumentation; never raises.
 
-    The machine runs with a serializability checker armed (``config``
-    must have ``oracle`` set to a checking mode; :func:`verify` defaults
-    to the online monitor when the caller left it off), a
+    The machine runs with the serializability monitor armed (``config``
+    must have ``oracle="online"``; :func:`verify` arms it when the
+    caller left it off), a
     :class:`RetryLedger` attached, and the given scheduler wrapped in a
     recorder. Oracle violations, stalls, and simulation errors are
     converted into violation records on the returned
@@ -357,9 +357,8 @@ def verify(workload, config=None, *, cores=None, seed=1, schedules=20,
         (factories cannot cross process boundaries or be recorded into
         artifacts by name, so prefer names).
     config:
-        :class:`SimConfig`, paper letter, or None; a config with
-        ``oracle="off"`` is upgraded to the ``"online"`` monitor (an
-        explicit ``"shadow"``/``"cross-check"`` choice is kept) and
+        :class:`SimConfig`, design name, or None; a config with
+        ``oracle="off"`` is upgraded to the ``"online"`` monitor and
         ``cores`` (when given) overrides ``num_cores``.
     schedules:
         Fuzzing budget for ``explorer="random"``/``"pct"``.
@@ -387,7 +386,7 @@ def verify(workload, config=None, *, cores=None, seed=1, schedules=20,
     config = _resolve_config(config)
     if cores is not None and cores != config.num_cores:
         config = config.replaced(num_cores=cores)
-    if not config.oracle_armed:
+    if not config.online_monitor:
         config = config.replaced(oracle="online")
     named = isinstance(workload, str)
     workload_name = workload if named else None

@@ -2,12 +2,10 @@
 
 Three properties, matching the paper's claims:
 
-1. **Serializability** — every run under exploration executes with a
-   serializability checker armed: by default the
-   :class:`~repro.sim.monitor.OnlineMonitor` (incremental commit-order
-   epoch checking, cheap enough for large exploration batches), or the
-   :class:`~repro.sim.oracle.RuntimeOracle` shadow replay when the
-   caller picks ``oracle="shadow"``/``"cross-check"``. Both raise
+1. **Serializability** — every run under exploration executes with the
+   :class:`~repro.sim.monitor.OnlineMonitor` armed (incremental
+   commit-order epoch checking, cheap enough for large exploration
+   batches). It raises
    :class:`~repro.common.errors.OracleViolation`; the explorer converts
    that exception (and any stall) into a violation record; nothing here
    re-implements it.

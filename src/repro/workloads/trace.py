@@ -34,10 +34,8 @@ Recording captures the *committed* attempt of every invocation: the
 executor creates one body generator per attempt, and instrumentation
 replays (Fig. 1 footprint comparisons) always run strictly between
 attempts, so the last generator created for an invocation is the one
-that committed. The replay-based checkers (``oracle="shadow"`` /
-``"cross-check"``) break that invariant by replaying at commit time,
-so :func:`record_trace` downgrades them to ``"off"`` for the recording
-run; the online monitor does not replay and may stay armed.
+that committed. The online monitor does not replay, so it may stay
+armed while recording.
 """
 
 import functools
@@ -204,9 +202,8 @@ def record_trace(workload, out_dir, *, config=None, seed=1,
     ``workload`` is a registry name (any namespace) or a
     :class:`~repro.workloads.base.Workload` instance; ``config`` is a
     :class:`~repro.sim.config.SimConfig`, a design name, or ``None``
-    for defaults. Replay-based checker modes are downgraded to
-    ``"off"`` for the recording run (see the module docstring); the
-    online monitor may stay armed. Returns the manifest dict.
+    for defaults; the online monitor may stay armed. Returns the
+    manifest dict.
     """
     from repro.api import _resolve_config
     from repro.sim.machine import build_machine
@@ -225,8 +222,6 @@ def record_trace(workload, out_dir, *, config=None, seed=1,
     else:
         inner = workload
     config = _resolve_config(config)
-    if config.oracle in ("shadow", "cross-check"):
-        config = config.replaced(oracle="off")
     recorder = _RecordingWorkload(inner)
     machine = build_machine(config, recorder, seed=seed)
     stats = machine.run()

@@ -158,9 +158,8 @@ class TestHookDegradation:
         ))
 
     def test_checkers_keep_fused_loop(self):
-        for oracle in ("shadow", "online", "cross-check"):
-            config = SimConfig(num_cores=4, oracle=oracle)
-            self.assert_fused(lambda: Machine(config, self.workload()))
+        config = SimConfig(num_cores=4, oracle="online")
+        self.assert_fused(lambda: Machine(config, self.workload()))
 
     def test_watchdog_keeps_fused_loop(self):
         config = SimConfig(num_cores=4, watchdog_cycles=100_000)

@@ -1,11 +1,10 @@
-"""Cache compatibility across the v1 -> v2 result-schema bump.
+"""Cache compatibility across result-schema bumps.
 
 SCHEMA_VERSION participates in both the cache key and the stored
 payload, so entries written by an older build must silently miss (never
 deserialize into the new shape), while same-version entries round-trip
-exactly — traces included — and legacy v1 result dicts (no ``trace``
-slot, no ``metrics`` section) still deserialize for consumers holding
-old JSON files.
+exactly — traces included. Result dicts must carry the ``metrics``
+section; only the ``trace`` slot is optional.
 """
 
 import json
@@ -82,7 +81,7 @@ class TestSchemaBump:
 
 
 class TestLegacyResultDicts:
-    """v1 JSON (pre-trace, pre-metrics) must still deserialize."""
+    """The trace slot may be absent; the metrics section may not."""
 
     def test_run_result_without_trace_slot(self):
         data = make_run_result_dict()
@@ -91,85 +90,17 @@ class TestLegacyResultDicts:
         assert result.trace is None
         assert result.workload_name == "arrayswap"
 
-    def test_stats_without_metrics_section(self):
+    def test_stats_without_metrics_rejected(self):
         data = make_run_result_dict()
         assert "metrics" in data["stats"]
         data["stats"].pop("metrics")
-        result = RunResult.from_dict(data)
-        assert result.stats.total_commits > 0
+        with pytest.raises(KeyError):
+            RunResult.from_dict(data)
 
     def test_current_dicts_carry_both_new_sections(self):
         data = make_run_result_dict(trace=True)
         assert data["trace"] is not None
         assert "metrics" in data["stats"]
-
-
-class TestDesignFingerprintMigration:
-    """v2 configs spelled powertm/clear booleans; v3 spells ``design``.
-
-    A cached payload written with the boolean flags must deserialize to
-    the same normalized fingerprint as its modern spelling, so RunSpec
-    cache keys stay stable for the four legacy modes (no spurious
-    cold-cache re-runs beyond the deliberate schema bump).
-    """
-
-    LEGACY = [
-        (False, False, "baseline"),
-        (True, False, "powertm"),
-        (False, True, "clear"),
-        (True, True, "clear+powertm"),
-    ]
-
-    def v2_config_dict(self, powertm, clear, design):
-        """A config dict as a v2 build would have written it."""
-        data = SimConfig.for_design(design, num_cores=4).to_dict()
-        del data["design"]
-        # v2 had no per-design knobs either; their defaults must not
-        # perturb the fingerprint of a migrated payload.
-        for knob in ("lrw_read_lines", "lrw_write_lines",
-                     "bigatomics_lines", "bigatomics_commit_cycles"):
-            del data[knob]
-        data["powertm"] = powertm
-        data["clear"] = clear
-        return data
-
-    @pytest.mark.parametrize("powertm, clear, design", LEGACY)
-    def test_boolean_payload_fingerprint_matches(self, powertm, clear, design):
-        migrated = SimConfig.from_dict(self.v2_config_dict(
-            powertm, clear, design
-        ))
-        modern = SimConfig.for_design(design, num_cores=4)
-        assert migrated == modern
-        assert migrated.fingerprint() == modern.fingerprint()
-
-    @pytest.mark.parametrize("powertm, clear, design", LEGACY)
-    def test_cache_key_stable_across_spellings(self, powertm, clear, design):
-        migrated_spec = RunSpec(
-            workload="arrayswap",
-            config=SimConfig.from_dict(self.v2_config_dict(
-                powertm, clear, design
-            )),
-            seed=1, ops_per_thread=4,
-        )
-        modern_spec = RunSpec(
-            workload="arrayswap",
-            config=SimConfig.for_design(design, num_cores=4),
-            seed=1, ops_per_thread=4,
-        )
-        assert migrated_spec.cache_key() == modern_spec.cache_key()
-
-    def test_migrated_payload_hits_modern_cache(self, tmp_path):
-        engine = ExperimentEngine(jobs=1, cache_dir=str(tmp_path))
-        engine.run_specs([make_spec()])
-        migrated = RunSpec(
-            workload="arrayswap",
-            config=SimConfig.from_dict(self.v2_config_dict(
-                False, False, "baseline"
-            )),
-            seed=1, ops_per_thread=4,
-        )
-        report = engine.run_specs_report([migrated])
-        assert report.cache_hits == 1
 
 
 def make_run_result_dict(trace=False):

@@ -21,7 +21,7 @@ CHAOS = dict(
     fault_capacity_rate=0.02,
     fault_jitter_cycles=4,
     fault_wakeup_delay_cycles=6,
-    oracle="shadow",
+    oracle="online",
 )
 
 

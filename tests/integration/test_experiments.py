@@ -132,5 +132,4 @@ class TestSettings:
 
     def test_config_for_letter(self):
         settings = ExperimentSettings.quick()
-        assert settings.config_for("W").clear
-        assert settings.config_for("W").powertm
+        assert settings.config_for("W").design == "clear+powertm"

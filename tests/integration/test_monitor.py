@@ -2,22 +2,27 @@
 
 The monitor (``oracle="online"``) must stay silent on correct
 executions, change no simulated results, leave the executor's fused
-body step on (matching the general path exactly), and catch the same
-planted violations the shadow oracle catches — plus commit-time stale
-reads from a broken arbiter, which it flags *at the violating commit*
-rather than at end of run. ``oracle="cross-check"`` runs both checkers
-and must agree with itself on every run.
+body step on (matching the general path exactly), and catch planted
+violations — out-of-band tampering, leaks, and commit-time stale reads
+from a broken arbiter, which it flags *at the violating commit* rather
+than at end of run. The shadow replay in :mod:`tests.shadow` is the
+reference it is cross-checked against, both verdicts on the same run.
 """
 
 import pytest
 
-from repro.common.errors import OracleDivergence, OracleViolation
+from repro.common.errors import OracleViolation
+from repro.core.modes import ExecMode
 from repro.htm.arbiter import NO_CONFLICT
 from repro.htm.design import DESIGN_REGISTRY
+from repro.htm.rwset import ReadWriteSets
+from repro.memory.address import line_of_word
 from repro.sim.config import SimConfig
 from repro.sim.machine import Machine
+from repro.sim.program import Invoke
 from repro.workloads import ALL_NAMES, make_workload
 from tests.conftest import general_path
+from tests.shadow import ShadowReplay, run_with_shadow
 
 
 def monitor_config(design="clear", **overrides):
@@ -47,6 +52,20 @@ class TestMonitorPasses:
         stats = machine.run()  # finalize() runs inside; no raise = pass
         assert stats.total_commits > 0
         assert len(machine.monitor.commits) == stats.total_commits
+
+    def test_commit_records_are_serializable(self):
+        machine = Machine(
+            monitor_config(), make_workload("hashmap", ops_per_thread=5), seed=4
+        )
+        machine.run()
+        assert machine.monitor.commits
+        for record in machine.monitor.commits:
+            dumped = record.to_dict()
+            assert dumped["order"] == record.order
+            assert dumped["mode"] in {
+                "speculative", "failed_discovery", "ns_cl", "s_cl", "fallback",
+            }
+            assert dumped["aborted"] is False
 
     def test_monitor_actually_checks_reads(self):
         machine = Machine(
@@ -101,11 +120,17 @@ class TestFastPathComposition:
             general = self.monitored(workload, **overrides)
         return fast, general
 
-    @pytest.mark.parametrize("oracle", ["online", "shadow", "cross-check"])
-    def test_checkers_keep_the_fused_step(self, oracle):
-        machine = self.monitored("genome", oracle=oracle)
+    @pytest.mark.parametrize("checker", ["online", "shadow"])
+    def test_checkers_keep_the_fused_step(self, checker):
+        machine = self.monitored("genome")
         assert all(executor._body_step != executor._step_body
                    for executor in machine.executors)
+        if checker == "shadow":
+            # The replay rides on the monitor's hooks, so the runs the
+            # agreement tests check are the production runs exactly.
+            assert ShadowReplay(machine).run() == (None, None)
+            plain = self.monitored("genome").run()
+            assert machine.stats.to_dict() == plain.to_dict()
 
     @pytest.mark.parametrize("workload", ["hashmap", "genome", "mwobject"])
     def test_fast_monitored_stats_bit_identical(self, workload):
@@ -187,57 +212,123 @@ class TestMonitorCatches:
         )
 
 
+class TestFallbackAbortEpochs:
+    """Epochs written by aborted fallback regions name their writer.
+
+    A real run needs ``MAX_OPS_PER_ATTEMPT`` ops in one fallback region
+    to abort it, so the monitor is driven directly here.
+    """
+
+    WORD = 4096
+
+    def stale_read_after(self, aborts):
+        machine = Machine(
+            monitor_config("baseline", num_cores=2),
+            make_workload("mwobject", ops_per_thread=1), seed=1,
+        )
+        monitor = machine.monitor
+        line = line_of_word(self.WORD)
+        fallback_region = Invoke(("fallback", 0), lambda: iter(()))
+        for value in range(1, aborts + 1):
+            monitor.note_fallback_store(0, self.WORD, value)
+            monitor.note_fallback_abort(0, fallback_region)
+        reader = ReadWriteSets(monitor_epochs={})
+        reader.monitor_reads[line] = 0
+        committing = Invoke(("reader", 1), lambda: iter(()))
+        with pytest.raises(OracleViolation, match="stale read") as excinfo:
+            monitor.record_commit(1, committing, ExecMode.SPECULATIVE, reader)
+        return monitor, excinfo.value.details
+
+    @pytest.mark.parametrize("aborts", [1, 2])
+    def test_report_names_the_aborted_fallback_region(self, aborts):
+        monitor, details = self.stale_read_after(aborts)
+        (stale,) = details["stale_reads"]
+        assert stale["read_epoch"] == 0
+        assert stale["current_epoch"] == aborts
+        writer = stale["intervening_commit"]
+        assert writer["core"] == 0
+        assert writer["region"] == ["fallback", 0]
+        assert writer["mode"] == "fallback"
+        assert writer["aborted"] is True
+        assert details["commit"]["core"] == 1
+        # Aborted regions are writers, not commits.
+        assert len(monitor.commits) == 1
+        assert monitor.clock == aborts + 1
+
+
 class TestCrossCheck:
+    """The monitor's verdict against the shadow replay's, on one run."""
+
     def test_silent_on_correct_runs(self):
         machine = Machine(
-            monitor_config(oracle="cross-check"),
-            make_workload("genome", ops_per_thread=6), seed=1,
+            monitor_config(), make_workload("genome", ops_per_thread=6), seed=1,
         )
-        assert machine.run().total_commits > 0
+        online, shadow = run_with_shadow(machine)
+        assert online is None and shadow is None
+        assert machine.stats.total_commits > 0
+
+    def test_replay_counts_every_commit(self):
+        machine = Machine(
+            monitor_config(), make_workload("hashmap", ops_per_thread=6), seed=2,
+        )
+        replay = ShadowReplay(machine)
+        assert replay.run() == (None, None)
+        assert replay.commits == machine.stats.total_commits > 0
 
     def test_both_checkers_flag_planted_bug(self):
         machine = Machine(
-            monitor_config("baseline", oracle="cross-check", num_cores=8),
+            monitor_config("baseline", num_cores=8),
             make_workload("mwobject", ops_per_thread=8), seed=1,
         )
-        drop_all_conflicts(machine)
-        # Both flag -> the shadow verdict propagates with the online
-        # verdict attached; a divergence here would be a checker bug.
-        with pytest.raises(OracleViolation) as excinfo:
-            machine.run()
-        assert not isinstance(excinfo.value, OracleDivergence)
-        assert "online_verdict" in excinfo.value.details
+        online, shadow = run_with_shadow(machine, plant=drop_all_conflicts)
+        assert "stale read" in str(online)
+        assert shadow is not None and shadow.details["diffs"]
 
     def test_divergence_raised_when_one_checker_goes_blind(self):
+        # Planted checker bug: the monitor swallows its verdicts. The
+        # replay alone must still flag the conflict-dropping run, or
+        # the agreement tests could pass vacuously.
         machine = Machine(
-            monitor_config("baseline", oracle="cross-check", num_cores=8),
+            monitor_config("baseline", num_cores=8),
             make_workload("mwobject", ops_per_thread=8), seed=1,
         )
+        replay = ShadowReplay(machine)
         drop_all_conflicts(machine)
-        # Planted checker bug: the monitor swallows its verdicts, the
-        # shadow oracle still flags the run -> OracleDivergence.
-        machine.monitor.deferred = machine.monitor.deferred  # keep attr
-        machine.monitor._violation = lambda *args, **kwargs: None
-        with pytest.raises(OracleDivergence) as excinfo:
-            machine.run()
-        assert excinfo.value.details["flagging_checker"] == "shadow"
+        machine.monitor._violation = lambda message, details: None
+        online, shadow = replay.run()
+        assert online is None
+        assert shadow is not None
+
+    def test_both_checkers_flag_tampering(self):
+        machine = Machine(
+            monitor_config(), make_workload("hashmap", ops_per_thread=5), seed=3
+        )
+
+        def tamper(machine):
+            machine.memory.store(10_000_000, 42)
+
+        online, shadow = run_with_shadow(machine, plant=tamper)
+        assert any(diff["addr"] == 10_000_000
+                   for diff in online.details["diffs"])
+        assert any(diff["addr"] == 10_000_000
+                   for diff in shadow.details["diffs"])
 
 
 @pytest.mark.slow
 class TestCrossCheckGrid:
-    """Differential suite: zero divergences over the full matrix."""
+    """Differential suite: the verdicts agree over the full matrix."""
 
     @pytest.mark.parametrize("workload", sorted(ALL_NAMES))
     @pytest.mark.parametrize("design", sorted(DESIGN_REGISTRY))
     def test_checkers_agree(self, workload, design):
         machine = Machine(
-            SimConfig.for_design(design, num_cores=4, oracle="cross-check"),
+            SimConfig.for_design(design, num_cores=4, oracle="online"),
             make_workload(workload, ops_per_thread=6), seed=2,
         )
-        try:
-            stats = machine.run()
-        except OracleDivergence as exc:  # pragma: no cover - real bug
-            pytest.fail("checker divergence on {}/{}: {}".format(
-                workload, design, exc
-            ))
-        assert stats.total_commits > 0
+        online, shadow = run_with_shadow(machine)
+        assert online is None and shadow is None, (
+            "verdicts on {}/{}: online={} shadow={}".format(
+                workload, design, online, shadow
+            )
+        )
+        assert machine.stats.total_commits > 0

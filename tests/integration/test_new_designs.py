@@ -43,7 +43,7 @@ class TestLrwBehavior:
     def tiny_config(self, **overrides):
         overrides.setdefault("lrw_read_lines", 2)
         overrides.setdefault("lrw_write_lines", 1)
-        return SimConfig.for_design("lrw", num_cores=4, oracle="shadow",
+        return SimConfig.for_design("lrw", num_cores=4, oracle="online",
                                     **overrides)
 
     def test_tiny_budgets_overflow_to_fallback(self):
@@ -63,7 +63,7 @@ class TestLrwBehavior:
 
     def test_default_budgets_rarely_overflow(self):
         """At the default 64r/16w budget a micro run fits entirely."""
-        config = SimConfig.for_design("lrw", num_cores=4, oracle="shadow")
+        config = SimConfig.for_design("lrw", num_cores=4, oracle="online")
         ledger = RetryLedger()
         stats = run_machine(config, ledger=ledger)
         assert stats.aborts_by_reason[AbortReason.CAPACITY] == 0
@@ -86,7 +86,7 @@ class TestLrwBehavior:
 
 class TestBigAtomicsBehavior:
     def test_multiword_commits_annotated(self):
-        config = SimConfig.for_design("bigatomics", num_cores=4, oracle="shadow")
+        config = SimConfig.for_design("bigatomics", num_cores=4, oracle="online")
         stats = run_machine(config, workload="mwobject")
         assert stats.design_annotations.get("multiword_commits", 0) > 0
         assert stats.design_annotations["multiword_commits"] \
@@ -130,7 +130,7 @@ class TestBigAtomicsBehavior:
         assert stats.total_commits > 0
 
     def test_retry_bound_holds(self):
-        config = SimConfig.for_design("bigatomics", num_cores=4, oracle="shadow")
+        config = SimConfig.for_design("bigatomics", num_cores=4, oracle="online")
         ledger = RetryLedger()
         run_machine(config, workload="hashmap", ledger=ledger)
         assert check_retry_bound(ledger, config) == []
@@ -147,7 +147,7 @@ class TestNewDesignVerifySmoke:
 
     def test_lrw_overflow_schedules_stay_clean(self):
         config = SimConfig.for_design("lrw", num_cores=4, lrw_read_lines=2,
-                                      lrw_write_lines=1, oracle="shadow")
+                                      lrw_write_lines=1, oracle="online")
         report = verify("hashmap", config, ops_per_thread=4, seed=1,
                         explorer="pct", schedules=8)
         assert report.ok, report.violations
@@ -176,7 +176,7 @@ class TestFullOracleMatrix:
     @pytest.mark.parametrize("design", NEW_DESIGNS)
     @pytest.mark.parametrize("workload", ALL_NAMES)
     def test_oracles_hold(self, workload, design):
-        config = SimConfig.for_design(design, num_cores=4, oracle="shadow")
+        config = SimConfig.for_design(design, num_cores=4, oracle="online")
         ledger = RetryLedger()
         stats = run_machine(config, workload=workload, seed=1,
                             ops_per_thread=6, ledger=ledger)

@@ -21,7 +21,7 @@ pytestmark = pytest.mark.slow
 def build_machine(name, letter, seed, spurious, capacity, jitter):
     config = SimConfig.for_design(design_name(letter),
         num_cores=4,
-        oracle="shadow",
+        oracle="online",
         fault_spurious_rate=spurious,
         fault_capacity_rate=capacity,
         fault_jitter_cycles=jitter,

@@ -1,22 +1,22 @@
-"""Property tests: online monitor verdicts == shadow oracle verdicts.
+"""Property tests: online monitor verdicts == shadow replay verdicts.
 
-For random workloads, designs, seeds, and core counts, running the
-same cell once under ``oracle="online"`` and once under
-``oracle="shadow"`` must reach the same verdict: both silent on
-correct machines (with identical simulated stats), and both flagging
-the same planted violations — out-of-band tampering and a
-conflict-dropping arbiter.
+For random workloads, designs, seeds, and core counts, one monitored
+run with the shadow replay (:mod:`tests.shadow`) attached must reach
+the same verdict from both checkers: both silent on correct machines
+(with stats identical to an unchecked run), and both flagging the same
+planted violations — out-of-band tampering and a conflict-dropping
+arbiter.
 """
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.common.errors import OracleViolation
 from repro.htm.arbiter import NO_CONFLICT
 from repro.sim.config import SimConfig
 from repro.sim.machine import Machine
 from repro.workloads import make_workload
+from tests.shadow import run_with_shadow
 
 pytestmark = pytest.mark.slow
 
@@ -24,19 +24,18 @@ WORKLOADS = ["hashmap", "bst", "mwobject", "genome", "labyrinth"]
 DESIGNS = ["baseline", "powertm", "clear", "clear+powertm", "lrw", "bigatomics"]
 
 
-def run_cell(workload, design, seed, cores, mode, plant=None):
-    """One monitored run; returns (verdict, stats-dict-or-None)."""
-    config = SimConfig.for_design(design, num_cores=cores, oracle=mode)
-    machine = Machine(
+def build(workload, design, seed, cores, oracle="online"):
+    config = SimConfig.for_design(design, num_cores=cores, oracle=oracle)
+    return Machine(
         config, make_workload(workload, ops_per_thread=4), seed=seed
     )
-    if plant is not None:
-        plant(machine)
-    try:
-        stats = machine.run()
-    except OracleViolation:
-        return "violation", None
-    return "clean", stats.to_dict()
+
+
+def verdicts(workload, design, seed, cores, plant=None):
+    """One monitored run with the replay attached: (online, shadow, machine)."""
+    machine = build(workload, design, seed, cores)
+    online, shadow = run_with_shadow(machine, plant=plant)
+    return online, shadow, machine
 
 
 @given(
@@ -47,12 +46,10 @@ def run_cell(workload, design, seed, cores, mode, plant=None):
 )
 @settings(max_examples=25, deadline=None)
 def test_verdicts_agree_on_correct_machines(workload, design, seed, cores):
-    online_verdict, online_stats = run_cell(workload, design, seed, cores,
-                                            "online")
-    shadow_verdict, shadow_stats = run_cell(workload, design, seed, cores,
-                                            "shadow")
-    assert online_verdict == shadow_verdict == "clean"
-    assert online_stats == shadow_stats
+    online, shadow, machine = verdicts(workload, design, seed, cores)
+    assert online is None and shadow is None
+    plain = build(workload, design, seed, cores, oracle="off").run()
+    assert machine.stats.to_dict() == plain.to_dict()
 
 
 @given(
@@ -65,13 +62,10 @@ def test_tampering_caught_by_both(workload, design, seed):
     def tamper(machine):
         machine.memory.store(10_000_000, 42)
 
-    for mode in ("online", "shadow"):
-        verdict, _ = run_cell(workload, design, seed, 4, mode, plant=tamper)
-        assert verdict == "violation", (
-            "{} checker missed planted tampering on {}/{}/seed={}".format(
-                mode, workload, design, seed
-            )
-        )
+    online, shadow, _ = verdicts(workload, design, seed, 4, plant=tamper)
+    context = "{}/{}/seed={}".format(workload, design, seed)
+    assert online is not None, "online checker missed tampering on " + context
+    assert shadow is not None, "shadow replay missed tampering on " + context
 
 
 @given(seed=st.integers(min_value=1, max_value=10_000))
@@ -86,8 +80,6 @@ def test_broken_arbiter_verdicts_agree(seed):
     def drop_conflicts(machine):
         machine.resolve_conflict = lambda *args, **kwargs: NO_CONFLICT
 
-    online_verdict, _ = run_cell("mwobject", "baseline", seed, 8, "online",
+    online, shadow, _ = verdicts("mwobject", "baseline", seed, 8,
                                  plant=drop_conflicts)
-    shadow_verdict, _ = run_cell("mwobject", "baseline", seed, 8, "shadow",
-                                 plant=drop_conflicts)
-    assert online_verdict == shadow_verdict
+    assert (online is None) == (shadow is None)

@@ -36,7 +36,7 @@ WORKLOADS = ("mwobject", "hashmap", "queue")
 )
 def test_record_serialize_replay_round_trips(name, seed, explore_seed,
                                              cores, pct):
-    config = SimConfig.for_design("baseline", num_cores=cores, oracle="shadow")
+    config = SimConfig.for_design("baseline", num_cores=cores, oracle="online")
     factory = lambda: make_workload(name, ops_per_thread=3)  # noqa: E731
     if pct:
         scheduler = PCTScheduler(explore_seed, num_cores=cores)

@@ -1,13 +1,10 @@
 """Unit tests for the repro.api facade.
 
-Pins the facade's contract: input resolution (names/factories, letters,
-seeds), report conveniences, serialization round-trips, the tracing
-hooks, and — required by the deprecation story — exact equivalence
-between the legacy ``repro.sim.runner`` trio and their ``repro.api``
-replacements, with the legacy spellings emitting DeprecationWarning.
+Pins the facade's contract: input resolution (names/factories, design
+names, seeds), report conveniences, serialization round-trips, the
+tracing hooks, and the removal of the deprecated spellings (paper
+letters, boolean and replay-based oracle modes, ``run_seeds``).
 """
-
-import warnings
 
 import pytest
 
@@ -73,25 +70,26 @@ class TestInputResolution:
         assert report.config.oracle == "online"
 
     def test_oracle_none_keeps_config_mode(self):
-        config = SimConfig.for_design("baseline", oracle="cross-check")
+        config = SimConfig.for_design("baseline", oracle="online")
         report = simulate("arrayswap", config, seeds=1, ops_per_thread=OPS)
-        assert report.config.oracle == "cross-check"
+        assert report.config.oracle == "online"
 
     def test_oracle_kwarg_overrides_config_mode(self):
-        config = SimConfig.for_design("baseline", oracle="shadow")
+        config = SimConfig.for_design("baseline", oracle="online")
         report = simulate("arrayswap", config, seeds=1, ops_per_thread=OPS,
                           oracle="off")
         assert report.config.oracle == "off"
 
-    def test_oracle_bool_kwarg_warns_and_maps(self):
-        with pytest.warns(DeprecationWarning, match="oracle mode name"):
-            report = simulate("arrayswap", "baseline", seeds=1,
-                              ops_per_thread=OPS, oracle=True)
-        assert report.config.oracle == "shadow"
-        with pytest.warns(DeprecationWarning, match="oracle mode name"):
-            report = simulate("arrayswap", "baseline", seeds=1,
-                              ops_per_thread=OPS, oracle=False)
-        assert report.config.oracle == "off"
+    @pytest.mark.parametrize("oracle", [True, False, "shadow", "cross-check"])
+    def test_removed_oracle_spellings_rejected(self, oracle):
+        with pytest.raises(ConfigurationError, match="oracle"):
+            simulate("arrayswap", "baseline", seeds=1, ops_per_thread=OPS,
+                     oracle=oracle)
+
+    @pytest.mark.parametrize("letter", ["B", "P", "C", "W"])
+    def test_config_letters_rejected(self, letter):
+        with pytest.raises(ConfigurationError, match="registered design"):
+            simulate("arrayswap", letter, seeds=1, ops_per_thread=OPS)
 
     def test_named_and_factory_agree(self, config):
         named = simulate("arrayswap", config, seeds=1, ops_per_thread=OPS)
@@ -203,43 +201,22 @@ class TestEnginePath:
                      energy_model=EnergyModel())
 
 
-class TestLegacyEquivalence:
-    """The deprecated trio: warns, and returns exactly what api does."""
+class TestRemovedEntryPoints:
+    def test_run_seeds_wrapper_gone(self):
+        assert not hasattr(api, "run_seeds")
+        assert "run_seeds" not in api.__all__
 
-    def test_run_workload(self, config):
-        with pytest.warns(DeprecationWarning, match="run_workload"):
-            legacy = runner.run_workload(factory, config, seed=1)
-        assert legacy.to_dict() == simulate(factory, config, seeds=1) \
-            .run.to_dict()
+    def test_runner_trio_gone(self):
+        for stale in ("run_workload", "run_seeds", "sweep_retry_threshold"):
+            assert not hasattr(runner, stale)
 
-    def test_run_seeds(self, config):
-        with pytest.warns(DeprecationWarning, match="run_seeds"):
-            legacy = runner.run_seeds(factory, config, seeds=(1, 2), trim=0)
-        via_api = api.run_seeds(factory, config, seeds=(1, 2), trim=0)
-        assert legacy.to_dict() == via_api.to_dict()
-
-    def test_sweep_retry_threshold(self, config):
-        with pytest.warns(DeprecationWarning, match="sweep_retry_threshold"):
-            legacy_best, legacy_threshold = runner.sweep_retry_threshold(
-                "arrayswap", config, thresholds=(1, 2), seeds=(1,),
-                ops_per_thread=OPS,
-            )
+    def test_sweep_retry_threshold_resolves_design_names(self):
         best, threshold = api.sweep_retry_threshold(
-            "arrayswap", config, thresholds=(1, 2), seeds=(1,),
+            "arrayswap", "baseline", thresholds=(1, 2), seeds=(1,),
             ops_per_thread=OPS,
         )
-        assert threshold == legacy_threshold
-        assert best.to_dict() == legacy_best.to_dict()
-
-    def test_api_path_does_not_warn(self, config):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            simulate(factory, config, seeds=1)
-            api.run_seeds(factory, config, seeds=(1, 2), trim=0)
-            api.sweep_retry_threshold(
-                "arrayswap", config, thresholds=(1,), seeds=(1,),
-                ops_per_thread=OPS,
-            )
+        assert threshold in (1, 2)
+        assert best.config.design == "baseline"
 
 
 class TestJournalParameter:

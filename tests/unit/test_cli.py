@@ -89,17 +89,18 @@ class TestOracleFlag:
     def test_default_leaves_config_alone(self):
         assert self.make().parse_args([]).oracle is None
 
-    def test_bare_flag_means_shadow(self):
-        assert self.make().parse_args(["--oracle"]).oracle == "shadow"
+    def test_bare_flag_means_online(self):
+        assert self.make().parse_args(["--oracle"]).oracle == "online"
 
     def test_mode_names_accepted(self):
         parser = self.make()
-        for mode in ("off", "shadow", "online", "cross-check"):
+        for mode in ("off", "online"):
             assert parser.parse_args(["--oracle", mode]).oracle == mode
 
     def test_invalid_mode_rejected(self):
-        with pytest.raises(SystemExit):
-            self.make().parse_args(["--oracle", "sometimes"])
+        for mode in ("sometimes", "shadow", "cross-check"):
+            with pytest.raises(SystemExit):
+                self.make().parse_args(["--oracle", mode])
 
     def test_custom_default(self):
         assert self.make(default="online").parse_args([]).oracle == "online"

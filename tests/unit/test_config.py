@@ -5,13 +5,8 @@ import warnings
 import pytest
 
 from repro.common.errors import ConfigurationError
-from repro.htm.design import DESIGN_REGISTRY, LEGACY_LETTER_DESIGNS
-from repro.sim.config import (
-    HtmPolicy,
-    ORACLE_MODES,
-    SimConfig,
-    resolve_oracle_mode,
-)
+from repro.htm.design import DESIGN_REGISTRY
+from repro.sim.config import ORACLE_MODES, SimConfig
 
 
 class TestTable2Defaults:
@@ -56,8 +51,8 @@ class TestDesignSelection:
     def test_design_round_trip(self, design, letter, powertm, clear):
         config = SimConfig.for_design(design)
         assert config.design == design
-        assert config.powertm == powertm
-        assert config.clear == clear
+        assert config.design_class.powertm == powertm
+        assert config.design_class.clear == clear
         assert config.config_letter == letter
 
     def test_unknown_design_rejected(self):
@@ -75,10 +70,6 @@ class TestDesignSelection:
         assert SimConfig.for_design("lrw").config_letter == "lrw"
         assert SimConfig.for_design("bigatomics").config_letter == "bigatomics"
 
-    def test_htm_policy(self):
-        assert SimConfig.for_design("powertm").htm_policy is HtmPolicy.POWER_TM
-        assert SimConfig().htm_policy is HtmPolicy.REQUESTER_WINS
-
     def test_design_knob_validation(self):
         for knob in ("lrw_read_lines", "lrw_write_lines",
                      "bigatomics_lines", "bigatomics_commit_cycles"):
@@ -86,53 +77,31 @@ class TestDesignSelection:
                 SimConfig(**{knob: 0})
 
 
-class TestLegacyLetterShim:
-    @pytest.mark.parametrize("letter", sorted(LEGACY_LETTER_DESIGNS))
-    def test_for_letter_warns_and_maps(self, letter):
-        with pytest.deprecated_call():
-            config = SimConfig.for_letter(letter)
-        assert config.design == LEGACY_LETTER_DESIGNS[letter]
-        assert config.config_letter == letter
-        assert config == SimConfig.for_design(LEGACY_LETTER_DESIGNS[letter])
+class TestRemovedSpellings:
+    """The deprecated spellings are gone, not silently accepted."""
 
-    def test_unknown_letter_rejected(self):
+    def test_boolean_design_flags_rejected(self):
+        with pytest.raises(TypeError):
+            SimConfig(powertm=True, clear=True)
+
+    def test_boolean_oracle_rejected(self):
+        for legacy in (True, False):
+            with pytest.raises(ConfigurationError, match="oracle"):
+                SimConfig(oracle=legacy)
+
+    def test_letter_constructor_gone(self):
+        assert not hasattr(SimConfig, "for_letter")
         with pytest.raises(ConfigurationError):
-            SimConfig.for_letter("X")
+            SimConfig.for_design("C")
 
-
-class TestLegacyBooleanShim:
-    @pytest.mark.parametrize(
-        "flags, design",
-        [
-            (dict(powertm=False, clear=False), "baseline"),
-            (dict(powertm=True), "powertm"),
-            (dict(clear=True), "clear"),
-            (dict(powertm=True, clear=True), "clear+powertm"),
-        ],
-    )
-    def test_constructor_flags_warn_and_normalize(self, flags, design):
-        with pytest.deprecated_call():
-            config = SimConfig(num_cores=4, **flags)
-        assert config.design == design
-        assert config == SimConfig.for_design(design, num_cores=4)
-        assert config.fingerprint() == SimConfig.for_design(
-            design, num_cores=4
-        ).fingerprint()
-
-    def test_conflicting_design_and_flags_rejected(self):
-        with pytest.raises(ConfigurationError), pytest.deprecated_call():
-            SimConfig(design="baseline", clear=True)
-
-    def test_consistent_design_and_flags_accepted(self):
-        with pytest.deprecated_call():
-            config = SimConfig(design="clear", clear=True)
-        assert config.design == "clear"
-
-    def test_reading_properties_does_not_warn(self):
+    def test_boolean_read_properties_gone(self):
         config = SimConfig.for_design("clear+powertm")
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert config.powertm and config.clear
+        for name in ("powertm", "clear", "htm_policy"):
+            assert not hasattr(config, name)
+
+    def test_replaced_rejects_boolean_flags(self):
+        with pytest.raises(TypeError):
+            SimConfig().replaced(clear=True)
 
 
 class TestOracleModes:
@@ -146,51 +115,21 @@ class TestOracleModes:
             SimConfig(oracle="sometimes")
 
     def test_mode_properties(self):
-        expectations = {
-            "off": (False, False, False),
-            "shadow": (True, True, False),
-            "online": (True, False, True),
-            "cross-check": (True, True, True),
-        }
-        for mode, (armed, shadow, online) in expectations.items():
-            config = SimConfig(oracle=mode)
-            assert config.oracle_armed is armed
-            assert config.shadow_oracle is shadow
-            assert config.online_monitor is online
+        assert ORACLE_MODES == ("off", "online")
+        assert SimConfig(oracle="online").online_monitor is True
+        assert SimConfig(oracle="off").online_monitor is False
+        assert SimConfig().oracle == "off"
 
-    @pytest.mark.parametrize("legacy, mode", [(True, "shadow"), (False, "off")])
-    def test_boolean_kwarg_warns_and_normalizes(self, legacy, mode):
-        with pytest.deprecated_call():
-            config = SimConfig(oracle=legacy)
-        assert config.oracle == mode
-        assert config == SimConfig(oracle=mode)
-        assert config.fingerprint() == SimConfig(oracle=mode).fingerprint()
-
-    @pytest.mark.parametrize("legacy, mode", [(True, "shadow"), (False, "off")])
-    def test_boolean_payloads_migrate_silently(self, legacy, mode):
-        data = SimConfig(oracle=mode).to_dict()
-        data["oracle"] = legacy
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            migrated = SimConfig.from_dict(data)
-        assert migrated.oracle == mode
-        assert migrated.fingerprint() == SimConfig(oracle=mode).fingerprint()
-
-    def test_resolve_oracle_mode(self):
-        assert resolve_oracle_mode(None) is None
-        assert resolve_oracle_mode("online") == "online"
-        with pytest.deprecated_call():
-            assert resolve_oracle_mode(True) == "shadow"
-        with pytest.deprecated_call():
-            assert resolve_oracle_mode(False) == "off"
-        with pytest.raises(ConfigurationError):
-            resolve_oracle_mode("bogus")
+    @pytest.mark.parametrize("removed", ["shadow", "cross-check"])
+    def test_removed_modes_rejected(self, removed):
+        with pytest.raises(ConfigurationError, match="oracle"):
+            SimConfig(oracle=removed)
 
     def test_reading_mode_properties_does_not_warn(self):
-        config = SimConfig(oracle="cross-check")
+        config = SimConfig(oracle="online")
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert config.oracle_armed
+            assert config.online_monitor
 
 
 class TestValidation:
@@ -217,20 +156,11 @@ class TestReplaced:
             retry_threshold=7
         )
         assert config.num_cores == 8
-        assert config.clear
+        assert config.design == "clear"
 
     def test_replaced_keeps_design(self):
         config = SimConfig.for_design("lrw").replaced(num_cores=2)
         assert config.design == "lrw"
-
-    def test_legacy_flag_override_warns_and_layers(self):
-        base = SimConfig.for_design("powertm")
-        with pytest.deprecated_call():
-            config = base.replaced(clear=True)
-        assert config.design == "clear+powertm"
-        with pytest.deprecated_call():
-            config = base.replaced(powertm=False)
-        assert config.design == "baseline"
 
     def test_original_unchanged(self):
         original = SimConfig()
@@ -239,6 +169,8 @@ class TestReplaced:
 
 
 class TestDictMigration:
+    """Payloads must spell the current fields; nothing is migrated."""
+
     def test_round_trip_serializes_design(self):
         config = SimConfig.for_design("lrw", num_cores=4)
         data = config.to_dict()
@@ -255,19 +187,25 @@ class TestDictMigration:
             (True, True, "clear+powertm"),
         ],
     )
-    def test_legacy_boolean_payloads_migrate_silently(self, powertm, clear,
-                                                      design):
+    def test_v2_payloads_rejected(self, powertm, clear, design):
         data = SimConfig.for_design(design, num_cores=4).to_dict()
         del data["design"]
         data["powertm"] = powertm
         data["clear"] = clear
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            migrated = SimConfig.from_dict(data)
-        assert migrated.design == design
-        assert migrated.fingerprint() == SimConfig.for_design(
-            design, num_cores=4
-        ).fingerprint()
+        with pytest.raises(ConfigurationError, match="unknown"):
+            SimConfig.from_dict(data)
+
+    def test_v3_payload_rejected(self):
+        data = SimConfig.for_design("baseline", num_cores=4).to_dict()
+        data["oracle"] = False
+        with pytest.raises(ConfigurationError):
+            SimConfig.from_dict(data)
+
+    def test_removed_field_rejected(self):
+        data = SimConfig().to_dict()
+        data["oracle_validate_interval"] = 4096
+        with pytest.raises(ConfigurationError, match="unknown"):
+            SimConfig.from_dict(data)
 
     def test_conflicting_legacy_keys_rejected(self):
         data = SimConfig.for_design("baseline").to_dict()

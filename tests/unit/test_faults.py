@@ -68,7 +68,7 @@ class TestConfigKnobs:
         for field in (
             "fault_spurious_rate", "fault_capacity_rate",
             "fault_jitter_cycles", "fault_wakeup_delay_cycles",
-            "oracle", "oracle_validate_interval", "watchdog_cycles",
+            "oracle", "watchdog_cycles",
         ):
             data.pop(field, None)
         assert not SimConfig.from_dict(data).chaos_enabled

@@ -1,20 +1,10 @@
-"""Source lint: no direct reads of the deprecated mode booleans.
+"""Source lint: no truthiness reads of the oracle mode string.
 
-``config.powertm`` / ``config.clear`` survive only as read-only
-compatibility properties on :class:`SimConfig`; every behavioral
-decision must go through the design protocol (``config.design_class``
-or a hook on the machine's design instance). A fresh ``config.powertm``
-read silently bypasses the registry — e.g. a custom registered design
-with ``powertm = True`` would be treated as requester-wins by any code
-still pattern-matching on the boolean. This grep keeps the door shut.
-
-Same story for ``config.oracle``: since the checker-mode redesign it is
-a mode *string* (``"off"``/``"shadow"``/``"online"``/``"cross-check"``),
-so a truthiness read (``if config.oracle:``) is a latent bug — every
+``config.oracle`` is a mode *string* (``"off"``/``"online"``), so a
+truthiness read (``if config.oracle:``) is a latent bug — every
 non-empty mode string, including ``"off"``, is truthy. Behavioral code
-must use the ``oracle_armed``/``shadow_oracle``/``online_monitor``
-properties or compare against a mode name; only the compatibility
-layer in ``sim/config.py`` may treat the field loosely.
+must use the ``online_monitor`` property or compare against a mode
+name; only ``sim/config.py``, which defines the field, is exempt.
 """
 
 import re
@@ -22,25 +12,21 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[2] / "src" / "repro"
 
-#: Attribute reads of the deprecated booleans on any *config*-ish
-#: receiver (``config.powertm``, ``self.config.clear``, ...).
-FLAG_READ = re.compile(r"\bconfig\s*\.\s*(powertm|clear)\b")
-
 #: Truthiness reads of the oracle mode string: ``config.oracle`` used
 #: directly as a condition (always true — "off" is a non-empty string)
 #: rather than compared to a mode name or routed through the
-#: ``oracle_armed``/``shadow_oracle``/``online_monitor`` properties.
+#: ``online_monitor`` property.
 ORACLE_TRUTHINESS = re.compile(
     r"\b(?:if|elif|while|assert|not|and|or|return)\s+"
     r"(?:self\s*\.\s*)?config\s*\.\s*oracle\b"
     r"(?!\s*(?:==|!=|\bin\b|\bis\b|\bnot\b))"
 )
 
-#: Files allowed to touch the booleans: the compatibility layer itself.
+#: Files allowed to read the field loosely: its definition.
 EXEMPT = {"sim/config.py"}
 
 
-def flag_reads(pattern=FLAG_READ):
+def flag_reads():
     hits = []
     for path in sorted(SRC.rglob("*.py")):
         relative = path.relative_to(SRC).as_posix()
@@ -48,51 +34,24 @@ def flag_reads(pattern=FLAG_READ):
             continue
         for number, line in enumerate(path.read_text().splitlines(), 1):
             code = line.split("#", 1)[0]
-            if pattern.search(code):
+            if ORACLE_TRUTHINESS.search(code):
                 hits.append("src/repro/{}:{}: {}".format(
                     relative, number, line.strip()
                 ))
     return hits
 
 
-def test_no_direct_mode_boolean_reads():
-    hits = flag_reads()
-    assert not hits, (
-        "direct config.powertm/config.clear reads found (dispatch "
-        "through the design protocol instead):\n" + "\n".join(hits)
-    )
-
-
 def test_no_oracle_truthiness_reads():
-    hits = flag_reads(ORACLE_TRUTHINESS)
+    hits = flag_reads()
     assert not hits, (
         "truthiness reads of the oracle mode string found (use "
-        "config.oracle_armed / shadow_oracle / online_monitor or "
-        "compare to a mode name):\n" + "\n".join(hits)
+        "config.online_monitor or compare to a mode name):\n"
+        + "\n".join(hits)
     )
-
-
-def test_lint_actually_detects(tmp_path, monkeypatch):
-    """The lint must not be vacuous: plant a read, see it flagged."""
-    planted = tmp_path / "repro"
-    (planted / "sim").mkdir(parents=True)
-    (planted / "sim" / "config.py").write_text("powertm = config.powertm\n")
-    (planted / "victim.py").write_text(
-        "# config.clear in a comment is fine\n"
-        "if config.powertm:\n"
-        "    pass\n"
-    )
-    import sys
-
-    lint = sys.modules[__name__]
-    monkeypatch.setattr(lint, "SRC", planted)
-    hits = flag_reads()
-    assert len(hits) == 1
-    assert "victim.py:2" in hits[0]
 
 
 def test_oracle_lint_actually_detects(tmp_path, monkeypatch):
-    """Same non-vacuousness check for the oracle truthiness lint."""
+    """The lint must not be vacuous: plant a read, see it flagged."""
     planted = tmp_path / "repro"
     (planted / "sim").mkdir(parents=True)
     (planted / "sim" / "config.py").write_text("if config.oracle:\n    pass\n")
@@ -100,7 +59,7 @@ def test_oracle_lint_actually_detects(tmp_path, monkeypatch):
         "# if config.oracle: in a comment is fine\n"
         "armed = config.oracle == 'online'  # comparisons are fine\n"
         "mode = self.config.oracle\n"  # plain read is fine
-        "if config.oracle_armed:\n    pass\n"  # property is fine
+        "if config.online_monitor:\n    pass\n"  # property is fine
         "if not config.oracle:\n"
         "    pass\n"
     )
@@ -108,6 +67,6 @@ def test_oracle_lint_actually_detects(tmp_path, monkeypatch):
 
     lint = sys.modules[__name__]
     monkeypatch.setattr(lint, "SRC", planted)
-    hits = flag_reads(ORACLE_TRUTHINESS)
+    hits = flag_reads()
     assert len(hits) == 1
     assert "victim.py:6" in hits[0]

@@ -2,14 +2,9 @@
 
 import pytest
 
+from repro import api
 from repro.sim.config import SimConfig
-from repro.sim.runner import (
-    AggregateResult,
-    run_seeds,
-    run_workload,
-    sweep_retry_threshold,
-    trimmed_mean,
-)
+from repro.sim.runner import AggregateResult, trimmed_mean
 from repro.workloads import make_workload
 
 
@@ -64,21 +59,21 @@ def quick_config(**overrides):
 
 class TestRunWorkload:
     def test_returns_populated_result(self):
-        result = run_workload(quick_factory(), quick_config(), seed=1)
+        result = api.simulate(quick_factory(), quick_config(), seeds=1).run
         assert result.cycles > 0
         assert result.stats.total_commits == 4 * 6
         assert result.energy.total > 0
         assert result.workload_name == "mwobject"
 
     def test_deterministic_for_same_seed(self):
-        first = run_workload(quick_factory(), quick_config(), seed=5)
-        second = run_workload(quick_factory(), quick_config(), seed=5)
+        first = api.simulate(quick_factory(), quick_config(), seeds=5).run
+        second = api.simulate(quick_factory(), quick_config(), seeds=5).run
         assert first.cycles == second.cycles
         assert first.stats.total_aborts == second.stats.total_aborts
 
     def test_different_seeds_differ(self):
-        first = run_workload(quick_factory(), quick_config(), seed=1)
-        second = run_workload(quick_factory(), quick_config(), seed=2)
+        first = api.simulate(quick_factory(), quick_config(), seeds=1).run
+        second = api.simulate(quick_factory(), quick_config(), seeds=2).run
         # Not guaranteed in principle, but overwhelmingly likely here.
         assert (first.cycles, first.stats.total_aborts) != (
             second.cycles,
@@ -88,14 +83,18 @@ class TestRunWorkload:
 
 class TestRunSeeds:
     def test_aggregates_over_seeds(self):
-        aggregate = run_seeds(quick_factory(), quick_config(), seeds=(1, 2, 3), trim=0)
+        aggregate = api.simulate(
+            quick_factory(), quick_config(), seeds=(1, 2, 3), trim=0
+        ).aggregate()
         assert len(aggregate.runs) == 3
         assert aggregate.cycles > 0
         individual = sorted(run.cycles for run in aggregate.runs)
         assert individual[0] <= aggregate.cycles <= individual[-1]
 
     def test_mode_shares_cover_all_modes(self):
-        aggregate = run_seeds(quick_factory(), quick_config(), seeds=(1,), trim=0)
+        aggregate = api.simulate(
+            quick_factory(), quick_config(), seeds=(1,), trim=0
+        ).aggregate()
         shares = aggregate.commit_mode_shares()
         assert abs(sum(shares.values()) - 1.0) < 1e-9
 
@@ -107,38 +106,38 @@ class TestRunSeeds:
 class TestKeywordOnlyParams:
     def test_run_workload_rejects_positional_seed(self):
         with pytest.raises(TypeError):
-            run_workload(quick_factory(), quick_config(), 1)
+            api.simulate(quick_factory(), quick_config(), 1)
 
     def test_run_seeds_rejects_positional_seeds(self):
         with pytest.raises(TypeError):
-            run_seeds(quick_factory(), quick_config(), (1, 2))
+            api.simulate(quick_factory(), quick_config(), (1, 2))
 
 
 class TestRetrySweep:
     def test_sweep_returns_best(self):
-        best, threshold = sweep_retry_threshold(
+        best, threshold = api.sweep_retry_threshold(
             quick_factory(ops=4), quick_config(), thresholds=(1, 4), seeds=(1,), trim=0
         )
         assert threshold in (1, 4)
         alternatives = [
-            run_seeds(
+            api.simulate(
                 quick_factory(ops=4),
                 quick_config(retry_threshold=candidate),
                 seeds=(1,),
                 trim=0,
-            ).cycles
+            ).aggregate().cycles
             for candidate in (1, 4)
         ]
         assert best.cycles == min(alternatives)
 
     def test_named_workload_sweeps_through_engine(self):
         # The engine path (workload given by name) must agree with the
-        # legacy factory path cell for cell.
-        by_factory = sweep_retry_threshold(
+        # inline factory path cell for cell.
+        by_factory = api.sweep_retry_threshold(
             quick_factory(ops=4), quick_config(), thresholds=(1, 4),
             seeds=(1,), trim=0,
         )
-        by_name = sweep_retry_threshold(
+        by_name = api.sweep_retry_threshold(
             "mwobject", quick_config(), thresholds=(1, 4), seeds=(1,),
             trim=0, ops_per_thread=4,
         )

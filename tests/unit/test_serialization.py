@@ -5,20 +5,22 @@ import json
 
 import pytest
 
+from repro import api
 from repro.common.errors import ConfigurationError
 from repro.energy.model import EnergyBreakdown
 from repro.htm.design import design_name
 from repro.sim.config import SimConfig
-from repro.sim.runner import AggregateResult, RunResult, run_seeds, run_workload
+from repro.sim.runner import AggregateResult, RunResult
 from repro.sim.stats import MachineStats
 from repro.workloads import make_workload
 
 
 def sample_result(letter="C", seed=1):
     config = SimConfig.for_design(design_name(letter), num_cores=4)
-    return run_workload(
-        lambda: make_workload("mwobject", ops_per_thread=6), config, seed=seed
-    )
+    return api.simulate(
+        lambda: make_workload("mwobject", ops_per_thread=6), config,
+        seeds=seed,
+    ).run
 
 
 class TestSimConfigRoundTrip:
@@ -147,10 +149,10 @@ class TestMachineStatsRoundTrip:
 class TestAggregateRoundTrip:
     def test_json_round_trip(self):
         config = SimConfig.for_design("baseline", num_cores=4)
-        aggregate = run_seeds(
+        aggregate = api.simulate(
             lambda: make_workload("mwobject", ops_per_thread=4), config,
             seeds=(1, 2), trim=0,
-        )
+        ).aggregate()
         rebuilt = AggregateResult.from_dict(
             json.loads(json.dumps(aggregate.to_dict()))
         )

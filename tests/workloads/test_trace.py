@@ -98,15 +98,14 @@ class TestRoundTrip:
         stats = machine.run()
         assert stats.total_commits == manifest["total_commits"]
 
-    def test_shadow_oracle_downgraded_for_recording(self, tmp_path):
-        folder = str(tmp_path / "shadowed")
-        record_trace(
-            "arrayswap", folder, config=CONFIG.replaced(oracle="shadow"),
-            seed=3, ops_per_thread=5,
-        )
-        # The downgrade is observable in the recorded config fingerprint.
+    def test_online_monitor_stays_armed_for_recording(self, tmp_path):
+        folder = str(tmp_path / "monitored")
+        monitored = CONFIG.replaced(oracle="online")
+        record_trace("arrayswap", folder, config=monitored, seed=3,
+                     ops_per_thread=5)
+        # No downgrade: the recorded fingerprint is the monitored config's.
         manifest = read_manifest(folder)
-        assert manifest["config_fingerprint"] == CONFIG.fingerprint()
+        assert manifest["config_fingerprint"] == monitored.fingerprint()
 
 
 class TestNamespace:
