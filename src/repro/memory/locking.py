@@ -84,9 +84,11 @@ class LockManager:
         """Gate a plain (non-locking) access against the lock table.
 
         Accesses by the lock holder pass. Other accesses raise
-        :class:`NackError` when ``nackable`` (speculative requesters,
-        which abort) or :class:`LockDenied` otherwise (the requester
-        waits for release).
+        :class:`NackError` when ``nackable`` (speculative and CL
+        requesters, which abort) or :class:`LockDenied` otherwise. The
+        only non-nackable requester is the fallback path, which runs
+        after every line lock was dropped, so the executor treats a
+        denial there as a protocol violation rather than a wait.
         """
         current = self._holders.get(line)
         if current is None or current == core:

@@ -16,17 +16,17 @@ region invocation proceeds through attempts:
 
 The executor is driven by :class:`repro.sim.machine.Machine` via
 :meth:`step`, which performs one bounded action and reports either a
-cycle cost or a blocking condition. The BODY phase has a fast path,
-:meth:`CoreExecutor._fused_body_step`, for the plain speculative and
-fallback operations that dominate every run.
+cycle cost or a blocking condition. Every BODY-phase action runs one
+closure, built per core by :meth:`CoreExecutor._fused_body_step`, that
+executes each body operation of every mode in one frame.
 """
 
 from repro.common.constants import WORDS_PER_LINE
+from repro.common.errors import ProtocolError
 from repro.core.modes import ExecMode
 from repro.htm.abort import AbortReason, counts_toward_retry_limit, NON_MEMORY_REASONS
 from repro.htm.rwset import CapacityExceeded, ReadWriteSets
 from repro.htm.sharer_index import LineSharers
-from repro.memory.address import line_of_word
 from repro.memory.directory import DirectoryEntry
 from repro.memory.locking import LockDenied, NackError
 from repro.obs.events import (
@@ -137,9 +137,8 @@ class CoreExecutor:
         self._lock_group_idx = 0
         self._lock_set_held = None
         self.finish_time = None
-        # The BODY-phase step: the fused fast path when this run can
-        # take it, else the general one.
-        self._body_step = self._fused_body_step() or self._step_body
+        # The BODY-phase step, built once over this core's hot state.
+        self._body_step = self._fused_body_step()
 
     # ------------------------------------------------------------------
     # Engine interface
@@ -480,226 +479,13 @@ class CoreExecutor:
     # Body execution
     # ------------------------------------------------------------------
 
-    def _step_body(self):
-        if self.pending_abort is not None:
-            reason = self.pending_abort
-            self.pending_abort = None
-            if (
-                self.mode is ExecMode.SPECULATIVE
-                and self.discovery is not None
-                and reason is AbortReason.MEMORY_CONFLICT
-                and not self.discovery.exhausted
-                and self.config.failed_mode_discovery
-            ):
-                # Hold the abort: continue discovering in failed mode.
-                self.controller.note_conflict(self.discovery)
-                self.mode = ExecMode.FAILED_DISCOVERY
-            elif (
-                self.mode is ExecMode.SPECULATIVE
-                and self.discovery is not None
-                and reason is AbortReason.MEMORY_CONFLICT
-                and not self.config.failed_mode_discovery
-            ):
-                # Ablation: no failed mode — decide from whatever the
-                # partial discovery saw, then abort immediately.
-                decision = self.controller.conclude_failed_discovery(self.discovery)
-                self.saved_discovery = self.discovery
-                return self._abort_attempt(reason, decided_mode=decision.mode)
-            else:
-                return self._abort_attempt(reason)
-        self.attempt_ops += 1
-        if self.attempt_ops > MAX_OPS_PER_ATTEMPT:
-            return self._abort_attempt(AbortReason.OTHER)
-        if self._fault_abort_at is not None and self.attempt_ops >= self._fault_abort_at:
-            reason = self._fault_abort_reason
-            self._fault_abort_at = None
-            self._fault_abort_reason = None
-            self.machine.faults.note_injected(self.core, reason, self.attempt_index)
-            if self.trace is not None:
-                self.trace.emit(FaultInjected(
-                    self.machine.now, self.core, reason, self.attempt_index
-                ))
-            return self._abort_attempt(reason)
-        if self.config.speculation == "sle" and self.mode.is_speculative:
-            # In-core speculation (§4.1): the attempt lives inside the
-            # ROB/LQ/SQ window; exhausting it forces an abort and marks
-            # the region non-convertible.
-            overflow = None
-            if self.attempt_ops > self.config.rob_entries:
-                overflow = AbortReason.ROB_OVERFLOW
-            elif self.attempt_loads > self.config.lq_entries:
-                overflow = AbortReason.ROB_OVERFLOW
-            elif self.attempt_stores > self.config.sq_entries:
-                overflow = AbortReason.SQ_OVERFLOW
-            if overflow is not None:
-                if self.controller is not None:
-                    entry = self.controller.ert.ensure(self.invocation.region_id)
-                    entry.is_convertible = False
-                return self._abort_attempt(overflow)
-        try:
-            op = self.gen.send(self.gen_send_value)
-        except StopIteration:
-            return self._region_end()
-        self.gen_send_value = None
-        return self._exec_op(op)
+    def _capacity_abort(self, exc, sq_only=False):
+        """Abort on a tracking-set overflow; the region is not convertible.
 
-    def _exec_op(self, op):
-        """Execute one operation the body yielded (the general path)."""
-        if isinstance(op, Load):
-            return self._exec_memory_op(op, is_store=False)
-        if isinstance(op, Store):
-            return self._exec_memory_op(op, is_store=True)
-        if isinstance(op, Compute):
-            if self.discovery is not None:
-                self.discovery.on_compute(op.ops)
-            self.machine.stats.record_compute(op.ops)
-            return self._busy(max(1, op.cycles))
-        if isinstance(op, Branch):
-            if self.discovery is not None:
-                self.discovery.on_branch(op.condition_tainted)
-            self.machine.stats.record_branch()
-            return self._busy(1)
-        if isinstance(op, AbortOp):
-            if self.mode is ExecMode.FALLBACK:
-                # The fallback path is not a transaction: an XAbort there
-                # simply ends the region (its direct stores are already
-                # architectural). This keeps always-aborting regions from
-                # cycling forever between fallback and retry.
-                return self._commit(via_abort=True)
-            return self._abort_attempt(AbortReason.EXPLICIT)
-        raise TypeError("AR body yielded unknown op {!r}".format(op))
-
-    def _exec_memory_op(self, op, is_store):
-        # Every memory op the fused body step does not cover. Everything
-        # touched more than once is bound to a local up front.
-        machine = self.machine
-        memsys = machine.memsys
-        mode = self.mode
-        rwsets = self.rwsets
-        discovery = self.discovery
-        word_addr = op.word_addr
-        line = line_of_word(word_addr)
-        if is_store:
-            self.attempt_stores += 1
-        else:
-            self.attempt_loads += 1
-
-        # NS-CL guarantee: every access must be within the learned,
-        # locked footprint. A deviation disproves immutability.
-        if mode is ExecMode.NS_CL and line not in self.locked_lines:
-            if self.controller is not None:
-                entry = self.controller.ert.ensure(self.invocation.region_id)
-                entry.is_immutable = False
-            return self._abort_attempt(AbortReason.FOOTPRINT_DEVIATION)
-
-        # Cacheline lock gate.
-        if line not in self.locked_lines:
-            try:
-                memsys.locks.check_access(
-                    self.core, line, nackable=mode is not ExecMode.FALLBACK
-                )
-            except NackError as nacked:
-                return self._abort_attempt(
-                    AbortReason.NACKED, line=nacked.line, enemy=nacked.holder
-                )
-            except LockDenied as denied:
-                return (STEP_BLOCK, ("line", denied.line))
-
-        # Failed-mode stores never leave the SQ: no coherence request.
-        if mode is ExecMode.FAILED_DISCOVERY and is_store:
-            discovery.on_store(line, op.addr_tainted)
-            if rwsets is not None:
-                try:
-                    rwsets.record_write(line)
-                except CapacityExceeded as exc:
-                    return self._abort_attempt(
-                        self.design.classify_capacity_abort(
-                            executor=self, exc=exc
-                        ),
-                        line=exc.line,
-                    )
-                rwsets.buffer_store(word_addr, op.store_value)
-            if discovery.exhausted:
-                return self._conclude_exhausted_failed_discovery()
-            return self._busy(1, failed_discovery=True)
-
-        # Conflict arbitration (failed-mode loads are non-aborting):
-        # probe the sharer index for this line instead of scanning every
-        # core. Fallback runs under mutual exclusion: every speculative
-        # AR was aborted when the lock was taken and none can begin
-        # while it is held, so its direct (unrecoverable) stores never
-        # arbitrate.
-        if mode is not ExecMode.FALLBACK:
-            resolution = machine.resolve_conflict(
-                self.core, line, is_store,
-                requester_failed=mode is ExecMode.FAILED_DISCOVERY,
-            )
-            if resolution.requester_abort_reason is not None:
-                return self._abort_attempt(
-                    resolution.requester_abort_reason,
-                    line=line, enemy=resolution.nacking_core,
-                )
-            for victim in resolution.victims:
-                machine.executors[victim].receive_remote_conflict(
-                    line, is_store, self.core
-                )
-
-        result = memsys.access(self.core, line, is_store)
-        machine.stats.record_access(result.level)
-        latency = result.latency
-        if machine.faults is not None:
-            latency += machine.faults.jitter(self.core)
-
-        # Speculative set tracking / capacity.
-        if rwsets is not None:
-            try:
-                if is_store:
-                    rwsets.record_write(line)
-                else:
-                    rwsets.record_read(line)
-            except CapacityExceeded as exc:
-                return self._capacity_abort(exc)
-
-        # Discovery footprint and indirection tracking.
-        failed = mode is ExecMode.FAILED_DISCOVERY
-        if discovery is not None:
-            if is_store:
-                discovery.on_store(line, op.addr_tainted)
-            else:
-                discovery.on_load(line, op.addr_tainted)
-            if failed and discovery.exhausted:
-                return self._conclude_exhausted_failed_discovery()
-
-        # Architectural data movement.
-        if is_store:
-            if rwsets is not None:
-                rwsets.buffer_store(word_addr, op.store_value)
-            else:
-                # Fallback: direct store, applied to the monitor's
-                # value map as it is issued (mutual exclusion means no
-                # concurrent commit can interleave).
-                value = op.store_value
-                machine.memory.store(word_addr, value)
-                if self.monitor is not None:
-                    self.monitor.note_fallback_store(
-                        self.core, word_addr, value
-                    )
-            return self._busy(latency, failed_discovery=failed)
-        if rwsets is not None:
-            forwarded = rwsets.forwarded_load(word_addr)
-            value = forwarded if forwarded is not None else machine.memory.load(word_addr)
-        else:
-            value = machine.memory.load(word_addr)
-            if self.monitor is not None:
-                # Fallback loads are checked eagerly: under mutual
-                # exclusion memory must match the committed prefix.
-                self.monitor.note_fallback_load(self.core, word_addr, value)
-        self.gen_send_value = TaintedValue(value, tainted=True)
-        return self._busy(latency, failed_discovery=failed)
-
-    def _capacity_abort(self, exc):
-        """Abort on a tracking-set overflow; the region is not convertible."""
-        if self.discovery is not None:
+        A failed-mode store's overflow (``sq_only``) leaves the ERT
+        alone: the store never left the store queue.
+        """
+        if self.discovery is not None and not sq_only:
             entry = self.controller.ert.ensure(self.invocation.region_id)
             entry.is_convertible = False
         return self._abort_attempt(
@@ -707,48 +493,54 @@ class CoreExecutor:
             line=exc.line,
         )
 
-    # ------------------------------------------------------------------
-    # Body execution: the fused fast path
-    # ------------------------------------------------------------------
+    def _fire_injected_abort(self):
+        """The fault plan's abort for this attempt fires now."""
+        reason = self._fault_abort_reason
+        self._fault_abort_at = None
+        self._fault_abort_reason = None
+        self.machine.faults.note_injected(self.core, reason, self.attempt_index)
+        if self.trace is not None:
+            self.trace.emit(FaultInjected(
+                self.machine.now, self.core, reason, self.attempt_index
+            ))
+        return self._abort_attempt(reason)
 
     def _fused_body_step(self):
-        """This core's fused BODY step, or None if the run cannot take it.
+        """This core's BODY-phase step: one body operation per call.
 
-        The fused step is :meth:`_step_body` plus :meth:`_exec_memory_op`
-        written out for the dominant event: a Load/Store of a plain
-        speculative HTM attempt (cache-geometry ``ReadWriteSets`` in the
-        machine's sharer index, no locked lines) or of a plain fallback
-        execution with no monitor armed, plus Compute and Branch ops.
-        Lock gate, sharer-index arbitration, the private-hit memory
-        path, rwset tracking and data movement run in one frame over
-        per-core state bound here, instead of ~40 calls. Everything
-        else — a pending abort, failed discovery, CL modes, bounded
-        ``lrw`` sets, cache misses, rare op classes — calls the general
-        methods, so the fused step only shortcuts the common case and
-        never re-implements a slow one.
+        Built once per core for every configuration; it is the only
+        BODY-phase implementation (DESIGN.md §14). The closure runs
+        every op of every mode in one frame over per-core state bound
+        here, and binds a fault plan and the SLE window as branches
+        that only runs with them take. It calls out for cache misses
+        and upgrades, bounded ``lrw`` sets, discovery's per-op hooks,
+        the monitor's fallback hooks, and every abort, commit and
+        region end.
 
-        It exists when the run has HTM speculation (SLE bounds every op
-        by the ROB/LQ/SQ window) and no fault plan (injected aborts and
-        latency jitter live on the general path). Trace, scheduler,
-        retry ledger, watchdog and the checkers observe nothing inside
-        a plain body op, so they leave it on; the online monitor's
-        first-read epochs are recorded inline. Conflicts are arbitrated
-        by ``machine.resolve_conflict``, looked up on every call so an
-        override on the instance sees each resolution that can find a
-        conflict; a line no other core tracks cannot conflict and is
-        not arbitrated.
+        Conflicts are arbitrated by ``machine.resolve_conflict``, looked
+        up on every call so an override on the instance sees each
+        resolution that can find a conflict. It is not asked about a
+        line no other core tracks (for a load: no other core writes), a
+        failed-mode store (it stays in the store queue) or a fallback op
+        (mutual exclusion). Failed-mode loads still ask, flagged
+        ``requester_failed``, so the paper's non-aborting rule stays in
+        the arbiter.
         """
         machine = self.machine
-        if machine.faults is not None or self.config.speculation != "htm":
-            return None
+        config = self.config
         core = self.core
+        controller = self.controller
+        faults = machine.faults
+        sle = config.speculation == "sle"
+        # Only a fault plan or SLE bounds an attempt by its op count.
+        bounded = faults is not None or sle
+        failed_mode_discovery = config.failed_mode_discovery
         stats = machine.stats
         core_stats = stats.cores[core]
         accesses = stats.accesses_by_level
         compute_ops = stats._compute_ops
         branch_ops = stats._branch_ops
-        sharer_index = machine.sharer_index
-        sharer_lines = sharer_index._lines
+        sharer_lines = machine.sharer_index._lines
         memsys = machine.memsys
         lock_holders = memsys.locks._holders
         directory_entries = memsys.directory._entries
@@ -766,70 +558,154 @@ class CoreExecutor:
         monitor = self.monitor
         tv_new = TaintedValue.__new__
         speculative = ExecMode.SPECULATIVE
+        failed_mode = ExecMode.FAILED_DISCOVERY
+        ns_cl = ExecMode.NS_CL
         fallback_mode = ExecMode.FALLBACK
+        memory_conflict = AbortReason.MEMORY_CONFLICT
 
         def fused_body_step():
             if self.pending_abort is not None:
-                return self._step_body()
+                # A conflict doomed the attempt between steps. CLEAR's
+                # discovery holds the abort and keeps executing in
+                # failed mode to finish learning the footprint (§4.1).
+                reason = self.pending_abort
+                self.pending_abort = None
+                discovery = self.discovery
+                if (
+                    reason is not memory_conflict
+                    or discovery is None
+                    or self.mode is not speculative
+                ):
+                    return self._abort_attempt(reason)
+                if not failed_mode_discovery:
+                    # Ablation: no failed mode — decide from whatever the
+                    # partial discovery saw, then abort immediately.
+                    decision = controller.conclude_failed_discovery(discovery)
+                    self.saved_discovery = discovery
+                    return self._abort_attempt(
+                        reason, decided_mode=decision.mode
+                    )
+                if discovery.exhausted:
+                    return self._abort_attempt(reason)
+                controller.note_conflict(discovery)
+                self.mode = failed_mode
             attempt_ops = self.attempt_ops + 1
             self.attempt_ops = attempt_ops
             if attempt_ops > MAX_OPS_PER_ATTEMPT:
                 return self._abort_attempt(AbortReason.OTHER)
+            if bounded:
+                if (
+                    faults is not None
+                    and self._fault_abort_at is not None
+                    and attempt_ops >= self._fault_abort_at
+                ):
+                    return self._fire_injected_abort()
+                if sle and self.mode.is_speculative:
+                    # In-core speculation (§4.1): the attempt lives inside
+                    # the ROB/LQ/SQ window; exhausting it forces an abort
+                    # and marks the region non-convertible.
+                    overflow = None
+                    if (
+                        attempt_ops > config.rob_entries
+                        or self.attempt_loads > config.lq_entries
+                    ):
+                        overflow = AbortReason.ROB_OVERFLOW
+                    elif self.attempt_stores > config.sq_entries:
+                        overflow = AbortReason.SQ_OVERFLOW
+                    if overflow is not None:
+                        if controller is not None:
+                            entry = controller.ert.ensure(
+                                self.invocation.region_id
+                            )
+                            entry.is_convertible = False
+                        return self._abort_attempt(overflow)
             try:
                 op = self.gen.send(self.gen_send_value)
             except StopIteration:
                 return self._region_end()
             self.gen_send_value = None
             cls = op.__class__
-            if cls is Load or cls is Store:
-                is_store = cls is Store
-                rwsets = self.rwsets
-                mode = self.mode
-                if (
-                    mode is speculative
-                    and rwsets.__class__ is ReadWriteSets
-                    and rwsets._index is sharer_index
-                    and not self.locked_lines
-                ):
-                    spec = True
-                elif (
-                    mode is fallback_mode
-                    and rwsets is None
-                    and self.discovery is None
-                    and monitor is None
-                    and not self.locked_lines
-                    and not lock_holders
-                ):
-                    # Fallback runs under mutual exclusion with direct
-                    # stores: no lock gate (the table is empty), no
-                    # arbitration, no tracking sets. With a monitor
-                    # armed its eager fallback hooks need the general
-                    # path (fallback traffic is rare).
-                    spec = False
-                else:
-                    return self._exec_memory_op(op, is_store)
-                addr = op.addr
-                addr_is_tv = addr.__class__ is TaintedValue
-                word_addr = addr.value if addr_is_tv else int(addr)
-                line = word_addr // WORDS_PER_LINE
-                if is_store:
-                    self.attempt_stores += 1
-                else:
-                    self.attempt_loads += 1
+            if cls is Load:
+                is_store = False
+            elif cls is Store:
+                is_store = True
+            else:
+                # Ops dispatch on their exact class, as replay_body does.
+                if cls is Compute:
+                    discovery = self.discovery
+                    if discovery is not None:
+                        discovery.on_compute(op.ops)
+                    compute_ops.value += op.ops
+                    cycles = op.cycles
+                    if cycles < 1:
+                        cycles = 1
+                    core_stats.busy_cycles += cycles
+                    return (STEP_DELAY, cycles)
+                if cls is Branch:
+                    discovery = self.discovery
+                    if discovery is not None:
+                        condition = op.condition
+                        discovery.on_branch(
+                            condition.__class__ is TaintedValue
+                            and condition.tainted
+                        )
+                    branch_ops.value += 1
+                    core_stats.busy_cycles += 1
+                    return (STEP_DELAY, 1)
+                if cls is AbortOp:
+                    if self.mode is fallback_mode:
+                        # The fallback path is not a transaction: an XAbort
+                        # there simply ends the region (its direct stores
+                        # are already architectural). This keeps
+                        # always-aborting regions from cycling forever
+                        # between fallback and retry.
+                        return self._commit(via_abort=True)
+                    return self._abort_attempt(AbortReason.EXPLICIT)
+                raise TypeError("AR body yielded unknown op {!r}".format(op))
 
-                if spec:
-                    # Cacheline lock gate: speculative requesters are
-                    # always nackable, and only designs with CL modes
-                    # ever populate the table.
-                    if lock_holders:
-                        holder = lock_holders.get(line)
-                        if holder is not None and holder != core:
-                            return self._abort_attempt(
-                                AbortReason.NACKED, line=line, enemy=holder
-                            )
-                    # Arbitrate only when some other core tracks the
-                    # line; the self-only case is NO_CONFLICT by
-                    # construction and by far the most common one.
+            addr = op.addr
+            addr_is_tv = addr.__class__ is TaintedValue
+            word_addr = addr.value if addr_is_tv else int(addr)
+            line = word_addr // WORDS_PER_LINE
+            if is_store:
+                self.attempt_stores += 1
+            else:
+                self.attempt_loads += 1
+            mode = self.mode
+            if mode is ns_cl and line not in self.locked_lines:
+                # NS-CL guarantee: every access must be within the learned,
+                # locked footprint. A deviation disproves immutability.
+                entry = controller.ert.ensure(self.invocation.region_id)
+                entry.is_immutable = False
+                return self._abort_attempt(AbortReason.FOOTPRINT_DEVIATION)
+            if lock_holders:
+                # Cacheline lock gate: the core's own locked lines pass,
+                # and a line another core holds NACKs the requester.
+                # Fallback cannot meet one: CL attempts hold the fallback
+                # lock as readers and drop their line locks first.
+                holder = lock_holders.get(line)
+                if holder is not None and holder != core:
+                    if mode is fallback_mode:
+                        raise ProtocolError(
+                            "fallback access by core {} to line {} locked "
+                            "by core {}".format(core, line, holder)
+                        )
+                    return self._abort_attempt(
+                        AbortReason.NACKED, line=line, enemy=holder
+                    )
+            rwsets = self.rwsets
+            failed = mode is failed_mode
+            if failed and is_store:
+                # Failed-mode stores never leave the SQ: no coherence
+                # request, no memory-model access.
+                self.discovery.on_store(line, addr_is_tv and addr.tainted)
+                latency = 1
+            else:
+                if mode is not fallback_mode:
+                    # Arbitrate only when some other core tracks the line
+                    # in a conflicting way; the self-only case is
+                    # NO_CONFLICT by construction and by far the most
+                    # common one.
                     sharers = sharer_lines.get(line)
                     if sharers is not None:
                         writers = sharers.writers
@@ -846,7 +722,7 @@ class CoreExecutor:
                                                    or core not in writers)
                         if foreign:
                             resolution = machine.resolve_conflict(
-                                core, line, is_store
+                                core, line, is_store, requester_failed=failed
                             )
                             if resolution.requester_abort_reason is not None:
                                 return self._abort_attempt(
@@ -925,134 +801,137 @@ class CoreExecutor:
                         if l2_evicted is not None:
                             drop_private(core, l2_evicted)
                     l1_entries.move_to_end(line)
+                if faults is not None:
+                    latency += faults.jitter(core)
 
-                if not spec:
-                    # Fallback data movement: straight to memory.
+                if rwsets is None:
+                    # Fallback: direct stores and loads, applied to the
+                    # monitor's value map as they are issued (mutual
+                    # exclusion means no concurrent commit can
+                    # interleave) and checked against it eagerly.
                     if is_store:
                         value = op.value
-                        memory.store_count += 1
-                        mem_words[word_addr] = (
+                        value = (
                             value.value if value.__class__ is TaintedValue
                             else int(value)
                         )
+                        memory.store_count += 1
+                        mem_words[word_addr] = value
+                        if monitor is not None:
+                            monitor.note_fallback_store(core, word_addr, value)
                     else:
                         memory.load_count += 1
+                        value = mem_words.get(word_addr, 0)
+                        if monitor is not None:
+                            monitor.note_fallback_load(core, word_addr, value)
                         loaded = tv_new(TaintedValue)
-                        loaded.value = mem_words.get(word_addr, 0)
+                        loaded.value = value
                         loaded.tainted = True
                         self.gen_send_value = loaded
                     core_stats.busy_cycles += latency
                     return (STEP_DELAY, latency)
 
-                # Speculative tracking: ReadWriteSets.record_write/
-                # record_read with the sharer-index registration inline.
-                if is_store:
-                    write_set = rwsets.write_set
-                    if line not in write_set:
-                        write_set.add(line)
+            # Speculative tracking: ReadWriteSets.record_write/record_read
+            # inline, registering each new line in the machine's sharer
+            # index unless the set is in none (failed mode, NS-CL).
+            # Bounded sets check their budgets in their own methods.
+            if rwsets.__class__ is not ReadWriteSets:
+                try:
+                    if is_store:
+                        rwsets.record_write(line)
+                    else:
+                        rwsets.record_read(line)
+                except CapacityExceeded as exc:
+                    return self._capacity_abort(exc, sq_only=failed and is_store)
+            elif is_store:
+                write_set = rwsets.write_set
+                if line not in write_set:
+                    write_set.add(line)
+                    if rwsets._index is not None:
                         entry = sharer_lines.get(line)
                         if entry is None:
                             entry = sharer_lines[line] = LineSharers()
                         entry.writers.add(core)
-                        l2_geom = rwsets._l2_sets
-                        if l2_geom is not None and line not in rwsets.read_set:
+                    l2_geom = rwsets._l2_sets
+                    if l2_geom is not None and line not in rwsets.read_set:
+                        counts = rwsets._union_counts
+                        idx = line % l2_geom
+                        count = counts.get(idx, 0) + 1
+                        counts[idx] = count
+                        if count == rwsets._l2_assoc + 1:
+                            rwsets._union_over += 1
+                    l1_geom = rwsets._l1_sets
+                    if l1_geom is not None:
+                        counts = rwsets._write_counts
+                        idx = line % l1_geom
+                        count = counts.get(idx, 0) + 1
+                        counts[idx] = count
+                        if count == rwsets._l1_assoc + 1:
+                            rwsets._write_over += 1
+                        if rwsets._write_over:
+                            return self._capacity_abort(
+                                CapacityExceeded("write", line), sq_only=failed
+                            )
+            else:
+                read_set = rwsets.read_set
+                if line not in read_set:
+                    read_set.add(line)
+                    if rwsets._index is not None:
+                        entry = sharer_lines.get(line)
+                        if entry is None:
+                            entry = sharer_lines[line] = LineSharers()
+                        entry.readers.add(core)
+                    epochs = rwsets._monitor_epochs
+                    if epochs is not None:
+                        rwsets.monitor_reads[line] = epochs.get(line, 0)
+                    l2_geom = rwsets._l2_sets
+                    if l2_geom is not None:
+                        if line not in rwsets.write_set:
                             counts = rwsets._union_counts
                             idx = line % l2_geom
                             count = counts.get(idx, 0) + 1
                             counts[idx] = count
                             if count == rwsets._l2_assoc + 1:
                                 rwsets._union_over += 1
-                        l1_geom = rwsets._l1_sets
-                        if l1_geom is not None:
-                            counts = rwsets._write_counts
-                            idx = line % l1_geom
-                            count = counts.get(idx, 0) + 1
-                            counts[idx] = count
-                            if count == rwsets._l1_assoc + 1:
-                                rwsets._write_over += 1
-                            if rwsets._write_over:
-                                return self._capacity_abort(
-                                    CapacityExceeded("write", line)
-                                )
-                else:
-                    read_set = rwsets.read_set
-                    if line not in read_set:
-                        read_set.add(line)
-                        entry = sharer_lines.get(line)
-                        if entry is None:
-                            entry = sharer_lines[line] = LineSharers()
-                        entry.readers.add(core)
-                        epochs = rwsets._monitor_epochs
-                        if epochs is not None:
-                            rwsets.monitor_reads[line] = epochs.get(line, 0)
-                        l2_geom = rwsets._l2_sets
-                        if l2_geom is not None:
-                            if line not in rwsets.write_set:
-                                counts = rwsets._union_counts
-                                idx = line % l2_geom
-                                count = counts.get(idx, 0) + 1
-                                counts[idx] = count
-                                if count == rwsets._l2_assoc + 1:
-                                    rwsets._union_over += 1
-                            if rwsets._union_over:
-                                return self._capacity_abort(
-                                    CapacityExceeded("read", line)
-                                )
+                        if rwsets._union_over:
+                            return self._capacity_abort(
+                                CapacityExceeded("read", line)
+                            )
 
-                # Discovery footprint tracking (CLEAR designs). The mode
-                # is SPECULATIVE, so failed discovery cannot exhaust.
-                discovery = self.discovery
-                if discovery is not None:
-                    tainted = addr_is_tv and addr.tainted
-                    if is_store:
-                        discovery.on_store(line, tainted)
-                    else:
-                        discovery.on_load(line, tainted)
+            # Discovery footprint and indirection tracking (CLEAR
+            # designs); a failed-mode store reported its own above.
+            discovery = self.discovery
+            if discovery is not None:
+                if not is_store:
+                    discovery.on_load(line, addr_is_tv and addr.tainted)
+                elif not failed:
+                    discovery.on_store(line, addr_is_tv and addr.tainted)
+                if failed and discovery.exhausted:
+                    return self._conclude_exhausted_failed_discovery()
 
-                if is_store:
-                    value = op.value
-                    rwsets._write_buffer[word_addr] = (
-                        value.value if value.__class__ is TaintedValue
-                        else int(value)
-                    )
-                else:
-                    buffered = rwsets._write_buffer
-                    value = buffered.get(word_addr) if buffered else None
-                    if value is None:
-                        memory.load_count += 1
-                        value = mem_words.get(word_addr, 0)
-                    # TaintedValue(value, tainted=True) without the
-                    # constructor's coercions: buffered and
-                    # architectural words are always plain ints.
-                    loaded = tv_new(TaintedValue)
-                    loaded.value = value
-                    loaded.tainted = True
-                    self.gen_send_value = loaded
-                core_stats.busy_cycles += latency
-                return (STEP_DELAY, latency)
-            if cls is Compute:
-                discovery = self.discovery
-                if discovery is not None:
-                    discovery.on_compute(op.ops)
-                compute_ops.value += op.ops
-                cycles = op.cycles
-                if cycles < 1:
-                    cycles = 1
-                core_stats.busy_cycles += cycles
-                return (STEP_DELAY, cycles)
-            if cls is Branch:
-                discovery = self.discovery
-                if discovery is not None:
-                    condition = op.condition
-                    discovery.on_branch(
-                        condition.__class__ is TaintedValue
-                        and condition.tainted
-                    )
-                branch_ops.value += 1
-                core_stats.busy_cycles += 1
-                return (STEP_DELAY, 1)
-            # Rare ops and op subclasses.
-            return self._exec_op(op)
+            if is_store:
+                value = op.value
+                rwsets._write_buffer[word_addr] = (
+                    value.value if value.__class__ is TaintedValue
+                    else int(value)
+                )
+            else:
+                buffered = rwsets._write_buffer
+                value = buffered.get(word_addr) if buffered else None
+                if value is None:
+                    memory.load_count += 1
+                    value = mem_words.get(word_addr, 0)
+                # TaintedValue(value, tainted=True) without the
+                # constructor's coercions: buffered and architectural
+                # words are always plain ints.
+                loaded = tv_new(TaintedValue)
+                loaded.value = value
+                loaded.tainted = True
+                self.gen_send_value = loaded
+            core_stats.busy_cycles += latency
+            if failed:
+                core_stats.discovery_failed_cycles += latency
+            return (STEP_DELAY, latency)
 
         return fused_body_step
 

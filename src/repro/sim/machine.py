@@ -185,10 +185,13 @@ class Machine:
         """Arbitrate one memory request via the sharer index.
 
         O(sharers of ``line``). Every arbitration goes through this
-        method on the instance — the executor's general op path, its
-        fused body step, and CL lock acquisition — so replacing it on a
-        machine (a planted arbiter bug) reaches every resolution that
-        can find a conflict.
+        method on the instance — the executor's body step and CL lock
+        acquisition — so replacing it on a machine (a planted arbiter
+        bug) reaches every resolution that can find a conflict. The
+        body step skips it only where it must return ``NO_CONFLICT``:
+        lines no other core tracks (for a load, no other core writes),
+        failed-mode stores (they never leave the store queue) and
+        fallback ops (mutual exclusion).
         """
         return self.arbiter.resolve_line(
             core, line, is_write, requester_failed,
@@ -227,10 +230,11 @@ class Machine:
     def run(self):
         """Run to completion; returns the populated MachineStats.
 
-        This heap loop is the simulator's only event loop; its fast
-        path lives in the executors (``CoreExecutor._fused_body_step``),
-        so every hook below sees the same pops whether or not a core's
-        step took it.
+        This heap loop is the simulator's only event loop. Every
+        BODY-phase pop runs the executor's one body step (built by
+        ``CoreExecutor._fused_body_step``), whatever the design, mode
+        or hooks, so every hook below sees the pops of one
+        implementation.
 
         Raises a typed :class:`~repro.common.errors.SimulationStallError`
         subclass when the run cannot complete, each carrying a

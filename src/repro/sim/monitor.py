@@ -63,12 +63,12 @@ Non-speculative paths:
 
 Fast path: the monitor deliberately has *no per-op hook* on
 speculative accesses — commit hooks, first-read recording, and the
-end-of-run sweep only — so the executor's fused body step stays on
-while it is armed (the first-read epoch store is inlined there).
-Fallback accesses are the exception: their eager load/store hooks
-live on the general op path, which fallback ops take while a monitor
-is armed. ``validate_machine`` runs once, at the end of the run, so
-checking with the monitor costs only what its hooks do.
+end-of-run sweep only — and the executor's one body step inlines the
+first-read epoch store. Fallback accesses are the exception: that step
+calls :meth:`OnlineMonitor.note_fallback_store` and
+:meth:`OnlineMonitor.note_fallback_load` for each one, which costs
+fallback ops nothing else. ``validate_machine`` runs once, at the end
+of the run, so checking with the monitor costs only what its hooks do.
 
 Violations raise :class:`repro.common.errors.OracleViolation` carrying
 a structured ``details`` dict. The monitor costs zero simulated
@@ -171,7 +171,7 @@ class OnlineMonitor:
         self.clock = 0
         #: line -> commit epoch of the last committed write (0 = never
         #: written by a committed AR). Read by the rwsets first-read
-        #: hook and by its inlined copy in the fused body step.
+        #: hook and by its inlined copy in the executor's body step.
         self.line_epochs = {}
         #: word -> value as of the committed prefix (plus pokes and
         #: fallback stores); diffed against memory at finalize.

@@ -112,11 +112,13 @@ def _validate_sharer_index(machine):
 
 
 def _validate_inclusion(machine):
+    # Probe the L2 once per L1 line instead of listing it: listing
+    # walks every L2 set, filled or not.
     memsys = machine.memsys
     for core in range(machine.config.num_cores):
-        l2_lines = set(memsys.l2[core].resident_lines())
+        l2 = memsys.l2[core]
         for line in memsys.l1[core].resident_lines():
-            if line not in l2_lines:
+            if not l2.contains(line):
                 raise ProtocolError(
                     "core {} L1 line {} missing from its inclusive L2".format(
                         core, line

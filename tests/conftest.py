@@ -9,18 +9,26 @@ import pytest
 from repro.htm.design import design_name
 from repro.sim.config import SimConfig
 from repro.sim.executor import CoreExecutor
+from tests import reference_step
 
 
 @contextlib.contextmanager
 def general_path():
-    """Machines built inside the block never take the fused body step.
+    """Machines built inside the block run the reference body step.
 
-    Test-only: every executor's BODY phase runs the general
-    ``_step_body`` path, the reference the fast path is compared with.
+    Test-only: every executor's BODY phase runs the general op path in
+    ``tests/reference_step.py``, the reference the product's one body
+    step is compared with.
     """
     with mock.patch.object(CoreExecutor, "_fused_body_step",
-                           lambda self: None):
+                           reference_step.install):
         yield
+
+
+def takes_one_step(machine):
+    """True when no executor of ``machine`` runs the reference step."""
+    return not any(reference_step.is_reference(executor._body_step)
+                   for executor in machine.executors)
 
 
 def run_digest(machine):
@@ -36,7 +44,7 @@ def run_digest(machine):
 
 
 def both_paths(build):
-    """``(fast digest, general digest)`` of the machine ``build()`` makes."""
+    """``(one-step digest, reference digest)`` of the machine ``build()`` makes."""
     fast = run_digest(build())
     with general_path():
         general = run_digest(build())

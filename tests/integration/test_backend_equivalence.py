@@ -1,25 +1,25 @@
-"""Fused body step equivalence: the fast path is bit-identical.
+"""One body step equivalence: the product step matches the reference.
 
-``CoreExecutor._fused_body_step`` must be an observationally invisible
-shortcut for the general ``_step_body`` path — identical stats, event
-counts, and final architectural memory, run for run, on every
-registered design. The general path is forced with the test-only
-``general_path()`` patch from ``tests/conftest.py``. Evidence layers:
+``CoreExecutor._fused_body_step`` builds the simulator's only BODY-phase
+implementation. The general op path it replaced survives as the test
+reference in ``tests/reference_step.py``, installed by the
+``general_path()`` patch from ``tests/conftest.py``; both must give
+identical stats, event counts, and final architectural memory, run for
+run, on every registered design. Evidence layers:
 
 1. pairwise differentials: every registered design (the paper's four
    plus ``lrw``/``bigatomics``) runs representative workloads on both
    paths; stats JSON, ``event_count``, ``memory.snapshot()`` and the
    memory's load/store counters must match exactly — and, in the slow
-   profile, the full 19-workload
-   x all-designs grid does the same;
-2. the full micro experiment matrix run on the general path produces
+   profile, the full 19-workload x all-designs grid does the same, once
+   plain and once with a fault plan and the online monitor armed;
+2. the full micro experiment matrix run on the reference produces
    figure JSON equal to the committed golden
-   (``tests/goldens/figures_micro.json``) — the same file the default
-   (fast) path is pinned against in ``test_conflict_equivalence``;
-3. fast-path conditions: the fused step exists for HTM runs without a
-   fault plan, whatever else is armed (trace, scheduler, retry ledger,
-   watchdog, checkers), and the result matches the general path byte
-   for byte in each case;
+   (``tests/goldens/figures_micro.json``) — the same file the product
+   step is pinned against in ``test_conflict_equivalence``;
+3. every configuration builds the one step: plain, SLE, a fault plan,
+   trace, scheduler, retry ledger, watchdog and the online monitor, and
+   the result matches the reference byte for byte in each case;
 4. import footprint: simulating imports no NumPy (it costs every sim
    process ~12 MB of peak RSS).
 """
@@ -39,7 +39,7 @@ from repro.sim.executor import CoreExecutor
 from repro.sim.machine import Machine, build_machine
 from repro.verify import DefaultScheduler, RetryLedger
 from repro.workloads import ALL_NAMES, make_workload
-from tests.conftest import both_paths, general_path
+from tests.conftest import both_paths, general_path, takes_one_step
 
 GOLDEN_PATH = os.path.join(
     os.path.dirname(__file__), "..", "goldens", "figures_micro.json"
@@ -55,7 +55,7 @@ SMOKE_WORKLOADS = ("hashmap", "genome", "mwobject")
 
 def both_cells(design, workload, seed=1, ops_per_thread=6, num_cores=4,
                **overrides):
-    """(fast digest, general digest) for one cell."""
+    """(one-step digest, reference digest) for one cell."""
     config = SimConfig.for_design(design, num_cores=num_cores, **overrides)
     return both_paths(lambda: build_machine(
         config, make_workload(workload, ops_per_thread=ops_per_thread),
@@ -72,7 +72,7 @@ class TestPairwiseDifferential:
 
     def test_single_retry_threshold_matches(self):
         # The paper's bounded-retry point (threshold 1) stresses the
-        # abort/fallback machinery the fused step must delegate for.
+        # abort and fallback machinery.
         fast, general = both_cells("baseline", "mwobject", retry_threshold=1)
         assert fast == general
 
@@ -81,8 +81,8 @@ class TestPairwiseDifferential:
         assert fast == general
 
     def test_lrw_bounded_sets_match(self):
-        # Tiny budgets make the bounded sets overflow constantly; those
-        # accesses must leave the fused step for the general path.
+        # Tiny budgets make the bounded sets overflow constantly; the
+        # step tracks them through their own record_read/record_write.
         fast, general = both_cells("lrw", "genome", lrw_read_lines=2,
                                    lrw_write_lines=1)
         assert fast == general
@@ -113,60 +113,60 @@ class TestPairwiseDifferential:
 
 
 class TestHookDegradation:
-    """Only SLE and a fault plan turn the fused body step off."""
+    """No hook or configuration turns the one body step off."""
 
     def workload(self):
         return make_workload("mwobject", ops_per_thread=3)
 
-    def assert_fused(self, build, fused=True):
-        machine = build()
-        taken = [executor._body_step != executor._step_body
-                 for executor in machine.executors]
-        assert taken == [fused] * len(taken)
+    def assert_one_step(self, build):
+        assert takes_one_step(build())
         fast, general = both_paths(build)
         assert fast == general
 
     def test_pure_config_enters_fused_loop(self, monkeypatch):
-        sentinel = RuntimeError("fused step entered")
+        sentinel = RuntimeError("one step entered")
 
         def explode(self):
-            def fused():
+            def step():
                 raise sentinel
-            return fused
+            return step
 
         machine = build_machine(SimConfig(num_cores=4), self.workload())
-        assert all(executor._body_step != executor._step_body
-                   for executor in machine.executors)
+        assert takes_one_step(machine)
+        with general_path():
+            assert not takes_one_step(
+                build_machine(SimConfig(num_cores=4), self.workload())
+            )
         monkeypatch.setattr(CoreExecutor, "_fused_body_step", explode)
         machine = build_machine(SimConfig(num_cores=4), self.workload())
-        with pytest.raises(RuntimeError, match="fused step entered"):
+        with pytest.raises(RuntimeError, match="one step entered"):
             machine.run()
 
-    def test_faults_degrade(self):
-        config = SimConfig(num_cores=4, fault_jitter_cycles=4)
-        self.assert_fused(lambda: Machine(config, self.workload()),
-                          fused=False)
+    def test_fault_plan_builds_the_one_step(self):
+        config = SimConfig(num_cores=4, fault_jitter_cycles=4,
+                           fault_spurious_rate=0.2,
+                           fault_wakeup_delay_cycles=3)
+        self.assert_one_step(lambda: Machine(config, self.workload()))
 
-    def test_sle_degrades(self):
+    def test_sle_builds_the_one_step(self):
         config = SimConfig(num_cores=4, speculation="sle")
-        self.assert_fused(lambda: Machine(config, self.workload()),
-                          fused=False)
+        self.assert_one_step(lambda: Machine(config, self.workload()))
 
     def test_trace_keeps_fused_loop(self):
-        self.assert_fused(lambda: Machine(
+        self.assert_one_step(lambda: Machine(
             SimConfig(num_cores=4), self.workload(), trace=EventTrace()
         ))
 
     def test_checkers_keep_fused_loop(self):
         config = SimConfig(num_cores=4, oracle="online")
-        self.assert_fused(lambda: Machine(config, self.workload()))
+        self.assert_one_step(lambda: Machine(config, self.workload()))
 
     def test_watchdog_keeps_fused_loop(self):
         config = SimConfig(num_cores=4, watchdog_cycles=100_000)
-        self.assert_fused(lambda: Machine(config, self.workload()))
+        self.assert_one_step(lambda: Machine(config, self.workload()))
 
     def test_scheduler_and_ledger_keep_fused_loop(self):
-        self.assert_fused(lambda: Machine(
+        self.assert_one_step(lambda: Machine(
             SimConfig(num_cores=4), self.workload(),
             scheduler=DefaultScheduler(), retry_ledger=RetryLedger(),
         ))
@@ -197,10 +197,10 @@ class TestFullMatrixEquivalence:
             return json.load(handle)
 
     def test_micro_matrix_general_path_matches_golden(self, golden):
-        # test_conflict_equivalence pins the default (fast) path to the
-        # same golden, so both paths reproduce the micro matrix byte
-        # for byte. Serial and uncached: the patch lives in this
-        # process only.
+        # test_conflict_equivalence pins the product step to the same
+        # golden, so both paths reproduce the micro matrix byte for
+        # byte. Serial and uncached: the patch lives in this process
+        # only.
         from repro.analysis.experiments import (
             ExperimentSettings,
             figure_payload,
@@ -221,5 +221,22 @@ class TestFullMatrixEquivalence:
         for workload in ALL_NAMES:
             fast, general = both_cells(design, workload)
             assert fast == general, (
-                "fast/general divergence on {}/{}".format(workload, design)
+                "step/reference divergence on {}/{}".format(workload, design)
+            )
+
+    @pytest.mark.parametrize("design", ALL_DESIGNS)
+    def test_every_workload_matches_under_a_fault_plan(self, design):
+        # Injected spurious aborts, latency jitter and wakeup delay with
+        # the online monitor armed: the step's fault branches, jitter
+        # draws and monitored fallback ops against the reference.
+        for workload in ALL_NAMES:
+            fast, general = both_cells(
+                design, workload, oracle="online",
+                fault_spurious_rate=0.05, fault_jitter_cycles=4,
+                fault_wakeup_delay_cycles=4,
+            )
+            assert fast == general, (
+                "step/reference divergence under faults on {}/{}".format(
+                    workload, design
+                )
             )

@@ -2,7 +2,7 @@
 
 ``tests/goldens/figures_micro.json`` was generated before the sharer
 index replaced the O(num_cores) peer scan, and every hot-path change
-since (the index, the executor's fused body step) has kept the figure
+since (the index, the executor's one body step) has kept the figure
 payload of the full micro matrix (all 19 benchmarks x B/P/C/W) equal
 to it byte for byte. The index itself is checked against a
 from-scratch rebuild by ``validate_machine`` and against the peer-scan

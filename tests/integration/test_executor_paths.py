@@ -1,16 +1,25 @@
 """Focused tests for executor corner paths.
 
 Each test drives a scripted scenario down one specific edge of the
-state machine: fallback-lock abort types, NACKs on locked lines,
+state machine: fallback-lock abort types, NACKs on locked lines, a
+fallback op meeting a foreign line lock, NS-CL footprint deviation,
 explicit aborts, CRT population, and zombie-transaction arbitration.
 """
 
+import itertools
+
+import pytest
+
+from repro.common.errors import ProtocolError
 from repro.core.modes import ExecMode
 from repro.htm.abort import AbortReason
 from repro.htm.design import design_name
+from repro.memory.address import line_of_word
 from repro.sim.config import SimConfig
+from repro.sim.executor import RETRY
 from repro.sim.machine import Machine
 from repro.sim.program import AbortOp, Compute, Invoke, Load, Store
+from tests.conftest import both_paths, general_path
 from tests.integration.test_machine_basic import ScriptedWorkload, counter_invoke
 
 
@@ -20,6 +29,14 @@ def run_scripted(scripts, letter="B", cores=2, shared_lines=8, seed=1, **overrid
     machine = Machine(config, workload, seed=seed)
     stats = machine.run()
     return machine, workload, stats
+
+
+def build_on(reference, build):
+    """The machine ``build()`` makes, on the reference step if asked."""
+    if not reference:
+        return build()
+    with general_path():
+        return build()
 
 
 def slow_counter_invoke(compute=200):
@@ -77,6 +94,103 @@ class TestFallbackAbortTypes:
         )
         assert stats.total_commits == 24
         assert machine.memory.peek(workload.addr(0)) == 24
+
+
+class TestFallbackMeetsForeignLock:
+    """Fallback is never NACKed, so a foreign line lock is a protocol bug.
+
+    CL attempts hold the fallback lock as readers and drop their line
+    locks before releasing it, so no run can reach this; a planted lock
+    must stop the run instead of dropping the op.
+    """
+
+    def begin_fallback(self, reference, oracle):
+        def storer(workload):
+            addr = workload.addr(0)
+
+            def body():
+                yield Store(addr, 7)
+
+            return Invoke(("scripted", "storer"), body)
+
+        config = SimConfig.for_design("clear", num_cores=2, oracle=oracle)
+        workload = ScriptedWorkload({0: [storer]})
+        machine = build_on(reference,
+                           lambda: Machine(config, workload, seed=1))
+        executor = machine.executors[0]
+        executor.invocation = machine.next_action(0)
+        executor.next_mode = ExecMode.FALLBACK
+        executor.phase = RETRY
+        executor.step(0)
+        assert executor.mode is ExecMode.FALLBACK
+        return machine, executor, line_of_word(workload.addr(0))
+
+    @pytest.mark.parametrize("oracle", ["off", "online"])
+    @pytest.mark.parametrize("reference", [False, True])
+    def test_foreign_lock_raises(self, oracle, reference):
+        machine, executor, line = self.begin_fallback(reference, oracle)
+        machine.memsys.locks.try_lock(99, line)
+        with pytest.raises(ProtocolError,
+                           match="line {} locked by core 99".format(line)):
+            executor.step(1)
+
+
+class TestFootprintDeviation:
+    def test_ns_cl_deviation_aborts_match_reference(self):
+        # The second line comes from a host-side counter bumped for each
+        # body instance. It is a plain int, so discovery sees no
+        # indirection and picks NS-CL, whose retry then strays from the
+        # footprint it locked.
+        def build():
+            counter = itertools.count(1)
+
+            def deviating(workload):
+                hot = workload.addr(0)
+
+                def body():
+                    second = workload.addr(next(counter))
+                    value = yield Load(hot)
+                    yield Compute(200)
+                    yield Load(second)
+                    yield Store(hot, value + 1)
+
+                return Invoke(("scripted", "deviating"), body)
+
+            script = [deviating] * 12
+            config = SimConfig.for_design("clear", num_cores=2,
+                                          backoff_base=0)
+            workload = ScriptedWorkload(
+                {0: list(script), 1: list(script)}, shared_lines=512
+            )
+            return Machine(config, workload, seed=1)
+
+        machine = build()
+        stats = machine.run()
+        assert stats.aborts_by_reason[AbortReason.FOOTPRINT_DEVIATION] > 0
+        assert stats.total_commits == 24
+        assert machine.memory.peek(machine.workload.addr(0)) == 24
+        fast, general = both_paths(build)
+        assert fast == general
+
+
+class TestUnknownOp:
+    @pytest.mark.parametrize("reference", [False, True])
+    def test_unknown_op_raises(self, reference):
+        def invoke(workload):
+            addr = workload.addr(0)
+
+            def body():
+                yield Load(addr)
+                yield "not an op"
+
+            return Invoke(("scripted", "unknown"), body)
+
+        config = SimConfig.for_design("clear", num_cores=2)
+        machine = build_on(reference, lambda: Machine(
+            config, ScriptedWorkload({0: [invoke]}), seed=1
+        ))
+        with pytest.raises(TypeError, match="unknown op"):
+            machine.run()
 
 
 class TestExplicitAbort:

@@ -1,8 +1,8 @@
 """Integration tests for the online serializability monitor.
 
 The monitor (``oracle="online"``) must stay silent on correct
-executions, change no simulated results, leave the executor's fused
-body step on (matching the general path exactly), and catch planted
+executions, change no simulated results, run on the executor's one
+body step (matching the reference op path exactly), and catch planted
 violations — out-of-band tampering, leaks, and commit-time stale reads
 from a broken arbiter, which it flags *at the violating commit* rather
 than at end of run. The shadow replay in :mod:`tests.shadow` is the
@@ -21,7 +21,7 @@ from repro.sim.config import SimConfig
 from repro.sim.machine import Machine
 from repro.sim.program import Invoke
 from repro.workloads import ALL_NAMES, make_workload
-from tests.conftest import general_path
+from tests.conftest import general_path, takes_one_step
 from tests.shadow import ShadowReplay, run_with_shadow
 
 
@@ -106,7 +106,7 @@ class TestMonitorPasses:
 
 
 class TestFastPathComposition:
-    """Online monitoring keeps the fused body step, bit-identically."""
+    """Online monitoring runs on the one body step, bit-identically."""
 
     def monitored(self, workload, seed=1, ops_per_thread=8, **overrides):
         return Machine(
@@ -123,8 +123,7 @@ class TestFastPathComposition:
     @pytest.mark.parametrize("checker", ["online", "shadow"])
     def test_checkers_keep_the_fused_step(self, checker):
         machine = self.monitored("genome")
-        assert all(executor._body_step != executor._step_body
-                   for executor in machine.executors)
+        assert takes_one_step(machine)
         if checker == "shadow":
             # The replay rides on the monitor's hooks, so the runs the
             # agreement tests check are the production runs exactly.
@@ -145,14 +144,14 @@ class TestFastPathComposition:
             machine.run()
 
     def test_fast_fallback_heavy_run_checked(self):
-        # Fused fallback ops are off while the monitor is armed (its
-        # eager hooks live on the general op path); results must still
-        # match the general path exactly.
+        # The step calls the monitor's eager fallback hooks itself;
+        # results and checked reads must match the reference exactly.
         fast, general = self.fast_and_general("mwobject", retry_threshold=1)
         assert fast.run().to_dict() == general.run().to_dict()
+        assert fast.monitor.reads_checked == general.monitor.reads_checked
 
     def test_fast_monitor_catches_dropped_conflicts(self):
-        # The fused step arbitrates through the instance's
+        # The body step arbitrates through the instance's
         # resolve_conflict, so a planted arbiter bug reaches it.
         machine = self.monitored("mwobject", design="baseline")
         drop_all_conflicts(machine)

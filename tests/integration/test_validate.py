@@ -49,6 +49,12 @@ class TestViolationsDetected:
         with pytest.raises(ProtocolError):
             validate_machine(machine)
 
+    def test_l1_line_outside_l2_detected(self, machine):
+        machine.memsys.access(1, 100, is_write=False)
+        machine.memsys.l2[1].invalidate(100)  # corrupt: break inclusion
+        with pytest.raises(ProtocolError, match="core 1 L1 line 100"):
+            validate_machine(machine)
+
     def test_clean_lock_state_passes(self, machine):
         machine.memsys.acquire_line_lock(0, 100)
         assert validate_machine(machine)

@@ -7,9 +7,9 @@ promises the ``gen:`` namespace makes:
 - re-running a (spec, seed) cell from a fresh workload instance yields
   byte-identical stats and final memory — the generator carries no
   hidden process state;
-- the executor's fused body step and its general path are
-  indistinguishable on generated kernels, exactly as they are on the
-  built-ins;
+- the executor's one body step and the reference op path
+  (``tests/reference_step.py``) are indistinguishable on generated
+  kernels, exactly as they are on the built-ins;
 - the canonical spec string and the registered fingerprint resolve to
   the same behaviour, so cache keys built from either are equivalent.
 
