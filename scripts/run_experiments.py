@@ -37,32 +37,16 @@ import sys
 import time
 
 from repro import api, cli
-from repro.analysis.experiments import (
+# ExperimentSettings stays importable from here: the script tests build
+# their own scales from it.
+from repro.analysis.experiments import (  # noqa: F401
     ExperimentSettings,
     figure_payload,
     run_config_matrix,
+    settings_for,
 )
 from repro.cli import argparse
 from repro.sim.engine import DEFAULT_CACHE_DIR
-
-
-def settings_for(scale):
-    if scale == "paper":
-        return ExperimentSettings.paper()
-    if scale == "sweep":
-        # Paper methodology at reduced seed count: per-application
-        # best-of retry threshold, 32 cores.
-        return ExperimentSettings(
-            num_cores=32, ops_per_thread=16, seeds=(1, 2), trim=0,
-            retry_sweep=True, sweep_thresholds=(1, 2, 4, 8),
-        )
-    if scale == "medium":
-        return ExperimentSettings(
-            num_cores=32, ops_per_thread=16, seeds=(1, 2, 3), trim=0
-        )
-    if scale == "micro":
-        return ExperimentSettings.micro()
-    return ExperimentSettings.quick()
 
 
 def parse_args(argv):

@@ -8,8 +8,9 @@ A from-scratch Python reproduction of Gómez-Hernández et al., ASPLOS
   S-CL retry modes);
 - the paper's 19 benchmarks (9 concurrent data structures + the STAMP
   suite as synthetic kernels);
-- analysis and benchmark harnesses regenerating every table and figure
-  of the evaluation.
+- the analysis that regenerates every table and figure of the
+  evaluation, and the table of the paper's claims that checks them
+  (``repro.analysis.claims``).
 
 Quickstart::
 

@@ -4,7 +4,10 @@
   classes) and feeds Fig. 1 from probe executions.
 - :mod:`repro.analysis.experiments` — one entry point per figure of the
   evaluation, producing the same rows/series the paper reports.
-- :mod:`repro.analysis.report` — plain-text table/figure rendering.
+- :mod:`repro.analysis.report` — plain-text tables and the geometric
+  mean.
+- :mod:`repro.analysis.claims` — the paper's claims as one table of
+  checks over the figure data, Table 1 and the ablation runs.
 """
 
 from repro.analysis.characterize import (
@@ -25,7 +28,7 @@ from repro.analysis.experiments import (
     fig13_retry_bound,
     headline_summary,
 )
-from repro.analysis.report import render_table, render_bar_chart, format_ratio
+from repro.analysis.report import render_table
 from repro.analysis.storage import StorageOverhead, storage_overhead
 from repro.analysis.export import export_all
 
@@ -45,8 +48,6 @@ __all__ = [
     "fig13_retry_bound",
     "headline_summary",
     "render_table",
-    "render_bar_chart",
-    "format_ratio",
     "StorageOverhead",
     "storage_overhead",
     "export_all",

@@ -27,8 +27,8 @@ class ExperimentSettings:
 
     ``paper()`` approximates the paper's methodology (32 cores, 10
     seeds, trimmed mean removing 3, retry-threshold sweep);
-    ``quick()`` is the CI-sized variant used by the benchmark harness
-    defaults so every figure regenerates in minutes on a laptop.
+    ``quick()`` is the CI-sized variant, so every figure regenerates
+    in seconds on a laptop. :func:`settings_for` names every scale.
     """
 
     def __init__(self, benchmarks=ALL_NAMES, num_cores=8, ops_per_thread=12,
@@ -114,6 +114,30 @@ class ExperimentSettings:
             for threshold in self.cell_thresholds()
             for seed in self.seeds
         ]
+
+
+def settings_for(scale):
+    """The settings of a named scale, as ``run_experiments.py`` runs it.
+
+    ``micro``, ``quick`` and ``paper`` are the classmethods above;
+    ``sweep`` is the paper's methodology at reduced seed count (the
+    per-application best-of retry threshold, 32 cores) and ``medium``
+    is 32 cores at a fixed threshold. Any other name gets ``quick``.
+    """
+    if scale == "paper":
+        return ExperimentSettings.paper()
+    if scale == "sweep":
+        return ExperimentSettings(
+            num_cores=32, ops_per_thread=16, seeds=(1, 2), trim=0,
+            retry_sweep=True, sweep_thresholds=(1, 2, 4, 8),
+        )
+    if scale == "medium":
+        return ExperimentSettings(
+            num_cores=32, ops_per_thread=16, seeds=(1, 2, 3), trim=0
+        )
+    if scale == "micro":
+        return ExperimentSettings.micro()
+    return ExperimentSettings.quick()
 
 
 def run_config_matrix(settings=None, progress=None, *, jobs=1,

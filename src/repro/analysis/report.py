@@ -1,15 +1,6 @@
-"""Plain-text rendering of tables and bar-style figures.
-
-The benchmark harnesses use these to print the same rows/series the
-paper's tables and figures report.
-"""
+"""Plain-text tables, and the geometric mean the figures aggregate by."""
 
 import math
-
-
-def format_ratio(value, digits=2):
-    """A float formatted compactly ('1.00', '0.35', ...)."""
-    return "{:.{}f}".format(value, digits)
 
 
 def render_table(headers, rows, title=None):
@@ -30,51 +21,6 @@ def render_table(headers, rows, title=None):
     parts.append(line(columns))
     parts.append("-+-".join("-" * width for width in widths))
     parts.extend(line(row) for row in text_rows)
-    return "\n".join(parts)
-
-
-def render_bar_chart(series, title=None, width=40, fmt="{:.2f}"):
-    """Horizontal text bars for {label: value} (values >= 0)."""
-    if not series:
-        return title or ""
-    peak = max(series.values()) or 1.0
-    label_width = max(len(str(label)) for label in series)
-    parts = []
-    if title:
-        parts.append(title)
-    for label, value in series.items():
-        bar = "#" * max(0, int(round(width * value / peak)))
-        parts.append(
-            "{} | {} {}".format(
-                str(label).ljust(label_width), bar, fmt.format(value)
-            )
-        )
-    return "\n".join(parts)
-
-
-def render_stacked_shares(rows, categories, title=None, width=30):
-    """Rows of stacked 0..1 shares, one char per category.
-
-    ``rows`` is a list of (label, {category: share}); each printed row
-    shows a ``width``-character strip partitioned by category symbol
-    plus the numeric shares.
-    """
-    symbols = "#=+.ox*"
-    parts = []
-    if title:
-        parts.append(title)
-    label_width = max((len(str(label)) for label, _ in rows), default=0)
-    for label, shares in rows:
-        strip = ""
-        for index, category in enumerate(categories):
-            share = shares.get(category, 0.0)
-            strip += symbols[index % len(symbols)] * int(round(width * share))
-        strip = strip[:width].ljust(width)
-        numbers = " ".join(
-            "{}={:.2f}".format(category, shares.get(category, 0.0))
-            for category in categories
-        )
-        parts.append("{} |{}| {}".format(str(label).ljust(label_width), strip, numbers))
     return "\n".join(parts)
 
 

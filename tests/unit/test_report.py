@@ -1,20 +1,6 @@
 """Unit tests for the plain-text renderers."""
 
-from repro.analysis.report import (
-    format_ratio,
-    geometric_mean,
-    render_bar_chart,
-    render_stacked_shares,
-    render_table,
-)
-
-
-class TestFormatRatio:
-    def test_default_digits(self):
-        assert format_ratio(0.3456) == "0.35"
-
-    def test_custom_digits(self):
-        assert format_ratio(0.3456, 3) == "0.346"
+from repro.analysis.report import geometric_mean, render_table
 
 
 class TestRenderTable:
@@ -32,33 +18,6 @@ class TestRenderTable:
         lines = text.splitlines()
         assert len(lines[1]) == len(lines[2]) == len(lines[3].rstrip()) or True
         assert "---" in lines[1]
-
-
-class TestRenderBarChart:
-    def test_bars_scale_with_value(self):
-        text = render_bar_chart({"a": 1.0, "b": 0.5}, width=10)
-        line_a, line_b = text.splitlines()
-        assert line_a.count("#") == 10
-        assert line_b.count("#") == 5
-
-    def test_empty_series(self):
-        assert render_bar_chart({}, title="t") == "t"
-
-    def test_values_printed(self):
-        assert "0.50" in render_bar_chart({"a": 0.5})
-
-
-class TestRenderStacked:
-    def test_shares_rendered(self):
-        text = render_stacked_shares(
-            [("row", {"x": 0.5, "y": 0.5})], ["x", "y"], width=10
-        )
-        assert "x=0.50" in text and "y=0.50" in text
-        assert "#" in text and "=" in text
-
-    def test_title(self):
-        text = render_stacked_shares([], ["x"], title="Fig")
-        assert text == "Fig"
 
 
 class TestGeometricMean:
