@@ -17,6 +17,7 @@ Refinements modeled from the paper:
 """
 
 from repro.htm.abort import AbortReason
+from repro.memory.directory import cores_of
 
 
 class TxPeerView:
@@ -82,39 +83,35 @@ class ConflictArbiter:
 
     def resolve_line(self, requester_core, line, is_write, requester_failed,
                      sharers, power_core=None, requester_unstoppable=False):
-        """Arbitrate a request against a line's sharer vector.
+        """Arbitrate a request against a line's sharer vectors.
 
         O(sharers) drop-in for :meth:`resolve`: ``sharers`` is the
-        :class:`~repro.htm.sharer_index.LineSharers` entry for ``line``
-        (or None when nobody tracks it), and ``power_core`` the single
-        power-token holder (or None). Equivalence with the full peer
-        scan rests on the index invariant — it contains exactly the
-        lines of conflict-visible attempts (doomed/failed/NS-CL cores
-        are never registered), and at most one core holds the power
-        token, so "first conflicting power peer in core order" and
-        "power holder among the conflicting set" pick the same core.
+        ``(readers, writers)`` pair of core bit-vectors that
+        :meth:`~repro.htm.sharer_index.SharerIndex.get` returns for
+        ``line`` (or None when nobody tracks it), and ``power_core`` the
+        single power-token holder (or None). A write conflicts with the
+        union of both masks, a read with the writers alone, and the
+        requester's own bit is cleared; victims come back in ascending
+        core order. Equivalence with the full peer scan rests on the
+        index invariant — it contains exactly the lines of
+        conflict-visible attempts (doomed/failed/NS-CL cores are never
+        registered), and at most one core holds the power token, so
+        "first conflicting power peer in core order" and "power holder
+        among the conflicting set" pick the same core.
         """
         if requester_failed or sharers is None:
             # Non-aborting request, or a line outside every live
             # footprint (the overwhelmingly common case).
             return NO_CONFLICT
 
-        writers = sharers.writers
-        if is_write:
-            readers = sharers.readers
-            if readers:
-                conflicting = readers | writers if writers else set(readers)
-            else:
-                conflicting = set(writers)
-        else:
-            if not writers:
-                return NO_CONFLICT
-            conflicting = set(writers)
-        conflicting.discard(requester_core)
+        readers, writers = sharers
+        conflicting = (readers | writers if is_write else writers) & ~(
+            1 << requester_core
+        )
         if not conflicting:
             return NO_CONFLICT
 
-        if power_core is not None and power_core in conflicting:
+        if power_core is not None and conflicting >> power_core & 1:
             if self._design is not None:
                 nacker = self._design.conflict_nacker(
                     power_core=power_core,
@@ -127,7 +124,7 @@ class ConflictArbiter:
                     requester_abort_reason=AbortReason.NACKED,
                     nacking_core=nacker,
                 )
-        return Resolution(victims=sorted(conflicting))
+        return Resolution(victims=cores_of(conflicting))
 
     def resolve(self, requester_core, line, is_write, requester_failed, peers,
                 requester_unstoppable=False):

@@ -18,7 +18,7 @@ behaviour depends on, at cacheline granularity:
 from repro.memory.address import line_of_word, word_of_line, directory_set_of_line
 from repro.memory.shared import SharedMemory, Allocator
 from repro.memory.cache import SetAssocCache
-from repro.memory.directory import Directory, DirectoryEntry
+from repro.memory.directory import Directory
 from repro.memory.locking import LockManager, LockDenied, NackError
 from repro.memory.system import MemorySystem, AccessResult
 
@@ -30,7 +30,6 @@ __all__ = [
     "Allocator",
     "SetAssocCache",
     "Directory",
-    "DirectoryEntry",
     "LockManager",
     "LockDenied",
     "NackError",

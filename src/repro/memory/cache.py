@@ -9,12 +9,14 @@ cachelines accessed within the AR?"* (paper §4.1, item 2).
 
 Sets are allocated on first fill: every set starts as one shared,
 read-only empty mapping, and :meth:`SetAssocCache.install` — the only
-method that adds a line — gives a set its own ``OrderedDict`` the first
+method that adds a line — gives a set its own plain ``dict`` the first
 time a line lands in it. Building a machine therefore costs only the
-sets its run touches (DESIGN.md §9.2).
+sets its run touches (DESIGN.md §9.2). A filled set maps line -> pinned
+flag in LRU insertion order: a hit re-inserts its line
+(``entries[line] = entries.pop(line)``), and a dict of ints and bools is
+never tracked by the cyclic garbage collector.
 """
 
-from collections import OrderedDict
 from types import MappingProxyType
 
 from repro.common.errors import ConfigurationError
@@ -51,8 +53,8 @@ class SetAssocCache:
             )
         self.assoc = assoc
         self.num_sets = num_lines // assoc
-        # Each set is an OrderedDict line -> pinned flag once filled;
-        # insertion order is LRU order (least recently used first).
+        # Each set is a dict line -> pinned flag once filled; insertion
+        # order is LRU order (least recently used first).
         self._sets = [_EMPTY_SET] * self.num_sets
 
     def set_index(self, line):
@@ -73,10 +75,10 @@ class SetAssocCache:
         index = line % self.num_sets
         entries = self._sets[index]
         if line in entries:
-            entries.move_to_end(line)
+            entries[line] = entries.pop(line)
             return None
         if entries is _EMPTY_SET:
-            self._sets[index] = OrderedDict(((line, False),))
+            self._sets[index] = {line: False}
             return None
         if len(entries) >= self.assoc:
             victim = self._find_victim(entries)

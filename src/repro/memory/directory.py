@@ -5,6 +5,15 @@ exclusive owner (if any). It is the ground truth used to classify access
 latencies (local hit / cache-to-cache transfer / memory) and to find
 coherence victims for eager conflict detection.
 
+Each line's state is one int: the sharer bit-vector (bit ``c`` set when
+core ``c`` holds a shared copy) shifted above an owner field that holds
+``owner + 1``, or 0 when no core owns the line. The field is
+``num_cores.bit_length()`` bits wide, so the layout holds for any
+machine width. A dict of ints is never tracked by the cyclic garbage
+collector, however many lines a run touches (DESIGN.md §9.2).
+:func:`cores_of` turns a bit-vector back into core ids; the sharer
+index and the arbiter decode theirs with it too.
+
 The directory's set index also defines the lexicographical order for
 deadlock-free cacheline locking (paper §5): the paper picks "the set
 index of the smallest shared structure, in our case the directory
@@ -15,26 +24,19 @@ exclusive, lock silently; otherwise lock the directory set).
 
 from repro.memory.address import directory_set_of_line
 
-_NO_SHARERS = frozenset()
+#: Shared empty result of :meth:`Directory.record_write`: a private
+#: re-write invalidates nobody and allocates nothing.
+_NO_CORES = ()
 
 
-class DirectoryEntry:
-    """Coherence metadata for one cacheline."""
-
-    __slots__ = ("sharers", "owner")
-
-    def __init__(self):
-        self.sharers = set()
-        self.owner = None
-
-    def is_idle(self):
-        """No sharers and no owner."""
-        return not self.sharers and self.owner is None
-
-    def __repr__(self):
-        return "DirectoryEntry(sharers={}, owner={})".format(
-            sorted(self.sharers), self.owner
-        )
+def cores_of(mask):
+    """The core ids whose bits are set in ``mask``, ascending."""
+    cores = []
+    while mask:
+        low = mask & -mask
+        cores.append(low.bit_length() - 1)
+        mask ^= low
+    return cores
 
 
 class Directory:
@@ -42,23 +44,20 @@ class Directory:
 
     ``num_sets`` controls the lexicographical group granularity. The
     modeled directory has 800% coverage (Table 2), so entries are never
-    evicted; we keep them in a sparse dict.
+    evicted; we keep them in a sparse dict. Core ids must be below
+    ``num_cores``, which sizes the owner field.
     """
 
-    def __init__(self, num_sets=4096):
+    def __init__(self, num_sets=4096, num_cores=64):
         self.num_sets = num_sets
+        #: Width of the owner field; sharer bit ``c`` is bit
+        #: ``c + owner_bits`` of a line's entry.
+        self.owner_bits = num_cores.bit_length()
+        self._owner_mask = (1 << self.owner_bits) - 1
         self._entries = {}
         # Directory-set locks used by the group locking protocol: set
         # index -> core id holding the whole set locked.
         self._set_locks = {}
-
-    def entry(self, line):
-        """The (auto-created) entry for a cacheline."""
-        found = self._entries.get(line)
-        if found is None:
-            found = DirectoryEntry()
-            self._entries[line] = found
-        return found
 
     def set_of(self, line):
         """Directory set index for a line (the lexicographical key)."""
@@ -73,63 +72,58 @@ class Directory:
         sourced from a remote modified copy, else None. The previous
         owner is downgraded to sharer.
         """
-        found = self.entry(line)
-        previous_owner = found.owner if found.owner not in (None, core) else None
-        if found.owner is not None and found.owner != core:
-            found.sharers.add(found.owner)
-            found.owner = None
-        found.sharers.add(core)
+        shift = self.owner_bits
+        entry = self._entries.get(line, 0)
+        owner = (entry & self._owner_mask) - 1
+        previous_owner = None
+        if owner >= 0 and owner != core:
+            previous_owner = owner
+            entry = (entry >> shift | 1 << owner) << shift
+        self._entries[line] = entry | 1 << (core + shift)
         return previous_owner
 
     def record_write(self, core, line):
         """Core obtains an exclusive copy.
 
-        Returns (previous_owner, invalidated_sharers): the remote owner
-        whose modified copy sourced the data (or None), and the set of
-        remote cores whose shared copies were invalidated.
+        Returns (previous_owner, invalidated): the remote owner whose
+        modified copy sourced the data (or None), and the remote cores
+        whose copies were invalidated, in ascending order.
         """
-        found = self.entry(line)
-        previous_owner = found.owner if found.owner not in (None, core) else None
-        sharers = found.sharers
-        if sharers:
-            invalidated = {c for c in sharers if c != core}
-            if previous_owner is not None:
-                invalidated.add(previous_owner)
-            sharers.clear()
-        elif previous_owner is not None:
-            invalidated = {previous_owner}
-        else:
-            # Private re-write, the overwhelmingly common case: nothing
-            # to invalidate and nothing to allocate.
-            invalidated = _NO_SHARERS
-        found.owner = core
-        return previous_owner, invalidated
+        entry = self._entries.get(line, 0)
+        owner = (entry & self._owner_mask) - 1
+        remote = entry >> self.owner_bits & ~(1 << core)
+        previous_owner = None
+        if owner >= 0 and owner != core:
+            previous_owner = owner
+            remote |= 1 << owner
+        self._entries[line] = core + 1
+        return previous_owner, cores_of(remote) if remote else _NO_CORES
 
     def drop(self, core, line):
         """Core evicted its copy of the line."""
-        found = self._entries.get(line)
-        if found is None:
+        entry = self._entries.get(line)
+        if entry is None:
             return
-        found.sharers.discard(core)
-        if found.owner == core:
-            found.owner = None
-        if found.is_idle():
+        entry &= ~(1 << (core + self.owner_bits))
+        if entry & self._owner_mask == core + 1:
+            entry ^= core + 1
+        if entry:
+            self._entries[line] = entry
+        else:
             del self._entries[line]
 
     def is_owner(self, core, line):
         """True if ``core`` holds the line exclusively."""
-        found = self._entries.get(line)
-        return found is not None and found.owner == core
+        return self._entries.get(line, 0) & self._owner_mask == core + 1
 
     def holders(self, line):
         """All cores with a copy (sharers plus owner)."""
-        found = self._entries.get(line)
-        if found is None:
-            return set()
-        held = set(found.sharers)
-        if found.owner is not None:
-            held.add(found.owner)
-        return held
+        entry = self._entries.get(line, 0)
+        held = entry >> self.owner_bits
+        owner = entry & self._owner_mask
+        if owner:
+            held |= 1 << (owner - 1)
+        return set(cores_of(held))
 
     def held_elsewhere(self, core, line):
         """True if any core other than ``core`` holds a copy.
@@ -137,16 +131,11 @@ class Directory:
         Allocation-free equivalent of ``holders(line) - {core}`` for the
         per-write upgrade classification.
         """
-        found = self._entries.get(line)
-        if found is None:
-            return False
-        owner = found.owner
-        if owner is not None and owner != core:
+        entry = self._entries.get(line, 0)
+        owner = entry & self._owner_mask
+        if owner and owner != core + 1:
             return True
-        sharers = found.sharers
-        if not sharers:
-            return False
-        return len(sharers) > 1 or core not in sharers
+        return entry >> self.owner_bits & ~(1 << core) != 0
 
     # -- directory-set (group) locks --------------------------------------
 

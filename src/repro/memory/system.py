@@ -14,7 +14,7 @@ permission eagerly, exactly as a TSX-like eager HTM does.
 from repro.common.errors import ProtocolError
 from repro.memory.cache import SetAssocCache
 from repro.memory.directory import Directory
-from repro.memory.locking import LockManager
+from repro.memory.locking import LockDenied, LockManager
 
 
 _NO_CORES = frozenset()
@@ -64,7 +64,7 @@ class MemorySystem:
         self.l1 = [SetAssocCache(l1_size, l1_assoc) for _ in range(num_cores)]
         self.l2 = [SetAssocCache(l2_size, l2_assoc) for _ in range(num_cores)]
         self.l3 = SetAssocCache(l3_size, l3_assoc)
-        self.directory = Directory(directory_sets)
+        self.directory = Directory(directory_sets, num_cores)
         self.locks = LockManager()
 
     # -- plain accesses ----------------------------------------------------
@@ -165,8 +165,6 @@ class MemorySystem:
         """
         holder = self.locks.holder(line)
         if holder is not None and holder != core:
-            from repro.memory.locking import LockDenied
-
             raise LockDenied(line, holder)
         result = self._write(core, line)
         self.l1[core].pin(line)
@@ -185,13 +183,3 @@ class MemorySystem:
     def probe_exclusive_hit(self, core, line):
         """Group-lock probe: line resident in L1 with exclusive permission?"""
         return self.l1[core].contains(line) and self.directory.is_owner(core, line)
-
-    def evict_core_state(self, core):
-        """Drop all private-cache state of a core (used by tests)."""
-        for line in list(self.l1[core].resident_lines()):
-            self.l1[core].unpin(line)
-            self.l1[core].invalidate(line)
-        for line in list(self.l2[core].resident_lines()):
-            self.l2[core].unpin(line)
-            self.l2[core].invalidate(line)
-            self.directory.drop(core, line)

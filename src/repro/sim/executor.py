@@ -26,8 +26,6 @@ from repro.common.errors import ProtocolError
 from repro.core.modes import ExecMode
 from repro.htm.abort import AbortReason, counts_toward_retry_limit, NON_MEMORY_REASONS
 from repro.htm.rwset import CapacityExceeded, ReadWriteSets
-from repro.htm.sharer_index import LineSharers
-from repro.memory.directory import DirectoryEntry
 from repro.memory.locking import LockDenied, NackError
 from repro.obs.events import (
     ARAbort,
@@ -540,10 +538,22 @@ class CoreExecutor:
         accesses = stats.accesses_by_level
         compute_ops = stats._compute_ops
         branch_ops = stats._branch_ops
-        sharer_lines = machine.sharer_index._lines
+        # This core's bit in the sharer index's and the directory's
+        # bit-vectors; entries are ints (see their modules).
+        core_bit = 1 << core
+        other_cores = ~core_bit
+        index_readers = machine.sharer_index._readers
+        index_writers = machine.sharer_index._writers
         memsys = machine.memsys
         lock_holders = memsys.locks._holders
-        directory_entries = memsys.directory._entries
+        directory = memsys.directory
+        directory_entries = directory._entries
+        owner_bits = directory.owner_bits
+        owner_mask = directory._owner_mask
+        # Directory entries meaning "this core owns the line, no
+        # sharers" and "this core is the line's only sharer".
+        dir_owned = core + 1
+        dir_shared = core_bit << owner_bits
         l1_sets, l1_nsets = memsys.l1[core]._sets, memsys.l1[core].num_sets
         l2 = memsys.l2[core]
         l2_sets, l2_nsets, l2_install = l2._sets, l2.num_sets, l2.install
@@ -706,33 +716,22 @@ class CoreExecutor:
                     # in a conflicting way; the self-only case is
                     # NO_CONFLICT by construction and by far the most
                     # common one.
-                    sharers = sharer_lines.get(line)
-                    if sharers is not None:
-                        writers = sharers.writers
-                        if is_store:
-                            readers = sharers.readers
-                            foreign = (
-                                (writers and (len(writers) > 1
-                                              or core not in writers))
-                                or (readers and (len(readers) > 1
-                                                 or core not in readers))
+                    sharers = index_writers.get(line, 0)
+                    if is_store:
+                        sharers |= index_readers.get(line, 0)
+                    if sharers & other_cores:
+                        resolution = machine.resolve_conflict(
+                            core, line, is_store, requester_failed=failed
+                        )
+                        if resolution.requester_abort_reason is not None:
+                            return self._abort_attempt(
+                                resolution.requester_abort_reason,
+                                line=line, enemy=resolution.nacking_core,
                             )
-                        else:
-                            foreign = writers and (len(writers) > 1
-                                                   or core not in writers)
-                        if foreign:
-                            resolution = machine.resolve_conflict(
-                                core, line, is_store, requester_failed=failed
+                        for victim in resolution.victims:
+                            machine.executors[victim].receive_remote_conflict(
+                                line, is_store, core
                             )
-                            if resolution.requester_abort_reason is not None:
-                                return self._abort_attempt(
-                                    resolution.requester_abort_reason,
-                                    line=line, enemy=resolution.nacking_core,
-                                )
-                            for victim in resolution.victims:
-                                machine.executors[victim].receive_remote_conflict(
-                                    line, is_store, core
-                                )
 
                 # Memory system: a private hit is classified, moves the
                 # directory and refreshes LRU here; anything needing the
@@ -740,26 +739,17 @@ class CoreExecutor:
                 # runs MemorySystem._read/_write.
                 l1_entries = l1_sets[line % l1_nsets]
                 in_l1 = line in l1_entries
-                dentry = directory_entries.get(line)
+                dentry = directory_entries.get(line, 0)
                 fused_fill = False
                 if is_store:
-                    if in_l1 and dentry is not None:
-                        owner = dentry.owner
-                        dsharers = dentry.sharers
-                        if (owner == core and not dsharers) or (
-                            owner is None
-                            and len(dsharers) == 1
-                            and core in dsharers
-                        ):
-                            # Private re-write: the exclusive (or sole
-                            # shared) copy is in our L1, so record_write
-                            # invalidates nobody and C2C cannot apply.
-                            if dsharers:
-                                dsharers.clear()
-                            dentry.owner = core
-                            latency = l1_latency
-                            accesses["L1"] += 1
-                            fused_fill = True
+                    if in_l1 and (dentry == dir_owned or dentry == dir_shared):
+                        # Private re-write: the exclusive (or sole
+                        # shared) copy is in our L1, so record_write
+                        # invalidates nobody and C2C cannot apply.
+                        directory_entries[line] = dir_owned
+                        latency = l1_latency
+                        accesses["L1"] += 1
+                        fused_fill = True
                     if not fused_fill:
                         result = mem_write(core, line)
                         accesses[result.level] += 1
@@ -768,15 +758,12 @@ class CoreExecutor:
                     # L1 read hit: the level is L1 whatever the directory
                     # says (C2C only upgrades L3/MEM), so only the
                     # record_read transition remains.
-                    if dentry is None:
-                        dentry = DirectoryEntry()
-                        directory_entries[line] = dentry
-                    else:
-                        owner = dentry.owner
-                        if owner is not None and owner != core:
-                            dentry.sharers.add(owner)
-                            dentry.owner = None
-                    dentry.sharers.add(core)
+                    owner = dentry & owner_mask
+                    if owner and owner != dir_owned:
+                        dentry = (
+                            dentry >> owner_bits | 1 << (owner - 1)
+                        ) << owner_bits
+                    directory_entries[line] = dentry | dir_shared
                     latency = l1_latency
                     accesses["L1"] += 1
                     fused_fill = True
@@ -790,17 +777,17 @@ class CoreExecutor:
                     # install/evict machinery.
                     entries = l3_sets[line % l3_nsets]
                     if line in entries:
-                        entries.move_to_end(line)
+                        entries[line] = entries.pop(line)
                     else:
                         l3_install(line)
                     entries = l2_sets[line % l2_nsets]
                     if line in entries:
-                        entries.move_to_end(line)
+                        entries[line] = entries.pop(line)
                     else:
                         l2_evicted = l2_install(line)
                         if l2_evicted is not None:
                             drop_private(core, l2_evicted)
-                    l1_entries.move_to_end(line)
+                    l1_entries[line] = l1_entries.pop(line)
                 if faults is not None:
                     latency += faults.jitter(core)
 
@@ -848,10 +835,9 @@ class CoreExecutor:
                 if line not in write_set:
                     write_set.add(line)
                     if rwsets._index is not None:
-                        entry = sharer_lines.get(line)
-                        if entry is None:
-                            entry = sharer_lines[line] = LineSharers()
-                        entry.writers.add(core)
+                        index_writers[line] = (
+                            index_writers.get(line, 0) | core_bit
+                        )
                     l2_geom = rwsets._l2_sets
                     if l2_geom is not None and line not in rwsets.read_set:
                         counts = rwsets._union_counts
@@ -877,10 +863,9 @@ class CoreExecutor:
                 if line not in read_set:
                     read_set.add(line)
                     if rwsets._index is not None:
-                        entry = sharer_lines.get(line)
-                        if entry is None:
-                            entry = sharer_lines[line] = LineSharers()
-                        entry.readers.add(core)
+                        index_readers[line] = (
+                            index_readers.get(line, 0) | core_bit
+                        )
                     epochs = rwsets._monitor_epochs
                     if epochs is not None:
                         rwsets.monitor_reads[line] = epochs.get(line, 0)

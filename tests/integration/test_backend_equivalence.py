@@ -37,9 +37,10 @@ from repro.obs.trace import EventTrace
 from repro.sim.config import SimConfig
 from repro.sim.executor import CoreExecutor
 from repro.sim.machine import Machine, build_machine
+from repro.sim.validate import validate_machine
 from repro.verify import DefaultScheduler, RetryLedger
 from repro.workloads import ALL_NAMES, make_workload
-from tests.conftest import both_paths, general_path, takes_one_step
+from tests.conftest import both_paths, general_path, run_digest, takes_one_step
 
 GOLDEN_PATH = os.path.join(
     os.path.dirname(__file__), "..", "goldens", "figures_micro.json"
@@ -85,6 +86,24 @@ class TestPairwiseDifferential:
         # step tracks them through their own record_read/record_write.
         fast, general = both_cells("lrw", "genome", lrw_read_lines=2,
                                    lrw_write_lines=1)
+        assert fast == general
+
+    def test_machine_wider_than_a_word_matches(self):
+        # 70 cores: the directory's and the sharer index's core
+        # bit-vectors outgrow 64 bits.
+        config = SimConfig.for_design("clear", num_cores=70, oracle="online")
+
+        def build():
+            return build_machine(
+                config, make_workload("genome", ops_per_thread=3), seed=1
+            )
+
+        machine = build()
+        fast = run_digest(machine)
+        assert fast["events"] == 46_646
+        validate_machine(machine)
+        with general_path():
+            general = run_digest(build())
         assert fast == general
 
     def test_truncation_matches(self):

@@ -281,12 +281,12 @@ class TestZombieArbitration:
             executor.mode = ExecMode.SPECULATIVE
             executor.rwsets = executor._new_rwsets()
             executor.rwsets.record_read(7)
-        assert index.get(7).readers == {0, 1}
+        assert index.snapshot()[7][0] == {0, 1}
         assert machine.resolve_conflict(2, 7, True).victims == [0, 1]
 
         machine.executors[0].receive_remote_conflict(7, True, 2)
         assert machine.executors[0].pending_abort is AbortReason.MEMORY_CONFLICT
-        assert index.get(7).readers == {1}
+        assert index.snapshot()[7][0] == {1}
         machine.abort_all_speculative(AbortReason.OTHER_FALLBACK, exclude=2)
         assert index.get(7) is None
         assert not machine.resolve_conflict(2, 7, True).victims

@@ -1,5 +1,7 @@
 """Tests for Machine's executor-facing services."""
 
+import gc
+
 import pytest
 
 from repro.common.errors import SimulationError
@@ -7,6 +9,7 @@ from repro.core.modes import ExecMode
 from repro.htm.abort import AbortReason
 from repro.htm.rwset import ReadWriteSets
 from repro.htm.design import design_name
+from repro.memory.cache import _EMPTY_SET
 from repro.sim.config import SimConfig
 from repro.sim.machine import Machine
 from repro.workloads import make_workload
@@ -57,3 +60,28 @@ class TestFallbackLinePlacement:
         assert machine.fallback.line >= 1
         workload = machine.workload
         assert workload.object_base // 8 != machine.fallback.line
+
+
+class TestUntrackedLineState:
+    def test_per_line_state_stays_out_of_the_cyclic_collector(self):
+        # Per-line coherence state is ints in dicts of ints, so the
+        # collector tracks none of it however many lines a run touches
+        # (DESIGN.md §9.2).
+        machine = Machine(
+            SimConfig.for_design("baseline", num_cores=32),
+            make_workload("genome", ops_per_thread=4), seed=1,
+        )
+        machine.run()
+        memsys = machine.memsys
+        index = machine.sharer_index
+        assert not gc.is_tracked(memsys.directory._entries)
+        assert not gc.is_tracked(index._readers)
+        assert not gc.is_tracked(index._writers)
+        filled = [
+            entries
+            for cache in (*memsys.l1, *memsys.l2, memsys.l3)
+            for entries in cache._sets
+            if entries is not _EMPTY_SET
+        ]
+        assert filled
+        assert sum(map(gc.is_tracked, filled)) == 0

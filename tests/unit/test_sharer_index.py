@@ -24,9 +24,10 @@ class TestSharerIndex:
         index = SharerIndex()
         index.add_reader(0, 5)
         index.add_writer(1, 5)
-        entry = index.get(5)
-        assert entry.readers == {0}
-        assert entry.writers == {1}
+        assert index.get(5) == (0b01, 0b10)  # core bit-vectors
+        readers, writers = index.snapshot()[5]
+        assert readers == {0}
+        assert writers == {1}
 
     def test_drop_core_removes_empty_entries(self):
         index = SharerIndex()
@@ -42,7 +43,7 @@ class TestSharerIndex:
         index.add_reader(0, 5)
         index.add_reader(1, 5)
         index.drop_core(0, read_lines={5}, write_lines=set())
-        assert index.get(5).readers == {1}
+        assert index.snapshot()[5][0] == {1}
 
     def test_drop_core_line_in_both_sets(self):
         # A core that read and wrote the same line leaves no residue.
@@ -56,7 +57,7 @@ class TestSharerIndex:
         index = SharerIndex()
         index.add_reader(1, 5)
         index.drop_core(0, read_lines={5, 99}, write_lines={42})
-        assert index.get(5).readers == {1}
+        assert index.snapshot()[5][0] == {1}
 
     def test_snapshot_is_frozen_copy(self):
         index = SharerIndex()
