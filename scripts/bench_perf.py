@@ -18,10 +18,11 @@ Modes:
 - ``--record LABEL``: append a new trajectory point to BENCH_PERF.json,
   using the current measurement as "after" and ``--before FILE`` (a
   prior ``--json`` dump) as "before".
-- ``--oracle MODE``: arm a serializability checker in every timed cell
-  (``online`` measures the monitor's overhead against an oracle-off
-  run of the same cells — event counts are unchanged by checking, so
-  the speedup math stays valid).
+- ``--oracle MODE``: the checker mode of every timed cell. The default
+  is ``off`` (unlike ``SimConfig``'s), so unflagged runs stay
+  comparable with the unmonitored trajectory points; ``online``
+  measures the monitor's overhead against them — event counts are
+  unchanged by checking, so the speedup math stays valid.
 - ``--scale micro`` (alias ``--micro``): shrink every cell to 4 cores /
   4 ops so CI can smoke the harness in seconds. Micro numbers are for
   plumbing checks only and are refused by ``--record``.
@@ -87,11 +88,11 @@ def cell_name(workload, letter, cores):
     return "{}/{}/{}c".format(workload, letter, cores)
 
 
-def measure_cell(workload, letter, cores, ops_per_thread, reps, oracle=None):
+def measure_cell(workload, letter, cores, ops_per_thread, reps,
+                 oracle="off"):
     """Best-of-``reps`` wall time for one cell; returns the cell dict."""
     config = SimConfig.for_design(
-        design_name(letter), num_cores=cores,
-        **({"oracle": oracle} if oracle is not None else {})
+        design_name(letter), num_cores=cores, oracle=oracle
     )
     best_wall = None
     events = commits = aborts = None
@@ -121,7 +122,7 @@ def measure_cell(workload, letter, cores, ops_per_thread, reps, oracle=None):
         "num_cores": cores,
         "ops_per_thread": ops_per_thread,
         "seed": SEED,
-        **({"oracle": oracle} if oracle is not None else {}),
+        **({"oracle": oracle} if oracle != "off" else {}),
         "events": events,
         "wall_seconds": round(best_wall, 4),
         "events_per_second": round(events / best_wall, 1),
@@ -131,7 +132,7 @@ def measure_cell(workload, letter, cores, ops_per_thread, reps, oracle=None):
 
 
 def run_measurement(reps, ops_per_thread, cores_override=None, progress=print,
-                    oracle=None):
+                    oracle="off"):
     cells = {}
     for workload, letter, cores in CELLS:
         if cores_override is not None:
@@ -230,7 +231,7 @@ def parse_args(argv):
         "--json", metavar="OUT", default=None,
         help="dump the measurement as JSON (cell schema of BENCH_PERF.json)",
     )
-    cli.add_oracle_flag(parser)
+    cli.add_oracle_flag(parser, default="off")
     parser.add_argument(
         "--compare", nargs="?", const=LAST_POINT, default=None,
         metavar="POINT",
@@ -302,7 +303,8 @@ def main(argv=None):
     print("measured {} cell(s) in {:.1f}s (best of {} rep(s){})"
           .format(len(measurement["cells"]), time.time() - started,
                   args.reps,
-                  ", oracle={}".format(args.oracle) if args.oracle else ""))
+                  ", oracle={}".format(args.oracle)
+                  if args.oracle != "off" else ""))
     if args.json:
         with open(args.json, "w") as handle:
             json.dump(measurement, handle, indent=1, sort_keys=True)

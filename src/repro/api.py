@@ -232,10 +232,10 @@ def simulate(workload, config=None, *, seeds=1, trim=PAPER_TRIM, trace=False,
         that sink instead (single-seed only). Simulated results are
         identical with tracing on or off.
     oracle:
-        Serializability-checker mode for these runs: ``"off"`` or
-        ``"online"`` (the incremental commit-order monitor, cheap
-        enough to leave on). ``None`` (the default) keeps the config's
-        own mode.
+        Checker mode for these runs: ``"online"`` (the monitor of
+        serializability and the single-retry bound, cheap enough to
+        leave on) or ``"off"``. ``None`` (the default) keeps the
+        config's own mode, which is ``"online"`` unless set.
     engine:
         An :class:`~repro.sim.engine.ExperimentEngine` to fan the seeds
         out through (parallel and cached). Requires ``workload`` by

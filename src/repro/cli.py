@@ -57,17 +57,18 @@ def add_oracle_flag(parser, default=None):
     """Attach the shared ``--oracle`` checker-mode knob.
 
     Choices come from :data:`~repro.sim.config.ORACLE_MODES`. A bare
-    ``--oracle`` (no value) arms the online commit-order monitor, the
-    same as ``--oracle online``; ``--oracle off`` disarms it. The
-    default of None means "leave the script's config untouched".
+    ``--oracle`` (no value) arms the online monitor, the same as
+    ``--oracle online``; ``--oracle off`` disarms it. The default of
+    None means "leave the script's config untouched" (where the
+    monitor is on unless the script turned it off).
     """
     from repro.sim.config import ORACLE_MODES
 
     parser.add_argument(
         "--oracle", nargs="?", const="online", default=default,
         choices=ORACLE_MODES, metavar="MODE",
-        help="serializability checker mode: off, or online (the "
-             "commit-order monitor; the bare-flag default)",
+        help="checker mode: online (the monitor of serializability "
+             "and the single-retry bound; the bare-flag default) or off",
     )
     return parser
 

@@ -73,14 +73,24 @@ class CycleLimitExceeded(SimulationStallError):
 class OracleViolation(SimulationError):
     """A runtime correctness oracle detected a broken guarantee.
 
-    ``details`` is a structured description of the violation (e.g. the
-    diverging addresses of a failed commit-order replay, or the leaked
-    lock-table entries).
+    ``kind`` names the guarantee: ``"serializability"`` (the default),
+    ``"leak"`` (a lock, the fallback lock or the power token held after
+    the run), or one of the single-retry bound's ``"ns-cl-abort-reason"``
+    and ``"fallback-threshold"``. ``details`` is a structured
+    description of the violation (e.g. the stale reads of a failed
+    commit, or the leaked lock-table entries).
     """
 
-    def __init__(self, message, details=None):
+    def __init__(self, message, details=None, kind="serializability"):
         super().__init__(message)
         self.details = details if details is not None else {}
+        self.kind = kind
+
+    def __reduce__(self):
+        # Like SimulationStallError: keep details and kind when a
+        # violation raised in a worker process is pickled back.
+        message = self.args[0] if self.args else ""
+        return (self.__class__, (message, self.details, self.kind))
 
 
 class ExperimentCellError(ReproError):

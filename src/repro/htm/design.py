@@ -79,8 +79,8 @@ class HtmDesign:
     #: Whether the CLEAR mechanism (discovery, NS-CL/S-CL) is active.
     clear = False
     #: Abort reasons this design legitimately routes straight to the
-    #: fallback path before the retry budget is spent; the retry-bound
-    #: oracle exempts such commits from its threshold-undershoot check.
+    #: fallback path before the retry budget is spent; the online
+    #: monitor exempts such commits from its threshold-undershoot check.
     early_fallback_reasons = frozenset()
 
     def __init__(self, config):

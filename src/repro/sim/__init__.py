@@ -22,9 +22,10 @@
 - :mod:`repro.sim.enginefaults` — seeded fault injection against the
   engine substrate itself (worker SIGKILLs, cache corruption, torn
   journal writes, ENOSPC).
-- :mod:`repro.sim.monitor` — the online commit-order serializability
-  monitor (``oracle="online"``: incremental epoch checking at
-  production rate, plus end-of-run leak checks).
+- :mod:`repro.sim.monitor` — the online monitor (``oracle="online"``,
+  the default): commit-order serializability by incremental epoch
+  checking and the single-retry bound, at production rate, plus
+  end-of-run leak checks.
 """
 
 from repro.common.retry import RetryPolicy

@@ -32,12 +32,13 @@ from repro.htm.design import (
     design_name,
 )
 
-#: Serializability-checker modes for ``SimConfig.oracle``:
+#: Checker modes for ``SimConfig.oracle``:
 #:
-#: - ``"off"``: no checking (the default).
-#: - ``"online"``: the :class:`~repro.sim.monitor.OnlineMonitor` —
-#:   incremental epoch/region tracking checked at each commit, cheap
-#:   enough to leave on under the bench grid and ``repro.verify``.
+#: - ``"online"`` (the default): the
+#:   :class:`~repro.sim.monitor.OnlineMonitor` — serializability by
+#:   incremental epoch tracking and the single-retry bound, checked at
+#:   each abort and commit, cheap enough to leave on in every run.
+#: - ``"off"``: no checking.
 ORACLE_MODES = ("off", "online")
 
 
@@ -127,10 +128,11 @@ class SimConfig(Serializable):
     fault_jitter_cycles: int = 0
     # Max extra cycles a parked core's lock-release wakeup is delayed.
     fault_wakeup_delay_cycles: int = 0
-    # -- robustness: serializability checker (repro.sim.monitor) --
-    # Checker mode, one of ORACLE_MODES: "off" or "online" (the
-    # incremental epoch monitor). Zero simulated-time cost either way.
-    oracle: str = "off"
+    # -- robustness: online checker (repro.sim.monitor) --
+    # Checker mode, one of ORACLE_MODES: "online" (serializability and
+    # the single-retry bound) or "off". Zero simulated-time cost either
+    # way.
+    oracle: str = "online"
     # Livelock watchdog: trip when no AR commits within this many
     # cycles while cores are still runnable (0 disables).
     watchdog_cycles: int = 0

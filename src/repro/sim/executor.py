@@ -74,7 +74,7 @@ class CoreExecutor:
         "_fault_abort_reason", "fallback_read_held", "fallback_write_held",
         "locked_lines", "_lock_groups", "_lock_group_idx", "_lock_set_held",
         "finish_time", "trace", "attempt_begin_cycle", "first_lock_cycle",
-        "fallback_entry_cycle", "ledger", "monitor", "_body_step",
+        "fallback_entry_cycle", "monitor", "_body_step",
     )
 
     def __init__(self, core, machine, controller=None):
@@ -86,11 +86,8 @@ class CoreExecutor:
         self.design = machine.design
         self.controller = controller
         self.trace = machine.trace
-        # Opt-in per-invocation attempt accounting for the retry-bound
-        # oracle (repro.verify); None on ordinary runs.
-        self.ledger = machine.retry_ledger
-        # Online serializability monitor (repro.sim.monitor); None
-        # unless config.oracle is "online".
+        # Online monitor (repro.sim.monitor): serializability and the
+        # single-retry bound; None when config.oracle is "off".
         self.monitor = machine.monitor
         self.phase = IDLE
         self.mode = None
@@ -197,8 +194,6 @@ class CoreExecutor:
             self.invocation_aborts = 0
             self.first_abort_footprint = None
             self.fig1_recorded = False
-            if self.ledger is not None:
-                self.ledger.note_invoke(self.core, action.region_id)
             return self._start_attempt()
         raise TypeError("unknown thread action {!r}".format(action))
 
@@ -229,9 +224,9 @@ class CoreExecutor:
             machine.stats.record_abort(
                 self.core, AbortReason.EXPLICIT_FALLBACK, self.invocation.region_id
             )
-            if self.ledger is not None:
+            if self.monitor is not None:
                 # No attempt began: mode None marks the at-begin abort.
-                self.ledger.note_abort(
+                self.monitor.note_abort(
                     self.core, None, AbortReason.EXPLICIT_FALLBACK
                 )
             if self.trace is not None:
@@ -259,8 +254,6 @@ class CoreExecutor:
         self.gen_send_value = None
         self.phase = BODY
         machine.stats.record_begin(self.core)
-        if self.ledger is not None:
-            self.ledger.note_begin(self.core, ExecMode.SPECULATIVE)
         self.attempt_begin_cycle = machine.now
         if self.trace is not None:
             self.trace.emit(ARBegin(
@@ -338,8 +331,6 @@ class CoreExecutor:
         self.first_lock_cycle = None
         self.phase = LOCK_ACQUIRE
         self.machine.stats.record_begin(self.core)
-        if self.ledger is not None:
-            self.ledger.note_begin(self.core, mode)
         self.attempt_begin_cycle = self.machine.now
         if self.trace is not None:
             self.trace.emit(ARBegin(
@@ -456,8 +447,6 @@ class CoreExecutor:
         self.gen_send_value = None
         self.phase = BODY
         self.machine.stats.record_begin(self.core)
-        if self.ledger is not None:
-            self.ledger.note_begin(self.core, ExecMode.FALLBACK)
         self.attempt_begin_cycle = self.machine.now
         self.fallback_entry_cycle = self.machine.now
         if self.trace is not None:
@@ -950,11 +939,11 @@ class CoreExecutor:
         # (mode, rwsets) is still live; _clear_attempt_state nulls both.
         commit_cycles = self.design.commit_cycles(executor=self)
         if self.monitor is not None:
-            # Epoch staleness check + value-map fold; needs the write
-            # buffer intact, so it runs before drain_to below.
+            # Retry-bound and epoch staleness checks + value-map fold;
+            # needs the write buffer intact, so it runs before drain_to.
             self.monitor.record_commit(
                 self.core, self.invocation, mode, self.rwsets,
-                via_abort=via_abort,
+                self.counting_retries, via_abort=via_abort,
             )
         if self.rwsets is not None:
             self.rwsets.drain_to(machine.memory)
@@ -969,10 +958,6 @@ class CoreExecutor:
         machine.stats.record_commit(
             self.core, mode, self.counting_retries, self.invocation.region_id
         )
-        if self.ledger is not None:
-            self.ledger.note_commit(
-                self.core, mode, self.counting_retries, via_abort=via_abort
-            )
         if self.trace is not None:
             self.trace.emit(ARCommit(
                 machine.now, self.core, self.invocation.region_id,
@@ -1029,8 +1014,8 @@ class CoreExecutor:
             self.core, reason, self.invocation.region_id,
             machine.now - self.attempt_begin_cycle,
         )
-        if self.ledger is not None:
-            self.ledger.note_abort(self.core, mode, reason)
+        if self.monitor is not None:
+            self.monitor.note_abort(self.core, mode, reason)
         if self.trace is not None:
             self.trace.emit(ARAbort(
                 machine.now, self.core, self.invocation.region_id,

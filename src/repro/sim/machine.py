@@ -75,21 +75,14 @@ class Machine:
     order, which is the seam the schedule explorer drives. ``None``
     (the default) leaves the event loop untouched, and the explicit
     :class:`~repro.verify.DefaultScheduler` is bit-identical to it.
-
-    ``retry_ledger`` is an optional :class:`~repro.verify.RetryLedger`
-    recording per-invocation attempt/abort/commit sequences for the
-    single-retry-bound oracle; ``None`` keeps the executors' hot path
-    free of accounting.
     """
 
-    def __init__(self, config, workload, seed=1, trace=None, scheduler=None,
-                 retry_ledger=None):
+    def __init__(self, config, workload, seed=1, trace=None, scheduler=None):
         self.config = config
         self.workload = workload
         self.seed = seed
         self.trace = trace
         self.scheduler = scheduler
-        self.retry_ledger = retry_ledger
         # Cycle of the event-loop pop currently executing; kept current
         # by run() so deep callees (stats histograms, trace emission)
         # can timestamp without threading `now` through every call.
@@ -141,8 +134,8 @@ class Machine:
         # child streams of the run seed (reproducible, and invisible to
         # every other consumer of the rng).
         self.faults = FaultPlan.from_config(config, self.rng, config.num_cores)
-        # Serializability monitor (oracle="online"): constructed after
-        # workload setup so its value map seeds from the exact
+        # Online monitor (oracle="online", the default): constructed
+        # after workload setup so its value map seeds from the exact
         # post-setup architectural state.
         self.monitor = OnlineMonitor(self) if config.online_monitor else None
         self.executors = []
@@ -430,12 +423,10 @@ class Machine:
         }
 
 
-def build_machine(config, workload, seed=1, trace=None, scheduler=None,
-                  retry_ledger=None):
+def build_machine(config, workload, seed=1, trace=None, scheduler=None):
     """Construct the :class:`Machine` for one run.
 
     The construction seam every entry point uses (``api.simulate``,
     engine workers, the scripts and the benchmark).
     """
-    return Machine(config, workload, seed, trace=trace, scheduler=scheduler,
-                   retry_ledger=retry_ledger)
+    return Machine(config, workload, seed, trace=trace, scheduler=scheduler)

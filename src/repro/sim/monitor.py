@@ -1,9 +1,10 @@
-"""Online commit-order serializability monitor (``oracle="online"``).
+"""Online correctness monitor (``oracle="online"``, the default).
 
 The paper's guarantees are *robustness* claims — committed schedules
 stay serializable, NS-CL always completes, locks and the power token
-never leak. This module checks them while a run executes, so a chaos
-run under :mod:`repro.sim.faults` is a proof, not a hope. Re-executing
+never leak, and a region retries speculatively at most once after its
+footprint is learned. This module checks them while a run executes, so
+a chaos run under :mod:`repro.sim.faults` is a proof, not a hope. Re-executing
 every committed AR against a shadow memory would prove commit-order
 serializability too, but far too slowly to leave on under the bench
 grid or a large ``repro.verify`` fuzzing campaign. The monitor gives the same guarantee at production rate, in the style
@@ -21,8 +22,7 @@ epoch 0). Every conflict-detecting attempt records, on the *first*
 read of each line, the line's epoch at that instant into a per-attempt
 ``monitor_reads`` summary carried on its
 :class:`~repro.htm.rwset.ReadWriteSets` (an O(1) dict store on the
-already-slow first-access miss path — the same zero-cost-when-absent
-pattern as the :class:`~repro.verify.oracles.RetryLedger` hooks).
+already-slow first-access miss path, skipped when no monitor is armed).
 
 At commit the monitor checks every recorded read epoch against the
 line's *current* epoch. A mismatch means some other AR committed a
@@ -61,6 +61,28 @@ Non-speculative paths:
   lines touched get their epoch bump when the region ends — also when
   it ends in an abort, whose direct stores persist.
 
+Single-retry bound
+------------------
+CLEAR's headline claim — once a region's footprint is learned, its
+retry runs cacheline-locked (NS-CL) and does not speculate again — is
+checked at the two events that can break it:
+
+- **ns-cl-abort-reason**, at the abort (:meth:`OnlineMonitor.note_abort`):
+  NS-CL holds every line it touches locked, so memory conflicts cannot
+  reach it; it may abort only for a reason in
+  :data:`NS_CL_ALLOWED_REASONS`.
+- **fallback-threshold**, at the commit: a fallback commit spent at
+  least ``retry_threshold`` counting retries and any other commit
+  fewer. An invocation that aborted for one of the design's
+  ``early_fallback_reasons`` may fall back before the budget is spent;
+  that one flag per core is the monitor's only bound state, and the
+  commit clears it.
+
+A count of speculative attempts after the first NS-CL attempt would
+add nothing: a later attempt means the NS-CL attempt aborted, and that
+abort was either judged illegal by the first check or had a reason that
+voids the bound (DESIGN.md §11.3).
+
 Fast path: the monitor deliberately has *no per-op hook* on
 speculative accesses — commit hooks, first-read recording, and the
 end-of-run sweep only — and the executor's one body step inlines the
@@ -71,13 +93,14 @@ fallback ops nothing else. ``validate_machine`` runs once, at the end
 of the run, so checking with the monitor costs only what its hooks do.
 
 Violations raise :class:`repro.common.errors.OracleViolation` carrying
-a structured ``details`` dict. The monitor costs zero simulated
-cycles; it is pure host-side measurement machinery.
+its ``kind`` and a structured ``details`` dict. The monitor costs zero
+simulated cycles; it is pure host-side measurement machinery.
 """
 
 from repro.common.constants import WORDS_PER_LINE
 from repro.common.errors import OracleViolation
 from repro.core.modes import ExecMode
+from repro.htm.abort import AbortReason
 from repro.sim.validate import validate_machine
 
 #: How many trailing commit records a violation report carries.
@@ -86,13 +109,27 @@ COMMIT_TAIL = 32
 #: How many diverging addresses a serializability violation reports.
 MAX_DIFF_REPORT = 16
 
+#: Abort reasons an NS-CL attempt may legitimately suffer. NS-CL holds
+#: every learned line locked, so memory conflicts cannot reach it; what
+#: remains is a wrong footprint prediction (deviation), failure to pin
+#: the lock set, or a NACK from a power/CL holder met while *acquiring*
+#: the locks. Fault injection never strikes NS-CL by design.
+NS_CL_ALLOWED_REASONS = frozenset(
+    {
+        AbortReason.FOOTPRINT_DEVIATION,
+        AbortReason.LOCK_SET_FAILURE,
+        AbortReason.NACKED,
+    }
+)
+
 
 def check_leaks(machine):
     """End-of-run leak checks.
 
     After the last thread finishes, the cacheline lock table must be
     empty and the fallback lock and power token free; anything held is
-    a protocol leak and raises :class:`OracleViolation`.
+    a protocol leak and raises :class:`OracleViolation` of kind
+    ``"leak"``.
     """
     locks = machine.memsys.locks
     if locks.locked_line_count():
@@ -101,6 +138,7 @@ def check_leaks(machine):
                 locks.locked_line_count()
             ),
             details={"held": locks.snapshot()},
+            kind="leak",
         )
     fallback = machine.fallback
     if fallback.is_write_held() or fallback.readers:
@@ -110,6 +148,7 @@ def check_leaks(machine):
                 "writer": fallback.writer,
                 "readers": sorted(fallback.readers),
             },
+            kind="leak",
         )
     if machine.power.holder is not None:
         raise OracleViolation(
@@ -117,6 +156,7 @@ def check_leaks(machine):
                 machine.power.holder
             ),
             details={"holder": machine.power.holder},
+            kind="leak",
         )
 
 
@@ -155,13 +195,13 @@ class CommitRecord:
 
 
 class OnlineMonitor:
-    """Incremental serializability checker for one machine run.
+    """Incremental serializability and retry-bound checker for one run.
 
     Construct *after* workload setup (the value map seeds from the
-    post-setup architectural state). Executors call
-    :meth:`record_commit` on every commit and the fallback hooks on
-    direct memory traffic; the machine calls :meth:`finalize` once the
-    run completes cleanly.
+    post-setup architectural state). Executors call :meth:`note_abort`
+    on every abort, :meth:`record_commit` on every commit and the
+    fallback hooks on direct memory traffic; the machine calls
+    :meth:`finalize` once the run completes cleanly.
     """
 
     def __init__(self, machine):
@@ -183,18 +223,45 @@ class OnlineMonitor:
         #: The record that wrote each epoch: epoch N is ``_writers[N - 1]``.
         self._writers = []
         self.reads_checked = 0
+        self._retry_threshold = machine.config.retry_threshold
+        self._early_reasons = machine.design.early_fallback_reasons
+        #: Per core: the open invocation aborted for one of the design's
+        #: early-fallback reasons (cleared at its commit).
+        self._early_fallback = [False] * machine.config.num_cores
         # Mirror out-of-AR pokes (workload node refills etc.) into the
         # value map.
         machine.memory.poke_mirror = self._note_poke
 
-    # -- commit hook ---------------------------------------------------------
+    # -- abort and commit hooks ----------------------------------------------
 
-    def record_commit(self, core, invocation, mode, rwsets, via_abort=False):
+    def note_abort(self, core, mode, reason):
+        """Check one abort of ``core``'s open invocation.
+
+        ``mode`` is the aborted attempt's mode, or None for the
+        explicit-fallback abort at begin, which began no attempt.
+        Raises ``ns-cl-abort-reason`` when an NS-CL attempt aborts for
+        a reason outside :data:`NS_CL_ALLOWED_REASONS`.
+        """
+        if mode is ExecMode.NS_CL and reason not in NS_CL_ALLOWED_REASONS:
+            self._bound_violation(
+                "ns-cl-abort-reason",
+                "NS-CL attempt on core {} aborted with {} (locking should "
+                "make this unreachable)".format(core, reason.value),
+                core, self.machine.executors[core].invocation.region_id,
+                mode=mode.value, reason=reason.value,
+            )
+        if reason in self._early_reasons:
+            self._early_fallback[core] = True
+
+    def record_commit(self, core, invocation, mode, rwsets, counting_retries,
+                      via_abort=False):
         """Check and fold in one committed AR.
 
         Called from ``CoreExecutor._commit`` *before* the write buffer
         drains (the monitor needs it intact). ``rwsets`` is None for
         fallback regions, whose stores were already applied eagerly.
+        Raises ``fallback-threshold`` when the invocation's
+        ``counting_retries`` disagree with its commit mode.
         """
         clock = self.clock + 1
         self.clock = clock
@@ -203,6 +270,23 @@ class OnlineMonitor:
         )
         self.commits.append(record)
         self._writers.append(record)
+        early_fallback = self._early_fallback[core]
+        self._early_fallback[core] = False
+        threshold = self._retry_threshold
+        fallback = mode is ExecMode.FALLBACK
+        # Fall back exactly when the budget is spent; an early-fallback
+        # abort lets the invocation fall back sooner.
+        if fallback != (counting_retries >= threshold) and not (
+            fallback and early_fallback
+        ):
+            self._bound_violation(
+                "fallback-threshold",
+                "{} commit after {} counting retries against a fallback "
+                "threshold of {}".format(mode.value, counting_retries,
+                                         threshold),
+                core, invocation.region_id,
+                retries=counting_retries, threshold=threshold,
+            )
         epochs = self.line_epochs
         if rwsets is None:
             # Fallback: direct stores already landed in the value map;
@@ -353,3 +437,13 @@ class OnlineMonitor:
 
     def _violation(self, message, details):
         raise OracleViolation(message, details=details)
+
+    def _bound_violation(self, kind, message, core, region_id, **details):
+        details["core"] = core
+        details["region"] = (
+            list(region_id) if isinstance(region_id, tuple) else region_id
+        )
+        details["commits"] = [
+            record.to_dict() for record in self.commits[-COMMIT_TAIL:]
+        ]
+        raise OracleViolation(message, details=details, kind=kind)

@@ -24,12 +24,7 @@ from repro.verify.explore import (
     run_schedule,
     verify,
 )
-from repro.verify.oracles import (
-    COMMUTATIVE_WORKLOADS,
-    RetryLedger,
-    check_equivalence,
-    check_retry_bound,
-)
+from repro.verify.oracles import COMMUTATIVE_WORKLOADS, check_equivalence
 from repro.verify.schedule import (
     DefaultScheduler,
     PCTScheduler,
@@ -52,9 +47,7 @@ __all__ = [
     "ScheduleOutcome",
     "VerificationReport",
     "ExplorationCell",
-    "RetryLedger",
     "COMMUTATIVE_WORKLOADS",
-    "check_retry_bound",
     "check_equivalence",
     "run_schedule",
     "explore_fuzzing",

@@ -4,10 +4,8 @@
 the default deterministic one, a seeded random/PCT fuzzing batch, or a
 DPOR-lite exhaustive enumeration of the decision tree for micro
 configurations — and checks every run against the three oracles
-(serializability via the online commit-order monitor, the
-single-retry bound via the
-:class:`~repro.verify.oracles.RetryLedger`, and cross-schedule
-state/commit equivalence). A failing schedule is ddmin-shrunk
+(serializability and the single-retry bound via the online monitor,
+and cross-schedule state/commit equivalence). A failing schedule is ddmin-shrunk
 (:mod:`repro.verify.shrink`) to a minimal replayable
 :class:`~repro.verify.schedule.ScheduleArtifact`.
 
@@ -32,10 +30,8 @@ from repro.sim.config import SimConfig
 from repro.sim.machine import Machine
 from repro.verify.oracles import (
     COMMUTATIVE_WORKLOADS,
-    RetryLedger,
     is_commutative_workload,
     check_equivalence,
-    check_retry_bound,
     violation,
 )
 from repro.verify.schedule import (
@@ -111,26 +107,21 @@ def run_schedule(factory, config, seed, scheduler, *, trace=None,
                  machine_hook=None):
     """Run one schedule under full instrumentation; never raises.
 
-    The machine runs with the serializability monitor armed (``config``
-    must have ``oracle="online"``; :func:`verify` arms it when the
-    caller left it off), a
-    :class:`RetryLedger` attached, and the given scheduler wrapped in a
-    recorder. Oracle violations, stalls, and simulation errors are
-    converted into violation records on the returned
-    :class:`ScheduleOutcome` instead of propagating — an exploration
-    sweep must survive its own findings.
+    The machine runs with the online monitor armed (``config`` must
+    have ``oracle="online"``; :func:`verify` arms it when the caller
+    turned it off) and the given scheduler wrapped in a recorder.
+    Oracle violations (under the kind the monitor raised), stalls, and
+    simulation errors are converted into violation records on the
+    returned :class:`ScheduleOutcome` instead of propagating — an
+    exploration sweep must survive its own findings.
 
     ``machine_hook`` (test seam) receives the built machine before the
     run — how the planted-bug tests wrap the arbiter.
     """
     scheduler.reset()
     recording = RecordingScheduler(scheduler)
-    ledger = RetryLedger()
     workload = factory()
-    machine = Machine(
-        config, workload, seed, trace=trace, scheduler=recording,
-        retry_ledger=ledger,
-    )
+    machine = Machine(config, workload, seed, trace=trace, scheduler=recording)
     if machine_hook is not None:
         machine_hook(machine)
     violations = []
@@ -141,9 +132,7 @@ def run_schedule(factory, config, seed, scheduler, *, trace=None,
         completed = True
     except OracleViolation as exc:
         error = "{}: {}".format(type(exc).__name__, exc)
-        violations.append(violation(
-            "serializability", str(exc), **dict(exc.details)
-        ))
+        violations.append(violation(exc.kind, str(exc), **dict(exc.details)))
     except SimulationStallError as exc:
         error = "{}: {}".format(type(exc).__name__, exc)
         violations.append(violation(
@@ -152,7 +141,6 @@ def run_schedule(factory, config, seed, scheduler, *, trace=None,
     except SimulationError as exc:
         error = "{}: {}".format(type(exc).__name__, exc)
         violations.append(violation("simulation-error", str(exc)))
-    violations.extend(check_retry_bound(ledger, config))
     if violations:
         # Canonicalize through JSON so tuples inside oracle details become
         # lists; artifact round-trips must be exact.
@@ -358,7 +346,7 @@ def verify(workload, config=None, *, cores=None, seed=1, schedules=20,
         artifacts by name, so prefer names).
     config:
         :class:`SimConfig`, design name, or None; a config with
-        ``oracle="off"`` is upgraded to the ``"online"`` monitor and
+        ``oracle="off"`` is switched back to the ``"online"`` monitor and
         ``cores`` (when given) overrides ``num_cores``.
     schedules:
         Fuzzing budget for ``explorer="random"``/``"pct"``.

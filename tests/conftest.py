@@ -90,19 +90,18 @@ def micro_machine(micro_config):
     registry (``ops_per_thread`` defaults to 3 — micro scale). A
     prebuilt workload object passes through unchanged. Extra keyword
     arguments split between :class:`SimConfig` field overrides and the
-    machine seams (``trace`` / ``scheduler`` / ``retry_ledger``).
+    machine seams (``trace`` / ``scheduler``).
     """
     from repro.sim.machine import Machine
     from repro.workloads import make_workload
 
     def make(workload="mwobject", design="baseline", *, cores=2, seed=1,
-             ops_per_thread=3, trace=None, scheduler=None, retry_ledger=None,
-             **overrides):
+             ops_per_thread=3, trace=None, scheduler=None, **overrides):
         config = micro_config(design, cores=cores, **overrides)
         if isinstance(workload, str):
             workload = make_workload(workload, ops_per_thread=ops_per_thread)
         return Machine(config, workload, seed=seed, trace=trace,
-                       scheduler=scheduler, retry_ledger=retry_ledger)
+                       scheduler=scheduler)
 
     return make
 

@@ -18,7 +18,7 @@ run, on every registered design. Evidence layers:
    (``tests/goldens/figures_micro.json``) — the same file the product
    step is pinned against in ``test_conflict_equivalence``;
 3. every configuration builds the one step: plain, SLE, a fault plan,
-   trace, scheduler, retry ledger, watchdog and the online monitor, and
+   trace, scheduler, watchdog and the online monitor, and
    the result matches the reference byte for byte in each case;
 4. import footprint: simulating imports no NumPy (it costs every sim
    process ~12 MB of peak RSS).
@@ -38,7 +38,7 @@ from repro.sim.config import SimConfig
 from repro.sim.executor import CoreExecutor
 from repro.sim.machine import Machine, build_machine
 from repro.sim.validate import validate_machine
-from repro.verify import DefaultScheduler, RetryLedger
+from repro.verify import DefaultScheduler
 from repro.workloads import ALL_NAMES, make_workload
 from tests.conftest import both_paths, general_path, run_digest, takes_one_step
 
@@ -184,10 +184,10 @@ class TestHookDegradation:
         config = SimConfig(num_cores=4, watchdog_cycles=100_000)
         self.assert_one_step(lambda: Machine(config, self.workload()))
 
-    def test_scheduler_and_ledger_keep_fused_loop(self):
+    def test_scheduler_keeps_fused_loop(self):
         self.assert_one_step(lambda: Machine(
             SimConfig(num_cores=4), self.workload(),
-            scheduler=DefaultScheduler(), retry_ledger=RetryLedger(),
+            scheduler=DefaultScheduler(),
         ))
 
 

@@ -9,6 +9,8 @@ than at end of run. The shadow replay in :mod:`tests.shadow` is the
 reference it is cross-checked against, both verdicts on the same run.
 """
 
+import pickle
+
 import pytest
 
 from repro.common.errors import OracleViolation
@@ -175,24 +177,32 @@ class TestMonitorCatches:
             monitor_config(), make_workload("mwobject", ops_per_thread=3), seed=1
         )
         machine.memsys.locks.try_lock(99, 123_456)
-        with pytest.raises(OracleViolation, match="lock-table leak"):
+        with pytest.raises(OracleViolation, match="lock-table leak") as excinfo:
             machine.run()
+        assert excinfo.value.kind == "leak"
 
     def test_leaked_power_token(self):
         machine = Machine(
             monitor_config(), make_workload("mwobject", ops_per_thread=3), seed=1
         )
         machine.power.try_acquire(99)
-        with pytest.raises(OracleViolation, match="power-token leak"):
+        with pytest.raises(OracleViolation, match="power-token leak") as excinfo:
             machine.run()
+        assert excinfo.value.kind == "leak"
+        # Kind and details survive the trip back from an engine worker.
+        copy = pickle.loads(pickle.dumps(excinfo.value))
+        assert (str(copy), copy.kind, copy.details) == (
+            str(excinfo.value), "leak", {"holder": 99}
+        )
 
     def test_leaked_fallback_reader(self):
         machine = Machine(
             monitor_config(), make_workload("mwobject", ops_per_thread=3), seed=1
         )
         machine.fallback.try_acquire_read(99)
-        with pytest.raises(OracleViolation, match="fallback-lock leak"):
+        with pytest.raises(OracleViolation, match="fallback-lock leak") as excinfo:
             machine.run()
+        assert excinfo.value.kind == "leak"
 
     @pytest.mark.parametrize("workload,seed", [
         ("mwobject", 1), ("mwobject", 2), ("hashmap", 1),
@@ -235,7 +245,8 @@ class TestFallbackAbortEpochs:
         reader.monitor_reads[line] = 0
         committing = Invoke(("reader", 1), lambda: iter(()))
         with pytest.raises(OracleViolation, match="stale read") as excinfo:
-            monitor.record_commit(1, committing, ExecMode.SPECULATIVE, reader)
+            monitor.record_commit(1, committing, ExecMode.SPECULATIVE, reader,
+                                  counting_retries=0)
         return monitor, excinfo.value.details
 
     @pytest.mark.parametrize("aborts", [1, 2])

@@ -5,8 +5,9 @@ micro matrix; the two new designs have no goldens to lean on, so these
 tests pin their *semantics* instead:
 
 - ``lrw`` bounds speculative R/W tracking. Overflow raises CAPACITY and
-  routes the invocation straight to the fallback lock, which the retry
-  oracle must accept as a legitimate budget undershoot.
+  routes the invocation straight to the fallback lock, which the online
+  monitor's retry-bound check must accept as a legitimate budget
+  undershoot.
 - ``bigatomics`` commits small-footprint regions as a constant-time
   multiword operation, surfaces the count through
   ``stats.design_annotations``, and earns an energy discount.
@@ -18,25 +19,28 @@ oracle matrix round out the acceptance gate.
 import pytest
 
 from repro import api
+from repro.common.errors import OracleViolation
 from repro.core.modes import ExecMode
 from repro.htm.abort import AbortReason
 from repro.sim.config import SimConfig
 from repro.sim.machine import Machine
+from repro.sim.program import Invoke
 from repro.sim.stats import MachineStats
 from repro.verify import verify
-from repro.verify.oracles import RetryLedger, check_retry_bound
 from repro.workloads import ALL_NAMES, make_workload
 
 NEW_DESIGNS = ("lrw", "bigatomics")
 
 
-def run_machine(config, workload="hashmap", seed=1, ops_per_thread=6,
-                ledger=None):
-    machine = Machine(
+def build(config, workload="hashmap", seed=1, ops_per_thread=6):
+    return Machine(
         config, make_workload(workload, ops_per_thread=ops_per_thread),
-        seed=seed, retry_ledger=ledger,
+        seed=seed,
     )
-    return machine.run()
+
+
+def run_machine(config, workload="hashmap", seed=1, ops_per_thread=6):
+    return build(config, workload, seed, ops_per_thread).run()
 
 
 class TestLrwBehavior:
@@ -54,34 +58,31 @@ class TestLrwBehavior:
 
     def test_overflow_satisfies_retry_oracle(self):
         """CAPACITY fallbacks undershoot the budget — by design, the
-        oracle's early_fallback_reasons exemption must absorb that."""
-        config = self.tiny_config()
-        ledger = RetryLedger()
-        stats = run_machine(config, ledger=ledger)
+        monitor's early_fallback_reasons exemption must absorb that."""
+        stats = run_machine(self.tiny_config())
         assert stats.aborts_by_reason[AbortReason.CAPACITY] > 0
-        assert check_retry_bound(ledger, config) == []
+        assert stats.commits_by_mode[ExecMode.FALLBACK] > 0
 
     def test_default_budgets_rarely_overflow(self):
         """At the default 64r/16w budget a micro run fits entirely."""
         config = SimConfig.for_design("lrw", num_cores=4, oracle="online")
-        ledger = RetryLedger()
-        stats = run_machine(config, ledger=ledger)
+        stats = run_machine(config)
         assert stats.aborts_by_reason[AbortReason.CAPACITY] == 0
-        assert check_retry_bound(ledger, config) == []
 
     def test_oracle_still_rejects_plain_undershoot(self):
         """The exemption is scoped to CAPACITY: an undershooting
-        fallback commit with no capacity abort must still trip."""
-        config = self.tiny_config(retry_threshold=4)
-        ledger = RetryLedger()
-        ledger.note_invoke(0, "r")
-        ledger.note_begin(0, ExecMode.SPECULATIVE)
-        ledger.note_abort(0, ExecMode.SPECULATIVE,
-                          AbortReason.MEMORY_CONFLICT)
-        ledger.note_begin(0, ExecMode.FALLBACK)
-        ledger.note_commit(0, ExecMode.FALLBACK, counting_retries=1)
-        violations = check_retry_bound(ledger, config)
-        assert any(v["kind"] == "fallback-threshold" for v in violations)
+        fallback commit with no capacity abort must still trip, at the
+        commit."""
+        monitor = build(self.tiny_config(retry_threshold=4)).monitor
+        invocation = Invoke("r", lambda: iter(()))
+        monitor.machine.executors[0].invocation = invocation
+        monitor.note_abort(0, ExecMode.SPECULATIVE,
+                           AbortReason.MEMORY_CONFLICT)
+        with pytest.raises(OracleViolation) as excinfo:
+            monitor.record_commit(0, invocation, ExecMode.FALLBACK, None,
+                                  counting_retries=1)
+        assert excinfo.value.kind == "fallback-threshold"
+        assert excinfo.value.details["region"] == "r"
 
 
 class TestBigAtomicsBehavior:
@@ -131,9 +132,8 @@ class TestBigAtomicsBehavior:
 
     def test_retry_bound_holds(self):
         config = SimConfig.for_design("bigatomics", num_cores=4, oracle="online")
-        ledger = RetryLedger()
-        run_machine(config, workload="hashmap", ledger=ledger)
-        assert check_retry_bound(ledger, config) == []
+        stats = run_machine(config, workload="hashmap")
+        assert stats.total_commits > 0
 
 
 class TestNewDesignVerifySmoke:
@@ -177,8 +177,6 @@ class TestFullOracleMatrix:
     @pytest.mark.parametrize("workload", ALL_NAMES)
     def test_oracles_hold(self, workload, design):
         config = SimConfig.for_design(design, num_cores=4, oracle="online")
-        ledger = RetryLedger()
         stats = run_machine(config, workload=workload, seed=1,
-                            ops_per_thread=6, ledger=ledger)
+                            ops_per_thread=6)
         assert stats.total_commits > 0
-        assert check_retry_bound(ledger, config) == []

@@ -11,13 +11,17 @@ Four layers, in increasing ambition:
 4. A planted arbiter bug — a burst of silently dropped conflict
    resolutions — survives the default schedule but is caught by
    exploration, ddmin-shrunk to a replayable artifact, and reproduced
-   from that artifact alone.
+   from that artifact alone. Planted breakers of the single-retry
+   bound and a planted leak are found the same way, each under its
+   own violation kind.
 """
 
 import pytest
 
 from repro import api
 from repro.htm.arbiter import NO_CONFLICT
+from repro.memory.address import line_of_word
+from repro.sim.config import SimConfig
 from repro.verify import (
     DefaultScheduler,
     ScheduleArtifact,
@@ -25,6 +29,10 @@ from repro.verify import (
     verify,
 )
 from repro.workloads import make_workload
+from tests.retry_reference import (
+    abort_ns_cl_requesters,
+    fall_back_one_retry_early,
+)
 
 MICRO = dict(cores=2, ops_per_thread=4)
 
@@ -216,3 +224,71 @@ class TestPlantedArbiterBug:
             outcome = replay_artifact(probe, machine_hook=plant_arbiter_bug)
             assert not any(entry["kind"] == "serializability"
                            for entry in outcome.violations)
+
+
+def keep_power_token(machine):
+    """Test-only leak: each core grabs the power token as it finishes.
+
+    A finished core is never a conflicting peer, so the run is
+    unchanged; only the end-of-run leak check can see the token held.
+    """
+    real = machine.next_action
+
+    def next_action(core):
+        action = real(core)
+        if action is None:
+            machine.power.try_acquire(core)
+        return action
+
+    machine.next_action = next_action
+
+
+def keep_a_line_lock(machine):
+    """Test-only leak: core 0 locks a line nobody uses as it finishes."""
+    real = machine.next_action
+    line = line_of_word(machine.allocator.alloc_lines(1))
+
+    def next_action(core):
+        action = real(core)
+        if action is None and core == 0:
+            machine.memsys.locks.try_lock(core, line)
+        return action
+
+    machine.next_action = next_action
+
+
+class TestPlantedBreakers:
+    """Bound breakers and leaks: found, shrunk and replayed by kind.
+
+    Each plant breaks its guarantee on the default schedule already, so
+    every explorer finds it; the shrunk artifact then reproduces the
+    same kind from its JSON alone, and nothing else.
+    """
+
+    @pytest.mark.parametrize("explorer,budget", [
+        ("exhaustive", dict(max_schedules=12)),
+        ("random", dict(schedules=6)),
+        ("pct", dict(schedules=6)),
+    ])
+    @pytest.mark.parametrize("hook,design,kind", [
+        (abort_ns_cl_requesters, "clear", "ns-cl-abort-reason"),
+        (fall_back_one_retry_early, "baseline", "fallback-threshold"),
+        (keep_power_token, "baseline", "leak"),
+        (keep_a_line_lock, "baseline", "leak"),
+    ], ids=["ns-cl", "early-fallback", "power-leak", "lock-leak"])
+    def test_found_shrunk_and_replayed(self, tmp_path, hook, design, kind,
+                                       explorer, budget):
+        config = SimConfig.for_design(design, num_cores=2, retry_threshold=2)
+        report = verify("mwobject", config, ops_per_thread=6, seed=1,
+                        explorer=explorer, machine_hook=hook, **budget)
+        assert not report.outcomes[0].ok
+        assert {entry["kind"] for entry in report.violations} == {kind}
+        artifact = report.artifacts[0]
+        assert {entry["kind"] for entry in artifact.violations} == {kind}
+
+        path = str(tmp_path / "breaker.json")
+        artifact.save(path)
+        outcome = replay_artifact(ScheduleArtifact.load(path),
+                                  machine_hook=hook)
+        assert [entry["kind"] for entry in outcome.violations] == [kind]
+        assert replay_artifact(ScheduleArtifact.load(path)).ok

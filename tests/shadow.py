@@ -50,11 +50,12 @@ class ShadowReplay:
         monitor_mirror = machine.memory.poke_mirror
         shadow_poke = self.shadow.poke
 
-        def record_commit(core, invocation, mode, rwsets, via_abort=False):
+        def record_commit(core, invocation, mode, rwsets, counting_retries,
+                          via_abort=False):
             self.commits += 1
             replay_body(invocation.body_factory, self.shadow,
                         commit=True, stop_on_abort=True)
-            monitor_commit(core, invocation, mode, rwsets,
+            monitor_commit(core, invocation, mode, rwsets, counting_retries,
                            via_abort=via_abort)
 
         def mirror(word_addr, value):
@@ -74,8 +75,9 @@ class ShadowReplay:
         """Run the machine; returns the ``(online, shadow)`` verdicts.
 
         Each verdict is the checker's first :class:`OracleViolation`,
-        or None when it passed the run. The monitor's leak checks raise
-        directly, so a run they stop counts as an online verdict.
+        or None when it passed the run. The monitor's leak and
+        retry-bound checks raise directly, so a run they stop counts as
+        an online verdict.
         """
         online = None
         try:

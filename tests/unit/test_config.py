@@ -115,10 +115,16 @@ class TestOracleModes:
             SimConfig(oracle="sometimes")
 
     def test_mode_properties(self):
+        from repro.sim.machine import Machine
+        from repro.workloads import make_workload
+
         assert ORACLE_MODES == ("off", "online")
         assert SimConfig(oracle="online").online_monitor is True
         assert SimConfig(oracle="off").online_monitor is False
-        assert SimConfig().oracle == "off"
+        assert SimConfig().oracle == "online"
+        workload = make_workload("mwobject", ops_per_thread=1)
+        assert Machine(SimConfig(num_cores=2, oracle="off"),
+                       workload).monitor is None
 
     @pytest.mark.parametrize("removed", ["shadow", "cross-check"])
     def test_removed_modes_rejected(self, removed):

@@ -1,26 +1,27 @@
 """Unit tests for the schedule-exploration building blocks.
 
 Covers the scheduler policies themselves (tie-break behaviour,
-determinism, replay clamping), the ddmin shrinker, the retry-bound
-oracle's bookkeeping, and the ScheduleArtifact JSON format — all
-without running a machine; the integration suite does that.
+determinism, replay clamping), the ddmin shrinker, the online
+monitor's retry-bound hooks, and the ScheduleArtifact JSON format —
+all without running a machine; the integration suite does that.
 """
 
 import pytest
 
+from repro.common.errors import OracleViolation
 from repro.core.modes import ExecMode
 from repro.htm.abort import AbortReason
+from repro.htm.rwset import ReadWriteSets
 from repro.sim.config import SimConfig
+from repro.sim.program import Invoke
 from repro.verify import (
     DefaultScheduler,
     PCTScheduler,
     RandomScheduler,
     RecordingScheduler,
     ReplayScheduler,
-    RetryLedger,
     ScheduleArtifact,
     check_equivalence,
-    check_retry_bound,
     ddmin,
     shrink_decisions,
 )
@@ -218,79 +219,88 @@ class TestCheckEquivalence:
 
 
 class TestRetryBoundOracle:
-    def _config(self, threshold=4):
-        return SimConfig(num_cores=2, retry_threshold=threshold)
+    """The online monitor's single-retry-bound checks, hook by hook.
 
-    def _committed(self, ledger, core=0, mode=ExecMode.SPECULATIVE, retries=0):
-        ledger.note_invoke(core, ("w", "r"))
-        ledger.note_begin(core, mode)
-        ledger.note_commit(core, mode, retries)
+    Each case feeds one invocation's abort and commit sequence to an
+    unrun micro machine's monitor, as the executor would.
+    """
 
-    def test_clean_ledger_passes(self):
-        ledger = RetryLedger()
-        self._committed(ledger)
-        assert check_retry_bound(ledger, self._config()) == []
+    REGION = ("w", "r")
 
-    def test_open_invocations_are_not_checked(self):
-        ledger = RetryLedger()
-        ledger.note_invoke(0, ("w", "r"))
-        ledger.note_begin(0, ExecMode.SPECULATIVE)
-        assert check_retry_bound(ledger, self._config()) == []
+    @pytest.fixture
+    def monitor(self, micro_machine):
+        def make(threshold=4, design="baseline"):
+            machine = micro_machine(design=design, retry_threshold=threshold)
+            for executor in machine.executors:
+                executor.invocation = Invoke(self.REGION, lambda: iter(()))
+            return machine.monitor
+        return make
 
-    def test_ns_cl_memory_conflict_is_flagged(self):
-        ledger = RetryLedger()
-        ledger.note_invoke(0, ("w", "r"))
-        ledger.note_begin(0, ExecMode.NS_CL)
-        ledger.note_abort(0, ExecMode.NS_CL, AbortReason.MEMORY_CONFLICT)
-        ledger.note_begin(0, ExecMode.NS_CL)
-        ledger.note_commit(0, ExecMode.NS_CL, 1)
-        found = check_retry_bound(ledger, self._config())
-        assert [v["kind"] for v in found] == ["ns-cl-abort-reason"]
+    def _commit(self, monitor, mode=ExecMode.SPECULATIVE, retries=0, core=0):
+        rwsets = (
+            None if mode is ExecMode.FALLBACK
+            else ReadWriteSets(monitor_epochs=monitor.line_epochs)
+        )
+        monitor.record_commit(
+            core, monitor.machine.executors[core].invocation, mode, rwsets,
+            retries,
+        )
 
-    def test_ns_cl_footprint_deviation_is_allowed(self):
-        ledger = RetryLedger()
-        ledger.note_invoke(0, ("w", "r"))
-        ledger.note_begin(0, ExecMode.NS_CL)
-        ledger.note_abort(0, ExecMode.NS_CL, AbortReason.FOOTPRINT_DEVIATION)
-        ledger.note_begin(0, ExecMode.SPECULATIVE)
-        ledger.note_commit(0, ExecMode.SPECULATIVE, 1)
-        assert check_retry_bound(ledger, self._config()) == []
+    def _kind(self, call, *args, **kwargs):
+        with pytest.raises(OracleViolation) as excinfo:
+            call(*args, **kwargs)
+        return excinfo.value.kind, excinfo.value.details
 
-    def test_second_speculative_after_ns_cl_breaks_the_bound(self):
-        ledger = RetryLedger()
-        ledger.note_invoke(0, ("w", "r"))
-        ledger.note_begin(0, ExecMode.NS_CL)
-        ledger.note_abort(0, ExecMode.SPECULATIVE, AbortReason.MEMORY_CONFLICT)
-        ledger.note_begin(0, ExecMode.SPECULATIVE)
-        ledger.note_abort(0, ExecMode.SPECULATIVE, AbortReason.MEMORY_CONFLICT)
-        ledger.note_begin(0, ExecMode.SPECULATIVE)
-        ledger.note_commit(0, ExecMode.SPECULATIVE, 3)
-        found = check_retry_bound(ledger, self._config())
-        assert [v["kind"] for v in found] == ["retry-bound"]
-        assert found[0]["details"]["speculative_after"] == 2
+    def test_clean_invocation_passes(self, monitor):
+        self._commit(monitor())
 
-    def test_exempt_reasons_void_the_bound(self):
-        ledger = RetryLedger()
-        ledger.note_invoke(0, ("w", "r"))
-        ledger.note_begin(0, ExecMode.NS_CL)
-        # A capacity abort exempts the whole invocation from the bound.
-        ledger.note_abort(0, ExecMode.SPECULATIVE, AbortReason.CAPACITY)
+    def test_open_invocations_are_not_checked(self, monitor):
+        checker = monitor(threshold=2)
         for _ in range(3):
-            ledger.note_begin(0, ExecMode.SPECULATIVE)
-        ledger.note_commit(0, ExecMode.SPECULATIVE, 3)
-        assert check_retry_bound(ledger, self._config()) == []
+            checker.note_abort(0, ExecMode.SPECULATIVE,
+                               AbortReason.MEMORY_CONFLICT)
 
-    def test_premature_fallback_is_flagged(self):
-        ledger = RetryLedger()
-        self._committed(ledger, mode=ExecMode.FALLBACK, retries=1)
-        found = check_retry_bound(ledger, self._config(threshold=4))
-        assert [v["kind"] for v in found] == ["fallback-threshold"]
+    def test_ns_cl_memory_conflict_is_flagged(self, monitor):
+        kind, details = self._kind(
+            monitor().note_abort, 0, ExecMode.NS_CL,
+            AbortReason.MEMORY_CONFLICT,
+        )
+        assert kind == "ns-cl-abort-reason"
+        assert details["core"] == 0
+        assert details["region"] == list(self.REGION)
+        assert details["mode"] == "ns_cl"
+        assert details["reason"] == "memory_conflict"
 
-    def test_overdue_non_fallback_commit_is_flagged(self):
-        ledger = RetryLedger()
-        self._committed(ledger, mode=ExecMode.SPECULATIVE, retries=4)
-        found = check_retry_bound(ledger, self._config(threshold=4))
-        assert [v["kind"] for v in found] == ["fallback-threshold"]
+    def test_ns_cl_footprint_deviation_is_allowed(self, monitor):
+        checker = monitor()
+        checker.note_abort(0, ExecMode.NS_CL, AbortReason.FOOTPRINT_DEVIATION)
+        self._commit(checker, mode=ExecMode.SPECULATIVE, retries=1)
+
+    def test_premature_fallback_is_flagged(self, monitor):
+        kind, details = self._kind(
+            self._commit, monitor(threshold=4), mode=ExecMode.FALLBACK,
+            retries=1,
+        )
+        assert kind == "fallback-threshold"
+        assert (details["retries"], details["threshold"]) == (1, 4)
+        assert details["commits"][-1]["mode"] == "fallback"
+
+    def test_overdue_non_fallback_commit_is_flagged(self, monitor):
+        kind, _ = self._kind(
+            self._commit, monitor(threshold=4), mode=ExecMode.SPECULATIVE,
+            retries=4,
+        )
+        assert kind == "fallback-threshold"
+
+    def test_early_fallback_flag_ends_at_commit(self, monitor):
+        checker = monitor(threshold=4, design="lrw")
+        checker.note_abort(0, ExecMode.SPECULATIVE, AbortReason.CAPACITY)
+        self._commit(checker, mode=ExecMode.FALLBACK, retries=1)
+        # The next invocation aborted for no early-fallback reason.
+        kind, _ = self._kind(
+            self._commit, checker, mode=ExecMode.FALLBACK, retries=1
+        )
+        assert kind == "fallback-threshold"
 
 
 class TestScheduleArtifact:
