@@ -75,12 +75,16 @@ class ExperimentSettings:
             retry_sweep=True,
         )
 
-    def config_for(self, letter):
-        """SimConfig for a configuration (legacy letter or design name)."""
+    def config_for(self, letter, retry_threshold=None):
+        """SimConfig for a configuration (legacy letter or design name).
+
+        ``retry_threshold`` defaults to the settings' own.
+        """
+        if retry_threshold is None:
+            retry_threshold = self.retry_threshold
         return SimConfig.for_design(
             design_name(letter), num_cores=self.num_cores,
-            retry_threshold=self.retry_threshold,
-            **self.config_overrides
+            retry_threshold=retry_threshold, **self.config_overrides
         )
 
     def workload_factory(self, name):
@@ -98,20 +102,19 @@ class ExperimentSettings:
 
         Ordered benchmark-major, then configuration letter, then retry
         threshold, then seed — the order :func:`run_config_matrix`
-        regroups results in.
+        regroups results in. One :class:`SimConfig` per (letter,
+        threshold) is shared by every cell that runs it.
         """
-        return [
-            RunSpec(
-                workload=name,
-                config=self.config_for(letter).replaced(
-                    retry_threshold=threshold
-                ),
-                seed=seed,
-                ops_per_thread=self.ops_per_thread,
-            )
-            for name in self.benchmarks
+        configs = [
+            self.config_for(letter, threshold)
             for letter in CONFIG_LETTERS
             for threshold in self.cell_thresholds()
+        ]
+        return [
+            RunSpec(workload=name, config=config, seed=seed,
+                    ops_per_thread=self.ops_per_thread)
+            for name in self.benchmarks
+            for config in configs
             for seed in self.seeds
         ]
 
@@ -358,9 +361,12 @@ def fig13_retry_bound(matrix):
 def headline_summary(matrix):
     """The abstract's headline numbers, measured on this matrix."""
     times, _ = fig8_execution_time(matrix)
-    energy = fig10_energy(matrix)
-    aborts = fig9_aborts_per_commit(matrix)
-    retries = fig13_retry_bound(matrix)
+    return _headline(times, fig9_aborts_per_commit(matrix),
+                     fig10_energy(matrix), fig13_retry_bound(matrix))
+
+
+def _headline(times, aborts, energy, retries):
+    """:func:`headline_summary` read off the Fig. 8, 9, 10 and 13 rows."""
     return {
         "time_reduction_C_vs_B": 1.0 - times["geomean"]["C"],
         "time_reduction_W_vs_B": 1.0 - times["geomean"]["W"],
@@ -390,14 +396,18 @@ def figure_payload(matrix):
     wraps this with run metadata (scale, seeds, elapsed time), and the
     equivalence suite compares it byte-for-byte against committed
     goldens — so any change to a figure projection shows up in both.
+    Each figure is computed once; the headline is read off them.
     """
     times, discovery = fig8_execution_time(matrix)
+    aborts = fig9_aborts_per_commit(matrix)
+    energy = fig10_energy(matrix)
+    retries = fig13_retry_bound(matrix)
     return {
         "fig1": fig1_retry_immutability(matrix),
         "fig8_times": {k: v for k, v in times.items()},
         "fig8_discovery": discovery,
-        "fig9": fig9_aborts_per_commit(matrix),
-        "fig10": fig10_energy(matrix),
+        "fig9": aborts,
+        "fig10": energy,
         "fig11": {
             name: {
                 letter: {cat.value: share for cat, share in shares.items()}
@@ -414,7 +424,7 @@ def figure_payload(matrix):
         },
         "fig13": {
             name: {letter: list(triple) for letter, triple in per_config.items()}
-            for name, per_config in fig13_retry_bound(matrix).items()
+            for name, per_config in retries.items()
         },
-        "headline": headline_summary(matrix),
+        "headline": _headline(times, aborts, energy, retries),
     }

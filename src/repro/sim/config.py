@@ -248,10 +248,17 @@ class SimConfig(Serializable):
         Canonical (sorted-key, compact) JSON over every declared field;
         two configs share a fingerprint iff all fields are equal. Used
         as the configuration component of the experiment cache key.
+        Hashed once per instance: the digest is memoized outside the
+        dataclass fields, so ``to_dict()``, ``==``, ``hash`` and
+        ``replaced()`` never see it.
         """
-        canonical = json.dumps(self.to_dict(), sort_keys=True,
-                               separators=(",", ":"))
-        return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+        digest = self.__dict__.get("_fingerprint")
+        if digest is None:
+            canonical = json.dumps(self.to_dict(), sort_keys=True,
+                                   separators=(",", ":"))
+            digest = hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+            object.__setattr__(self, "_fingerprint", digest)
+        return digest
 
     @classmethod
     def for_design(cls, name, **overrides):

@@ -249,13 +249,15 @@ class DiskCache:
         finally:
             os.close(fd)  # closing releases the flock
 
-    def load(self, key):
+    def load(self, key, config=None):
         """The stored dict for ``key``, or None on miss/corruption.
 
         A missing file or a stale ``schema_version`` is a plain miss.
         An *unparseable or malformed* entry is quarantined (moved to
         ``quarantine/``, counted) — the atomic write protocol means it
         cannot be a torn write of ours, so it is evidence worth keeping.
+        Given ``config`` (the spec's ``SimConfig.to_dict()``), a result
+        that stores any other config is malformed too.
         """
         if self.disabled:
             return None
@@ -275,13 +277,18 @@ class DiskCache:
         if payload.get("schema_version") != SCHEMA_VERSION:
             self.stats.misses += 1
             return None
+        result = payload["result"]
+        if config is not None and (not isinstance(result, dict)
+                                   or result.get("config") != config):
+            self._quarantine(key)
+            return None
         self._pinned.add(key)
         self.stats.hits += 1
         try:
             os.utime(path)  # refresh LRU recency
         except OSError:
             pass
-        return payload["result"]
+        return result
 
     def _quarantine(self, key):
         """Preserve a corrupt entry out of band; the key reads as a miss."""
@@ -736,6 +743,11 @@ class ExperimentEngine:
         keys = None
         if use_cache or journal is not None:
             keys = [spec.cache_key() for spec in specs]
+            # A stored result serves a spec only if it stores the spec's
+            # config: one dict per config object, not one per cell.
+            configs = {id(spec.config): spec.config for spec in specs}
+            stored_configs = {ident: config.to_dict()
+                              for ident, config in configs.items()}
         if journal is not None:
             journal.ensure(specs, SCHEMA_VERSION)
         if use_cache:
@@ -783,17 +795,28 @@ class ExperimentEngine:
             if journal is not None:
                 record_entry = replayed_records.get(keys[index])
                 if record_entry is not None:
-                    if record_entry["status"] == "done":
-                        record(index, record_entry["result"], replayed=True)
-                    else:
-                        # A remembered quarantine: deterministic retries
-                        # already failed; re-append without re-logging.
-                        list.append(failures, CellFailure.from_dict(
-                            record_entry["failure"]
-                        ))
-                    continue
+                    done = record_entry["status"] == "done"
+                    stored = (record_entry["result"].get("config") if done
+                              else record_entry["failure"].get("spec_config"))
+                    if stored == stored_configs[id(specs[index].config)]:
+                        if done:
+                            record(index, record_entry["result"],
+                                   replayed=True)
+                        else:
+                            # A remembered quarantine: deterministic
+                            # retries already failed; re-append without
+                            # re-logging.
+                            list.append(failures, CellFailure.from_dict(
+                                record_entry["failure"]
+                            ))
+                        continue
+                    # Another configuration's record: skipped as
+                    # corrupt, and the cell runs again.
+                    journal.discard(keys[index])
             if use_cache:
-                cached = self.cache.load(keys[index])
+                cached = self.cache.load(
+                    keys[index], stored_configs[id(specs[index].config)]
+                )
                 if cached is not None:
                     record(index, cached, from_cache=True)
                     continue
@@ -807,8 +830,9 @@ class ExperimentEngine:
 
         if decode:
             results = [
-                RunResult.from_dict(result) if result is not None else None
-                for result in result_dicts
+                RunResult.from_dict(result, config=spec.config)
+                if result is not None else None
+                for spec, result in zip(specs, result_dicts)
             ]
         else:
             results = result_dicts

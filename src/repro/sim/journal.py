@@ -251,6 +251,18 @@ class SweepJournal:
         except OSError:
             pass
 
+    def discard(self, key):
+        """Forget a replayed record the engine will not serve.
+
+        It holds another configuration's outcome: it counts as a skipped
+        corrupt record, and the cell's next record supersedes it.
+        """
+        if self._records.pop(key)["status"] == STATUS_DONE:
+            self.replayed_results -= 1
+        else:
+            self.replayed_failures -= 1
+        self.skipped_corrupt += 1
+
     # -- recording -----------------------------------------------------------
 
     def record_result(self, key, result):

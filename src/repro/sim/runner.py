@@ -86,12 +86,18 @@ class RunResult(Serializable):
         }
 
     @classmethod
-    def from_dict(cls, data):
-        """Rebuild a run from :meth:`to_dict` output."""
+    def from_dict(cls, data, config=None):
+        """Rebuild a run from :meth:`to_dict` output.
+
+        ``config``, when given, is the run's :class:`SimConfig`, equal
+        to the one ``data`` stores; it is used as is instead of parsing
+        and validating ``data["config"]`` again.
+        """
         trace_dicts = data.get("trace")
         return cls(
             workload_name=data["workload_name"],
-            config=SimConfig.from_dict(data["config"]),
+            config=(config if config is not None
+                    else SimConfig.from_dict(data["config"])),
             seed=data["seed"],
             stats=MachineStats.from_dict(data["stats"]),
             energy=EnergyBreakdown.from_dict(data["energy"]),
@@ -141,36 +147,33 @@ class AggregateResult(Serializable):
 
     def commit_mode_shares(self):
         """Mean share of commits per mode (Fig. 12)."""
-        shares = {}
-        for mode in ExecMode:
-            values = [
-                run.stats.commit_mode_shares().get(mode, 0.0) for run in self.runs
-            ]
-            shares[mode] = trimmed_mean(values, self.trim)
-        return shares
+        per_run = [run.stats.commit_mode_shares() for run in self.runs]
+        return {
+            mode: trimmed_mean([shares.get(mode, 0.0) for shares in per_run],
+                               self.trim)
+            for mode in ExecMode
+        }
 
     def abort_category_shares(self):
         """Mean share of aborts per category (Fig. 11)."""
+        per_run = [run.stats.abort_category_shares() for run in self.runs]
         categories = set()
-        for run in self.runs:
-            categories.update(run.stats.abort_category_shares())
+        for shares in per_run:
+            categories.update(shares)
         return {
             category: trimmed_mean(
-                [
-                    run.stats.abort_category_shares().get(category, 0.0)
-                    for run in self.runs
-                ],
-                self.trim,
+                [shares.get(category, 0.0) for shares in per_run], self.trim
             )
             for category in categories
         }
 
     def retry_shares(self):
         """Mean (first-retry, n-retry, fallback) shares (Fig. 13)."""
-        first = trimmed_mean([run.stats.retry_shares()[0] for run in self.runs], self.trim)
-        n_retry = trimmed_mean([run.stats.retry_shares()[1] for run in self.runs], self.trim)
-        fallback = trimmed_mean([run.stats.retry_shares()[2] for run in self.runs], self.trim)
-        return (first, n_retry, fallback)
+        per_run = [run.stats.retry_shares() for run in self.runs]
+        return tuple(
+            trimmed_mean([shares[index] for shares in per_run], self.trim)
+            for index in range(3)
+        )
 
     @property
     def first_retry_immutable_ratio(self):
@@ -264,11 +267,12 @@ def _sweep_retry_threshold(workload, config, thresholds=range(1, 11),
     engine = engine or ExperimentEngine(jobs=1, cache_dir=None)
     thresholds = tuple(thresholds)
     seeds = tuple(seeds)
+    swept = [config.replaced(retry_threshold=threshold)
+             for threshold in thresholds]
     specs = [
-        RunSpec(workload=workload,
-                config=config.replaced(retry_threshold=threshold),
-                seed=seed, ops_per_thread=ops_per_thread)
-        for threshold in thresholds
+        RunSpec(workload=workload, config=threshold_config, seed=seed,
+                ops_per_thread=ops_per_thread)
+        for threshold_config in swept
         for seed in seeds
     ]
     results = engine.run_specs(specs)

@@ -69,7 +69,7 @@ class CoreStats:
     @classmethod
     def from_dict(cls, data):
         """Rebuild per-core counters from :meth:`to_dict` output."""
-        stats = cls()
+        stats = cls.__new__(cls)
         for slot in cls.__slots__:
             setattr(stats, slot, data[slot])
         return stats
@@ -392,8 +392,12 @@ class MachineStats(Serializable):
 
     @classmethod
     def from_dict(cls, data):
-        """Rebuild a :class:`MachineStats` from :meth:`to_dict` output."""
-        stats = cls(data["num_cores"])
+        """Rebuild a :class:`MachineStats` from :meth:`to_dict` output.
+
+        Sets every attribute ``__init__`` sets, without its defaults.
+        """
+        stats = cls.__new__(cls)
+        stats.num_cores = data["num_cores"]
         stats.cores = [CoreStats.from_dict(core) for core in data["cores"]]
         stats.commits_by_mode = Counter(
             {ExecMode(mode): count

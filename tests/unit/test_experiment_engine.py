@@ -1,18 +1,21 @@
 """Unit tests for the experiment engine's cache and spec machinery."""
 
 import json
+import os
 
 import pytest
 
 from repro.sim import engine as engine_module
 from repro.sim.config import SimConfig
 from repro.sim.engine import (
+    CellFailure,
     DiskCache,
     ExperimentEngine,
     ProgressEvent,
     RunSpec,
     execute_spec,
 )
+from repro.sim.journal import SweepJournal
 
 
 def tiny_spec(**overrides):
@@ -138,6 +141,92 @@ class TestEngineCaching:
         assert engine.cache is None
         engine.run_spec(tiny_spec())
         assert not list(tmp_path.iterdir())
+
+
+def other_configs_result():
+    """A clear cell's result, to be stored under a baseline spec's key."""
+    return execute_spec(
+        tiny_spec(config=SimConfig.for_design("clear", num_cores=2)))
+
+
+def unparseable_config_result():
+    """A baseline result whose config carries a field no longer known."""
+    result = execute_spec(tiny_spec())
+    result["config"]["backend"] = "batch"
+    return result
+
+
+STORED_MISMATCHES = {
+    "another-configs-result": other_configs_result,
+    "unparseable-config": unparseable_config_result,
+}
+
+
+class TestStoredConfigCheck:
+    """A stored result serves a spec only if it stores the spec's config.
+
+    Anything else is corrupt: the cache quarantines it, the journal
+    skips it, both count it, and the cell simulates again.
+    """
+
+    @pytest.mark.parametrize("stored", sorted(STORED_MISMATCHES))
+    def test_cache_quarantines_and_resimulates(self, tmp_path, stored):
+        spec = tiny_spec()
+        cache = DiskCache(str(tmp_path))
+        cache.store(spec.cache_key(), STORED_MISMATCHES[stored](), spec)
+        report = ExperimentEngine(jobs=1, cache_dir=cache).run_specs_report(
+            [spec])
+        assert report.ok and report.cache_hits == 0
+        assert cache.stats.corrupt_quarantined == 1
+        assert os.path.exists(os.path.join(
+            str(tmp_path), DiskCache.QUARANTINE_DIR,
+            spec.cache_key() + ".json"))
+        assert report.results[0].config == spec.config
+        assert report.results[0].to_dict() == execute_spec(spec)
+        # ... and the rewritten entry serves the next run.
+        again = ExperimentEngine(jobs=1, cache_dir=str(tmp_path)) \
+            .run_specs_report([spec])
+        assert again.cache_hits == 1
+
+    @pytest.mark.parametrize("stored", sorted(STORED_MISMATCHES))
+    def test_journal_skips_and_resimulates(self, tmp_path, stored):
+        spec = tiny_spec()
+        job = str(tmp_path / "job")
+        journal = SweepJournal(job)
+        journal.ensure([spec], engine_module.SCHEMA_VERSION)
+        journal.record_result(spec.cache_key(), STORED_MISMATCHES[stored]())
+        report = ExperimentEngine(jobs=1, cache_dir=None).run_specs_report(
+            [spec], journal=job)
+        assert report.ok
+        assert report.journal["skipped_corrupt"] == 1
+        assert report.journal["replayed_results"] == 0
+        assert (report.journal["replayed"], report.journal["executed"]) \
+            == (0, 1)
+        assert report.results[0].config == spec.config
+        assert report.results[0].to_dict() == execute_spec(spec)
+        # The fresh record supersedes the skipped one on the next resume.
+        resumed = ExperimentEngine(jobs=1, cache_dir=None).run_specs_report(
+            [spec], journal=job)
+        assert (resumed.journal["replayed"], resumed.journal["executed"]) \
+            == (1, 0)
+        assert resumed.journal["skipped_corrupt"] == 0
+
+    def test_journal_skips_a_quarantine_record_it_cannot_parse(
+            self, tmp_path):
+        spec = tiny_spec()
+        job = str(tmp_path / "job")
+        journal = SweepJournal(job)
+        journal.ensure([spec], engine_module.SCHEMA_VERSION)
+        failure = CellFailure(spec=spec, kind="error", attempts=1,
+                              message="injected").to_dict()
+        failure["spec_config"]["backend"] = "batch"
+        journal.record_failure(spec.cache_key(), failure)
+        report = ExperimentEngine(jobs=1, cache_dir=None).run_specs_report(
+            [spec], journal=job)
+        assert report.ok
+        assert report.journal["skipped_corrupt"] == 1
+        assert report.journal["replayed_failures"] == 0
+        assert report.results[0].to_dict() == execute_spec(spec)
 
 
 class TestEngineExecution:

@@ -7,7 +7,9 @@ import pytest
 
 from repro import api
 from repro.common.errors import ConfigurationError
+from repro.core.modes import ExecMode
 from repro.energy.model import EnergyBreakdown
+from repro.htm.abort import AbortReason
 from repro.htm.design import design_name
 from repro.sim.config import SimConfig
 from repro.sim.runner import AggregateResult, RunResult
@@ -137,6 +139,37 @@ class TestMachineStatsRoundTrip:
             json.loads(json.dumps(stats.to_dict()))
         )
         assert rebuilt.to_dict() == stats.to_dict()
+
+    def test_full_surface_round_trips(self):
+        """Annotations, histograms and tuple region ids all come back."""
+        stats = MachineStats(num_cores=3)
+        stats.record_begin(0)
+        stats.record_commit(0, ExecMode.SPECULATIVE, 0, ("bst", "insert"))
+        stats.record_commit(1, ExecMode.NS_CL, 1, ("bst", "remove"))
+        stats.record_commit(2, ExecMode.FALLBACK, 5, 7)
+        stats.record_abort(1, AbortReason.MEMORY_CONFLICT, ("bst", "remove"),
+                           latency=40)
+        stats.record_abort(2, AbortReason.EXPLICIT_FALLBACK, 7)
+        stats.record_access("L1")
+        stats.record_lock_acquired(2)
+        stats.record_lock_hold(12)
+        stats.record_fallback_hold(300)
+        stats.record_first_retry(True)
+        stats.add_busy(1, 90, failed_discovery=True)
+        stats.makespan_cycles = 1234
+        stats.design_annotations = {"lrw_overflows": 2, "note": "x"}
+        data = stats.to_dict()
+        assert data["metrics"]["histograms"]
+        rebuilt = MachineStats.from_dict(data)
+        assert rebuilt.to_dict() == data
+        assert MachineStats.from_dict(
+            json.loads(json.dumps(data))).to_dict() == data
+        assert ("bst", "insert") in rebuilt.per_region_commits
+        # Decoding sets exactly the attributes __init__ does, and the
+        # bound metrics are the rebuilt registry's own.
+        assert set(vars(rebuilt)) == set(vars(MachineStats(num_cores=3)))
+        rebuilt.record_lock_hold(5)
+        assert rebuilt.metrics.histogram("lock_hold_cycles").count == 2
 
     def test_core_counters_survive(self):
         stats = sample_result().stats
