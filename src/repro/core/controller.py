@@ -4,8 +4,9 @@ Owns the per-core tables (ERT, CRT) and glues them to the transaction
 lifecycle:
 
 - At ``XBegin``, the ERT decides whether this invocation runs discovery.
-- During execution, the executor feeds loads/stores/branches into the
-  current :class:`repro.core.discovery.DiscoveryState`.
+- During execution, the executor's body step records loads, stores
+  and branches into the current
+  :class:`repro.core.discovery.DiscoveryState` inline.
 - On the first conflict, the attempt enters *failed mode* and keeps
   discovering; at region end the assessment and the decision tree pick
   the retry mode, and the ERT bits are updated.
@@ -23,20 +24,21 @@ from repro.core.modes import ExecMode
 class ClearController:
     """CLEAR hardware state and policy for one core."""
 
-    def __init__(self, core, dir_set_of, can_coreside,
+    def __init__(self, core, directory_sets, can_coreside,
                  ert_entries=16, crt_entries=64, crt_assoc=8,
-                 alt_entries=32, sq_capacity=72, lq_capacity=128,
+                 alt_entries=32, sq_capacity=72,
                  scl_lock_policy="writes", crt_enabled=True):
         self.core = core
-        self._dir_set_of = dir_set_of
+        self._directory_sets = directory_sets
         self._can_coreside = can_coreside
         self.scl_lock_policy = scl_lock_policy
         self.crt_enabled = crt_enabled
         self.ert = ExploredRegionTable(ert_entries)
         self.crt = ConflictingReadsTable(crt_entries, crt_assoc)
+        # Discovery's capacities: the body step binds both when it is
+        # built and checks every discovering op against them.
         self.alt_entries = alt_entries
         self.sq_capacity = sq_capacity
-        self.lq_capacity = lq_capacity
         self.discoveries_started = 0
         self.discoveries_failed_mode = 0
 
@@ -54,12 +56,7 @@ class ClearController:
             return None
         self.discoveries_started += 1
         return DiscoveryState(
-            region_id,
-            dir_set_of=self._dir_set_of,
-            can_coreside=self._can_coreside,
-            sq_capacity=self.sq_capacity,
-            lq_capacity=self.lq_capacity,
-            alt_entries=self.alt_entries,
+            region_id, self._directory_sets, self._can_coreside
         )
 
     # -- conflict while discovering --------------------------------------------
@@ -67,7 +64,7 @@ class ClearController:
     def note_conflict(self, discovery):
         """First conflict: hold the abort and continue in failed mode."""
         if not discovery.failed:
-            discovery.enter_failed_mode()
+            discovery.failed = True
             self.discoveries_failed_mode += 1
 
     # -- end of a discovery attempt ---------------------------------------------
@@ -88,9 +85,7 @@ class ClearController:
             # Assessment 1: hopeless to continue; abort immediately and
             # fall back to a plain speculative retry.
             return RetryDecision(ExecMode.SPECULATIVE, "discovery resources exhausted")
-        has_writes = any(
-            entry.needs_locking for entry in discovery.alt.entries()
-        )
+        has_writes = True in discovery.lines.values()
         return decide_retry_mode(assessment, has_writes=has_writes)
 
     def conclude_committed_discovery(self, discovery):
@@ -104,10 +99,11 @@ class ClearController:
         """
         entry = self.ert.ensure(discovery.region_id)
         entry.note_commit()
-        assessment = discovery.assess()
-        if not assessment.fits_window:
+        # Only the assessment's first and last levels matter here, and
+        # both are flags: no sort, no lockability test.
+        if discovery.exhausted:
             entry.is_convertible = False
-        entry.is_immutable = assessment.immutable
+        entry.is_immutable = not discovery.indirection_seen
 
     # -- cacheline-locked retries -------------------------------------------------
 
@@ -115,21 +111,27 @@ class ClearController:
         """Ordered lock groups for an NS-CL or S-CL retry.
 
         NS-CL locks every ALT entry; S-CL locks written lines plus reads
-        found in the CRT (paper §4.4.2, §5.1).
+        found in the CRT (paper §4.4.2, §5.1). Each group is a list of
+        line ids sharing one directory set (see
+        :meth:`repro.core.discovery.DiscoveryState.locking_plan`).
         """
         if mode is ExecMode.NS_CL:
-            return discovery.alt.locking_plan(lock_all=True)
+            return discovery.locking_plan(lock_all=True)
         if mode is not ExecMode.S_CL:
             raise ValueError("lock plan only exists for CL modes, not {}".format(mode))
         if self.scl_lock_policy == "all":
             # S-CL "-all-" variant (§4.4.2): lock reads too, trading
             # extra invalidation traffic for fewer S-CL aborts.
-            return discovery.alt.locking_plan(lock_all=True)
+            return discovery.locking_plan(lock_all=True)
         if self.crt_enabled:
-            for alt_entry in discovery.alt.entries():
-                if not alt_entry.needs_locking and alt_entry.line in self.crt:
-                    discovery.alt.mark_needs_locking(alt_entry.line)
-        return discovery.alt.locking_plan(lock_all=False)
+            # Lexicographical order: a CRT hit refreshes its LRU way,
+            # so the lookup order decides later CRT evictions.
+            lines = discovery.lines
+            crt = self.crt
+            for line in discovery.ordered_lines():
+                if not lines[line] and line in crt:
+                    lines[line] = True
+        return discovery.locking_plan(lock_all=False)
 
     def note_scl_conflicting_read(self, line):
         """An S-CL non-locked read conflicted: remember it in the CRT."""

@@ -10,9 +10,20 @@ resources run out, so that it can make an informed retry decision.
 With HTM as the baseline (§4.2) speculation extends beyond the ROB and
 the store queue becomes the limiting resource for failed-mode discovery;
 stores are kept in the SQ and loads are flagged non-aborting.
+
+The Addresses-to-Lock Table (ALT, Fig. 7 ③) is one dict,
+``lines``: cacheline -> *Needs Locking* (written lines, plus reads
+found in the CRT before an S-CL retry). Its lexicographical order (the
+directory set index, then the line) matters only when the table is
+read, so :meth:`DiscoveryState.assess` and
+:meth:`DiscoveryState.locking_plan` sort its at most ``alt_entries``
+keys once. The executor's body step updates the state inline for
+every discovering op (DESIGN.md §9.2, §14.1): the SQ count against
+``sq_capacity``, the ALT against ``alt_entries`` and the indirection
+flag, with both capacities bound when the step is built.
 """
 
-from repro.core.alt import AddressToLockTable, AltOverflow
+from repro.memory.address import directory_set_of_line, lexicographical_key
 
 
 class DiscoveryAssessment:
@@ -47,89 +58,76 @@ class DiscoveryAssessment:
 
 
 class DiscoveryState:
-    """Per-attempt tracking of footprint, indirection, and resource use."""
+    """One discovering attempt's footprint, indirection and resource use.
 
-    def __init__(self, region_id, dir_set_of, can_coreside,
-                 sq_capacity=72, lq_capacity=128, alt_entries=32):
+    ``lines`` is the ALT (line -> Needs Locking); ``store_count`` is
+    the store queue's occupancy. ``directory_sets`` is the directory's
+    set count, the lexicographical order's key, and ``can_coreside``
+    the L1's lockability test.
+    """
+
+    __slots__ = (
+        "region_id", "lines", "store_count", "failed", "indirection_seen",
+        "sq_overflow", "alt_overflow", "_directory_sets", "_can_coreside",
+    )
+
+    def __init__(self, region_id, directory_sets, can_coreside):
         self.region_id = region_id
-        self._dir_set_of = dir_set_of
-        self._can_coreside = can_coreside
-        self.sq_capacity = sq_capacity
-        self.lq_capacity = lq_capacity
-        self.alt = AddressToLockTable(alt_entries)
+        self.lines = {}
+        self.store_count = 0
         self.failed = False
         self.indirection_seen = False
         self.sq_overflow = False
         self.alt_overflow = False
-        self.load_count = 0
-        self.store_count = 0
-        self.op_count = 0
-
-    # -- event hooks called by the executor ---------------------------------
-
-    def enter_failed_mode(self):
-        """A conflict arrived; keep executing to finish learning (§4.1)."""
-        self.failed = True
+        self._directory_sets = directory_sets
+        self._can_coreside = can_coreside
 
     @property
     def exhausted(self):
         """Discovery can learn nothing more; a failed AR aborts now."""
         return self.sq_overflow or self.alt_overflow
 
-    def on_load(self, line, address_tainted):
-        """Track a load retiring inside the AR."""
-        self.op_count += 1
-        self.load_count += 1
-        if address_tainted:
-            self.indirection_seen = True
-        self._track(line, written=False)
-
-    def on_store(self, line, address_tainted):
-        """Track a store entering the SQ inside the AR."""
-        self.op_count += 1
-        self.store_count += 1
-        if address_tainted:
-            self.indirection_seen = True
-        if self.store_count > self.sq_capacity:
-            self.sq_overflow = True
-        self._track(line, written=True)
-
-    def on_branch(self, condition_tainted):
-        """Track a branch retiring inside the AR.
-
-        A branch whose condition depends on an AR-loaded value can steer
-        execution to a different footprint, so it poisons immutability
-        exactly like an address indirection (paper §3).
-        """
-        self.op_count += 1
-        if condition_tainted:
-            self.indirection_seen = True
-
-    def on_compute(self, op_count=1):
-        """Track non-memory work (for window accounting only)."""
-        self.op_count += op_count
-
-    def _track(self, line, written):
-        if self.alt_overflow:
-            return
-        try:
-            self.alt.record_access(line, self._dir_set_of(line), written)
-        except AltOverflow:
-            self.alt_overflow = True
-
-    # -- final assessment -----------------------------------------------------
+    def ordered_lines(self):
+        """Every tracked line, in lexicographical order."""
+        num_sets = self._directory_sets
+        return sorted(
+            self.lines, key=lambda line: lexicographical_key(line, num_sets)
+        )
 
     def assess(self):
         """The informed decision input produced at region end (§4.1)."""
-        fits_window = not self.sq_overflow and not self.alt_overflow
-        footprint = self.alt.all_lines()
+        fits_window = not self.exhausted
+        footprint = self.ordered_lines()
         lockable = fits_window and self._can_coreside(footprint)
-        immutable = not self.indirection_seen
         return DiscoveryAssessment(
             fits_window=fits_window,
             lockable=lockable,
-            immutable=immutable,
+            immutable=not self.indirection_seen,
             sq_overflow=self.sq_overflow,
             alt_overflow=self.alt_overflow,
             footprint=footprint,
         )
+
+    def locking_plan(self, lock_all):
+        """The lines to lock, in lexicographical order, grouped by set.
+
+        ``lock_all`` selects NS-CL behaviour (every line) versus S-CL
+        (only *Needs Locking* lines). Returns a list of groups; each
+        group lists the line ids sharing one directory set, in order.
+        The ALT's Conflict bit is the boundary between two groups.
+        """
+        num_sets = self._directory_sets
+        lines = self.lines
+        plan = []
+        group = None
+        group_set = None
+        for line in self.ordered_lines():
+            if not lock_all and not lines[line]:
+                continue
+            dir_set = directory_set_of_line(line, num_sets)
+            if dir_set != group_set:
+                group = []
+                plan.append(group)
+                group_set = dir_set
+            group.append(line)
+        return plan

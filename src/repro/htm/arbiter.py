@@ -20,20 +20,6 @@ from repro.htm.abort import AbortReason
 from repro.memory.directory import cores_of
 
 
-class TxPeerView:
-    """What the arbiter needs to know about an in-flight transaction."""
-
-    __slots__ = ("core", "rwsets", "is_power", "conflict_detection_active", "is_failed")
-
-    def __init__(self, core, rwsets, is_power=False,
-                 conflict_detection_active=True, is_failed=False):
-        self.core = core
-        self.rwsets = rwsets
-        self.is_power = is_power
-        self.conflict_detection_active = conflict_detection_active
-        self.is_failed = is_failed
-
-
 class Resolution:
     """Outcome of arbitrating one memory request."""
 
@@ -70,7 +56,8 @@ class ConflictArbiter:
     the power-token holder NACKs the requester. Without a design (unit
     tests) the built-in PowerTM rule applies —
     which is exactly what every registered design currently implements,
-    keeping the ``resolve``/``resolve_line`` cross-check valid.
+    keeping the cross-check against the tests' full peer scan
+    (``tests/reference_arbiter.py``) valid.
 
     Resolutions produced here are what the online serializability
     monitor (:mod:`repro.sim.monitor`) audits downstream: a resolution
@@ -85,7 +72,7 @@ class ConflictArbiter:
                      sharers, power_core=None, requester_unstoppable=False):
         """Arbitrate a request against a line's sharer vectors.
 
-        O(sharers) drop-in for :meth:`resolve`: ``sharers`` is the
+        O(sharers) arbitration: ``sharers`` is the
         ``(readers, writers)`` pair of core bit-vectors that
         :meth:`~repro.htm.sharer_index.SharerIndex.get` returns for
         ``line`` (or None when nobody tracks it), and ``power_core`` the
@@ -125,62 +112,3 @@ class ConflictArbiter:
                     nacking_core=nacker,
                 )
         return Resolution(victims=cores_of(conflicting))
-
-    def resolve(self, requester_core, line, is_write, requester_failed, peers,
-                requester_unstoppable=False):
-        """Arbitrate a request against all in-flight peer transactions.
-
-        Parameters
-        ----------
-        requester_core:
-            Id of the requesting core.
-        line:
-            Cacheline the request targets.
-        is_write:
-            Whether the request needs exclusive permission.
-        requester_failed:
-            True when the requester runs failed-mode discovery; such
-            requests are non-aborting and never victimize peers.
-        peers:
-            Iterable of :class:`TxPeerView` for every other in-flight
-            transaction.
-        requester_unstoppable:
-            True for NS-CL lock acquisition: its completion guarantee
-            means even power-mode peers lose (only S-CL and power nack
-            each other per §5.2).
-        """
-        if requester_failed:
-            # Non-aborting request: reads may still source data; stores
-            # never leave the SQ so they issue no request at all.
-            return NO_CONFLICT
-
-        conflicting = []
-        for peer in peers:
-            if peer.core == requester_core:
-                continue
-            if not peer.conflict_detection_active:
-                continue
-            if peer.is_failed:
-                # Already doomed; its speculative state will be thrown
-                # away, so there is nothing to protect.
-                continue
-            if is_write:
-                hit = peer.rwsets.conflicts_with_write(line)
-            else:
-                hit = peer.rwsets.conflicts_with_read(line)
-            if hit:
-                conflicting.append(peer)
-
-        if not conflicting:
-            return NO_CONFLICT
-
-        for peer in conflicting:
-            if peer.is_power and not requester_unstoppable:
-                # Power transaction nacks; the requester aborts and no
-                # victim is harmed (the request never performed).
-                return Resolution(
-                    requester_abort_reason=AbortReason.NACKED,
-                    nacking_core=peer.core,
-                )
-
-        return Resolution(victims=[peer.core for peer in conflicting])

@@ -99,14 +99,13 @@ class HtmDesign:
         config = self.config
         return ClearController(
             core,
-            dir_set_of=machine.memsys.directory.set_of,
+            directory_sets=machine.memsys.directory.num_sets,
             can_coreside=machine.memsys.l1[core].can_coreside,
             ert_entries=config.ert_entries,
             crt_entries=config.crt_entries,
             crt_assoc=config.crt_assoc,
             alt_entries=config.alt_entries,
             sq_capacity=config.sq_entries,
-            lq_capacity=config.lq_entries,
             scl_lock_policy=config.scl_lock_policy,
             crt_enabled=config.crt_enabled,
         )

@@ -13,6 +13,7 @@ currently over their associativity. The semantics match a full re-walk
 of the sets exactly, including the asymmetry that a union overflow
 *created* by a write (which only checks the write set against L1)
 surfaces as a "read" capacity abort on the next newly-read line.
+``tests/reference_rwset.py`` keeps the re-walk the counters replaced.
 
 Speculative stores are buffered word-granular in the transaction; they
 become architecturally visible only at commit. Loads snoop the buffer
@@ -122,39 +123,6 @@ class ReadWriteSets:
                 self._write_over += 1
             if self._write_over:
                 raise CapacityExceeded("write", line)
-
-    @staticmethod
-    def _fits(lines, num_sets, assoc):
-        # Reference implementation of the capacity rule; the hot path
-        # uses the incremental counters, and tests cross-check the two.
-        per_set = {}
-        for line in lines:
-            idx = line % num_sets
-            per_set[idx] = per_set.get(idx, 0) + 1
-            if per_set[idx] > assoc:
-                return False
-        return True
-
-    def counters_consistent(self):
-        """True iff the incremental counters match a fresh re-walk."""
-        union_ok = write_ok = True
-        if self._l2_sets is not None:
-            expected = {}
-            for line in self.read_set | self.write_set:
-                idx = line % self._l2_sets
-                expected[idx] = expected.get(idx, 0) + 1
-            over = sum(1 for c in expected.values() if c > self._l2_assoc)
-            union_ok = (expected == self._union_counts
-                        and over == self._union_over)
-        if self._l1_sets is not None:
-            expected = {}
-            for line in self.write_set:
-                idx = line % self._l1_sets
-                expected[idx] = expected.get(idx, 0) + 1
-            over = sum(1 for c in expected.values() if c > self._l1_assoc)
-            write_ok = (expected == self._write_counts
-                        and over == self._write_over)
-        return union_ok and write_ok
 
     # -- sharer index ------------------------------------------------------
 

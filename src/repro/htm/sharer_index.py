@@ -28,8 +28,10 @@ rebuild: the index equals the union of read/write sets over exactly
 the conflict-visible cores — phase BODY, speculative mode other than
 failed discovery, live indexed rwsets, no pending abort.
 ``ConflictArbiter.resolve_line`` over this index is then equivalent
-to ``ConflictArbiter.resolve`` over a ``TxPeerView`` per such core, by
-construction (``tests/unit/test_sharer_index.py`` compares the two).
+to a full scan of every such core's read and write sets, by
+construction: ``tests/unit/test_sharer_index.py`` compares it with the
+scan the index replaced, ``resolve`` over one ``TxPeerView`` per core,
+which ``tests/reference_arbiter.py`` keeps.
 """
 
 from repro.memory.directory import cores_of

@@ -26,6 +26,7 @@ from repro.common.errors import ProtocolError
 from repro.core.modes import ExecMode
 from repro.htm.abort import AbortReason, counts_toward_retry_limit, NON_MEMORY_REASONS
 from repro.htm.rwset import CapacityExceeded, ReadWriteSets
+from repro.memory.cache import _EMPTY_SET
 from repro.memory.locking import LockDenied, NackError
 from repro.obs.events import (
     ARAbort,
@@ -352,28 +353,32 @@ class CoreExecutor:
             self.gen_send_value = None
             self.phase = BODY
             return self._busy(1)
+        # A group is the line ids of one directory set, in
+        # lexicographical order (the ALT's Conflict bits delimit it).
         group = self._lock_groups[self._lock_group_idx]
-        dir_set = group[0].dir_set
-        set_holder = memsys.directory.set_lock_holder(dir_set)
+        directory = memsys.directory
+        dir_set = directory.set_of(group[0])
+        set_holder = directory.set_lock_holder(dir_set)
         if set_holder is not None and set_holder != self.core:
             return (STEP_BLOCK, ("dirset", dir_set))
         cycles = 0
-        if len(group) > 1:
-            # Lexicographical group: probe the private cache first.
-            all_exclusive = all(
-                memsys.probe_exclusive_hit(self.core, entry.line) for entry in group
-            )
-            for entry in group:
-                entry.hit = memsys.probe_exclusive_hit(self.core, entry.line)
-            if not all_exclusive and self._lock_set_held is None:
-                memsys.directory.lock_set(self.core, dir_set)
+        if len(group) > 1 and self._lock_set_held is None:
+            # Lexicographical group: probe the private cache first (the
+            # ALT's Hit bits); lock silently only if every member hits
+            # exclusively.
+            if not all(
+                memsys.probe_exclusive_hit(self.core, line) for line in group
+            ):
+                directory.lock_set(self.core, dir_set)
                 self._lock_set_held = dir_set
                 cycles += self.config.l3_latency  # directory round to lock the set
+        locked_lines = self.locked_lines
         try:
-            for entry in group:
-                if entry.locked:
+            for line in group:
+                if line in locked_lines:
+                    # Taken before this group last blocked.
                     continue
-                cycles += self._acquire_one_lock(entry)
+                cycles += self._acquire_one_lock(line)
         except LockDenied as denied:
             self._release_group_set_lock()
             if cycles:
@@ -393,30 +398,29 @@ class CoreExecutor:
         self._lock_group_idx += 1
         return self._busy(max(1, cycles), lock_acquire=True)
 
-    def _acquire_one_lock(self, entry):
+    def _acquire_one_lock(self, line):
         machine = self.machine
         # Taking a line exclusively conflicts with every speculative peer
         # tracking it, exactly like a write request: requester wins,
         # unless a power-mode peer nacks us (§5.2).
         resolution = machine.resolve_conflict(
-            self.core, entry.line, True,
+            self.core, line, True,
             requester_unstoppable=self.mode is ExecMode.NS_CL,
         )
         if resolution.requester_abort_reason is not None:
-            raise NackError(entry.line, resolution.nacking_core)
+            raise NackError(line, resolution.nacking_core)
         for victim in resolution.victims:
             machine.executors[victim].receive_remote_conflict(
-                entry.line, True, self.core
+                line, True, self.core
             )
-        latency = machine.memsys.acquire_line_lock(self.core, entry.line)
-        entry.locked = True
-        self.locked_lines.add(entry.line)
+        latency = machine.memsys.acquire_line_lock(self.core, line)
+        self.locked_lines.add(line)
         if self.first_lock_cycle is None:
             self.first_lock_cycle = machine.now
         machine.stats.record_lock_acquired()
         machine.stats.record_access("LOCK")
         if self.trace is not None:
-            self.trace.emit(LockAcquire(machine.now, self.core, entry.line))
+            self.trace.emit(LockAcquire(machine.now, self.core, line))
         return latency
 
     def _release_group_set_lock(self):
@@ -499,10 +503,17 @@ class CoreExecutor:
         BODY-phase implementation (DESIGN.md §14). The closure runs
         every op of every mode in one frame over per-core state bound
         here, and binds a fault plan and the SLE window as branches
-        that only runs with them take. It calls out for cache misses
-        and upgrades, bounded ``lrw`` sets, discovery's per-op hooks,
-        the monitor's fallback hooks, and every abort, commit and
-        region end.
+        that only runs with them take. Discovery's bookkeeping and the
+        memory model run inline, on the directory int the step loads
+        once: hits, misses and upgrades with their classification, the
+        invalidation of other cores' copies, and the three cache fills
+        with their evictions. It calls out for the inclusion drop of a
+        line the private L2 evicts (``MemorySystem._drop_private_line``)
+        and of an L1 victim the L2 lacks (``Directory.drop``), for
+        bounded ``lrw`` sets, for the monitor's fallback hooks, for the
+        controller when a held conflict starts failed mode (or, without
+        failed mode, decides at once), for a fault plan's latency
+        jitter, and for every abort, commit and region end.
 
         Conflicts are arbitrated by ``machine.resolve_conflict``, looked
         up on every call so an override on the instance sees each
@@ -543,15 +554,29 @@ class CoreExecutor:
         # sharers" and "this core is the line's only sharer".
         dir_owned = core + 1
         dir_shared = core_bit << owner_bits
-        l1_sets, l1_nsets = memsys.l1[core]._sets, memsys.l1[core].num_sets
+        l1 = memsys.l1[core]
+        l1_sets, l1_nsets, l1_assoc = l1._sets, l1.num_sets, l1.assoc
         l2 = memsys.l2[core]
-        l2_sets, l2_nsets, l2_install = l2._sets, l2.num_sets, l2.install
+        l2_sets, l2_nsets, l2_assoc = l2._sets, l2.num_sets, l2.assoc
         l3 = memsys.l3
-        l3_sets, l3_nsets, l3_install = l3._sets, l3.num_sets, l3.install
+        l3_sets, l3_nsets, l3_assoc = l3._sets, l3.num_sets, l3.assoc
+        # Every core's private sets, for invalidating remote copies
+        # (all cores share one geometry).
+        l1_sets_of = [cache._sets for cache in memsys.l1]
+        l2_sets_of = [cache._sets for cache in memsys.l2]
         l1_latency = memsys.l1_latency
-        mem_read = memsys._read
-        mem_write = memsys._write
+        l2_latency = memsys.l2_latency
+        l3_latency = memsys.l3_latency
+        mem_latency = memsys.mem_latency
+        c2c_latency = memsys.c2c_latency
         drop_private = memsys._drop_private_line
+        directory_drop = directory.drop
+        # Discovery's capacities (CLEAR designs): the store queue and
+        # the ALT, checked on every discovering op.
+        sq_capacity = alt_entries = None
+        if controller is not None:
+            sq_capacity = controller.sq_capacity
+            alt_entries = controller.alt_entries
         memory = machine.memory
         mem_words = memory._words
         monitor = self.monitor
@@ -631,9 +656,6 @@ class CoreExecutor:
             else:
                 # Ops dispatch on their exact class, as replay_body does.
                 if cls is Compute:
-                    discovery = self.discovery
-                    if discovery is not None:
-                        discovery.on_compute(op.ops)
                     compute_ops.value += op.ops
                     cycles = op.cycles
                     if cycles < 1:
@@ -643,11 +665,15 @@ class CoreExecutor:
                 if cls is Branch:
                     discovery = self.discovery
                     if discovery is not None:
+                        # A branch on an AR-loaded value can steer the
+                        # footprint: it poisons immutability like an
+                        # address indirection (§3).
                         condition = op.condition
-                        discovery.on_branch(
+                        if (
                             condition.__class__ is TaintedValue
                             and condition.tainted
-                        )
+                        ):
+                            discovery.indirection_seen = True
                     branch_ops.value += 1
                     core_stats.busy_cycles += 1
                     return (STEP_DELAY, 1)
@@ -697,7 +723,6 @@ class CoreExecutor:
             if failed and is_store:
                 # Failed-mode stores never leave the SQ: no coherence
                 # request, no memory-model access.
-                self.discovery.on_store(line, addr_is_tv and addr.tainted)
                 latency = 1
             else:
                 if mode is not fallback_mode:
@@ -722,61 +747,152 @@ class CoreExecutor:
                                 line, is_store, core
                             )
 
-                # Memory system: a private hit is classified, moves the
-                # directory and refreshes LRU here; anything needing the
-                # full model (misses, upgrades, invalidations, C2C)
-                # runs MemorySystem._read/_write.
+                # Memory system: MemorySystem._read/_write on the
+                # line's directory int, loaded once. Classify the access,
+                # move the directory (invalidating remote copies on a
+                # write), then fill L3, L2 and L1: a level holding the
+                # line refreshes its LRU order, one missing it installs.
                 l1_entries = l1_sets[line % l1_nsets]
                 in_l1 = line in l1_entries
                 dentry = directory_entries.get(line, 0)
-                fused_fill = False
                 if is_store:
                     if in_l1 and (dentry == dir_owned or dentry == dir_shared):
                         # Private re-write: the exclusive (or sole
-                        # shared) copy is in our L1, so record_write
-                        # invalidates nobody and C2C cannot apply.
-                        directory_entries[line] = dir_owned
+                        # shared) copy is in our L1, so nobody is
+                        # invalidated and C2C cannot apply.
                         latency = l1_latency
                         accesses["L1"] += 1
-                        fused_fill = True
-                    if not fused_fill:
-                        result = mem_write(core, line)
-                        accesses[result.level] += 1
-                        latency = result.latency
-                elif in_l1:
-                    # L1 read hit: the level is L1 whatever the directory
-                    # says (C2C only upgrades L3/MEM), so only the
-                    # record_read transition remains.
+                    else:
+                        owner = dentry & owner_mask
+                        # Every other core's copy, the owner's included.
+                        remote = dentry >> owner_bits & other_cores
+                        remote_owner = owner and owner != dir_owned
+                        if remote_owner:
+                            remote |= 1 << (owner - 1)
+                        if in_l1 or line in l2_sets[line % l2_nsets]:
+                            if remote and owner != dir_owned:
+                                # Upgrade: an invalidation round
+                                # through the directory.
+                                level, latency = "UPG", l3_latency
+                            elif in_l1:
+                                level, latency = "L1", l1_latency
+                            else:
+                                level, latency = "L2", l2_latency
+                        elif remote_owner:
+                            # The remote modified copy sources the data.
+                            level, latency = "C2C", c2c_latency
+                        elif line in l3_sets[line % l3_nsets]:
+                            level, latency = "L3", l3_latency
+                        else:
+                            level, latency = "MEM", mem_latency
+                        accesses[level] += 1
+                        while remote:
+                            # MemorySystem._invalidate_private, in
+                            # ascending core order.
+                            low = remote & -remote
+                            remote ^= low
+                            victim = low.bit_length() - 1
+                            entries = l1_sets_of[victim][line % l1_nsets]
+                            if line in entries:
+                                if entries[line]:
+                                    raise ProtocolError(
+                                        "invalidating line {} locked by "
+                                        "core {}".format(line, victim)
+                                    )
+                                del entries[line]
+                            entries = l2_sets_of[victim][line % l2_nsets]
+                            if line in entries:
+                                if entries[line]:
+                                    raise OverflowError(
+                                        "cannot invalidate pinned (locked) line"
+                                    )
+                                del entries[line]
+                    directory_entries[line] = dir_owned
+                else:
                     owner = dentry & owner_mask
-                    if owner and owner != dir_owned:
+                    remote_owner = owner and owner != dir_owned
+                    if remote_owner:
+                        # The remote owner is downgraded to a sharer.
                         dentry = (
                             dentry >> owner_bits | 1 << (owner - 1)
                         ) << owner_bits
                     directory_entries[line] = dentry | dir_shared
-                    latency = l1_latency
-                    accesses["L1"] += 1
-                    fused_fill = True
+                    if in_l1:
+                        # The level is L1 whatever the directory says:
+                        # C2C only upgrades L3 and MEM.
+                        latency = l1_latency
+                        accesses["L1"] += 1
+                    else:
+                        if line in l2_sets[line % l2_nsets]:
+                            level, latency = "L2", l2_latency
+                        elif remote_owner:
+                            level, latency = "C2C", c2c_latency
+                        elif line in l3_sets[line % l3_nsets]:
+                            level, latency = "L3", l3_latency
+                        else:
+                            level, latency = "MEM", mem_latency
+                        accesses[level] += 1
+                # MemorySystem._fill. SetAssocCache.install per level:
+                # a first fill replaces the set's empty stand-in, and a
+                # full set evicts its least recently used unpinned line.
+                index = line % l3_nsets
+                entries = l3_sets[index]
+                if line in entries:
+                    entries[line] = entries.pop(line)
+                elif entries is _EMPTY_SET:
+                    l3_sets[index] = {line: False}
                 else:
-                    result = mem_read(core, line)
-                    accesses[result.level] += 1
-                    latency = result.latency
-                if fused_fill:
-                    # MemorySystem._fill with each install on its hit
-                    # path; a level missing the line takes the real
-                    # install/evict machinery.
-                    entries = l3_sets[line % l3_nsets]
-                    if line in entries:
-                        entries[line] = entries.pop(line)
+                    if len(entries) >= l3_assoc:
+                        for evicted, pinned in entries.items():
+                            if not pinned:
+                                break
+                        else:
+                            raise OverflowError(
+                                "cache set {} has all ways pinned".format(index)
+                            )
+                        del entries[evicted]
+                    entries[line] = False
+                index = line % l2_nsets
+                entries = l2_sets[index]
+                if line in entries:
+                    entries[line] = entries.pop(line)
+                elif entries is _EMPTY_SET:
+                    l2_sets[index] = {line: False}
+                else:
+                    if len(entries) >= l2_assoc:
+                        for evicted, pinned in entries.items():
+                            if not pinned:
+                                break
+                        else:
+                            raise OverflowError(
+                                "cache set {} has all ways pinned".format(index)
+                            )
+                        del entries[evicted]
+                        entries[line] = False
+                        # Inclusion: the evicted line leaves this
+                        # core's L1 and its directory entry.
+                        drop_private(core, evicted)
                     else:
-                        l3_install(line)
-                    entries = l2_sets[line % l2_nsets]
-                    if line in entries:
-                        entries[line] = entries.pop(line)
-                    else:
-                        l2_evicted = l2_install(line)
-                        if l2_evicted is not None:
-                            drop_private(core, l2_evicted)
+                        entries[line] = False
+                if in_l1:
                     l1_entries[line] = l1_entries.pop(line)
+                elif l1_entries is _EMPTY_SET:
+                    l1_sets[line % l1_nsets] = {line: False}
+                else:
+                    if len(l1_entries) >= l1_assoc:
+                        for evicted, pinned in l1_entries.items():
+                            if not pinned:
+                                break
+                        else:
+                            raise OverflowError(
+                                "cache set {} has all ways pinned".format(
+                                    line % l1_nsets
+                                )
+                            )
+                        del l1_entries[evicted]
+                        if evicted not in l2_sets[evicted % l2_nsets]:
+                            directory_drop(core, evicted)
+                    l1_entries[line] = False
                 if faults is not None:
                     latency += faults.jitter(core)
 
@@ -872,15 +988,29 @@ class CoreExecutor:
                                 CapacityExceeded("read", line)
                             )
 
-            # Discovery footprint and indirection tracking (CLEAR
-            # designs); a failed-mode store reported its own above.
+            # Discovery (CLEAR designs): the indirection bit, the store
+            # queue, and the ALT (line -> Needs Locking), which stops
+            # learning once a new line finds it full.
             discovery = self.discovery
             if discovery is not None:
-                if not is_store:
-                    discovery.on_load(line, addr_is_tv and addr.tainted)
-                elif not failed:
-                    discovery.on_store(line, addr_is_tv and addr.tainted)
-                if failed and discovery.exhausted:
+                if addr_is_tv and addr.tainted:
+                    discovery.indirection_seen = True
+                if is_store:
+                    store_count = discovery.store_count + 1
+                    discovery.store_count = store_count
+                    if store_count > sq_capacity:
+                        discovery.sq_overflow = True
+                if not discovery.alt_overflow:
+                    alt = discovery.lines
+                    if line in alt:
+                        if is_store:
+                            alt[line] = True
+                    elif len(alt) < alt_entries:
+                        alt[line] = is_store
+                    else:
+                        discovery.alt_overflow = True
+                if failed and (discovery.sq_overflow or discovery.alt_overflow):
+                    # Failed discovery ran out of resources (§4.1).
                     return self._conclude_exhausted_failed_discovery()
 
             if is_store:

@@ -9,12 +9,13 @@ from repro.sim.config import SimConfig
 from repro.sim.machine import Machine
 from repro.workloads import make_workload
 from tests.integration.test_machine_basic import ScriptedWorkload, counter_invoke
+from tests.reference_discovery import on_load, on_store
 
 
 def make_controller(**kwargs):
     return ClearController(
         core=0,
-        dir_set_of=lambda line: line % 4,
+        directory_sets=4,
         can_coreside=lambda lines: True,
         **kwargs
     )
@@ -43,22 +44,22 @@ class TestConfigValidation:
 class TestControllerPolicies:
     def _discovery_with_read_and_write(self, controller):
         discovery = controller.begin_invocation("r")
-        discovery.on_load(1, False)
-        discovery.on_store(2, False)
+        on_load(discovery, controller, 1, False)
+        on_store(discovery, controller, 2, False)
         return discovery
 
     def test_all_policy_locks_reads_in_scl(self):
         controller = make_controller(scl_lock_policy="all")
         discovery = self._discovery_with_read_and_write(controller)
         plan = controller.prepare_lock_plan(discovery, ExecMode.S_CL)
-        planned = {entry.line for group in plan for entry in group}
+        planned = {line for group in plan for line in group}
         assert planned == {1, 2}
 
     def test_writes_policy_skips_reads(self):
         controller = make_controller(scl_lock_policy="writes")
         discovery = self._discovery_with_read_and_write(controller)
         plan = controller.prepare_lock_plan(discovery, ExecMode.S_CL)
-        planned = {entry.line for group in plan for entry in group}
+        planned = {line for group in plan for line in group}
         assert planned == {2}
 
     def test_disabled_crt_records_nothing(self):
@@ -71,7 +72,7 @@ class TestControllerPolicies:
         controller.crt.insert(1)  # even if something got in somehow
         discovery = self._discovery_with_read_and_write(controller)
         plan = controller.prepare_lock_plan(discovery, ExecMode.S_CL)
-        planned = {entry.line for group in plan for entry in group}
+        planned = {line for group in plan for line in group}
         assert planned == {2}
 
 

@@ -17,6 +17,12 @@ run, on every registered design. Evidence layers:
    figure JSON equal to the committed golden
    (``tests/goldens/figures_micro.json``) — the same file the product
    step is pinned against in ``test_conflict_equivalence``;
+2b. on tiny caches with four directory sets, where the step's miss
+   path takes every branch the Table 2 geometry rarely reaches
+   (evictions and inclusion drops at every level, C2C transfers,
+   upgrades, remote invalidations, multi-member lexicographical groups
+   and directory-set locks), both paths still match, and the reference
+   run shows each of those paths taken;
 3. every configuration builds the one step: plain, SLE, a fault plan,
    trace, scheduler, watchdog and the online monitor, and
    the result matches the reference byte for byte in each case;
@@ -24,15 +30,21 @@ run, on every registered design. Evidence layers:
    process ~12 MB of peak RSS).
 """
 
+import collections
 import json
 import os
 import subprocess
 import sys
+from unittest import mock
 
 import pytest
 
 from repro.common.errors import CycleLimitExceeded
+from repro.core.controller import ClearController
 from repro.htm.design import DESIGN_REGISTRY
+from repro.memory.cache import SetAssocCache
+from repro.memory.directory import Directory
+from repro.memory.system import MemorySystem
 from repro.obs.trace import EventTrace
 from repro.sim.config import SimConfig
 from repro.sim.executor import CoreExecutor
@@ -52,6 +64,14 @@ ALL_DESIGNS = sorted(DESIGN_REGISTRY)
 #: Fast-profile differential workloads: one data structure, one STAMP
 #: application, one high-contention pattern.
 SMOKE_WORKLOADS = ("hashmap", "genome", "mwobject")
+
+
+#: A generated kernel whose regions touch four lines of an eight-line
+#: hot pool, half of them written, on nearly every invocation.
+HOT_POOL_KERNEL = (
+    "gen:footprint=4,contention=0.9,hot_lines=8,private_lines=64,"
+    "mutability=mutable,read_fraction=0.5"
+)
 
 
 def both_cells(design, workload, seed=1, ops_per_thread=6, num_cores=4,
@@ -87,6 +107,33 @@ class TestPairwiseDifferential:
         fast, general = both_cells("lrw", "genome", lrw_read_lines=2,
                                    lrw_write_lines=1)
         assert fast == general
+
+    @pytest.mark.parametrize("design", ["clear", "clear+powertm"])
+    def test_small_discovery_windows_match(self, design):
+        # A 1-entry store queue and a 3-entry ALT under regions of four
+        # lines, about half of them written: discovery overflows both,
+        # and some regions fill the store queue exactly, through the
+        # step's inline checks and the reference's hooks.
+        overflows = collections.Counter()
+
+        def counting(conclude):
+            def counted(controller, discovery):
+                overflows["sq"] += discovery.sq_overflow
+                overflows["alt"] += discovery.alt_overflow
+                return conclude(controller, discovery)
+            return counted
+
+        with mock.patch.object(
+            ClearController, "conclude_failed_discovery",
+            counting(ClearController.conclude_failed_discovery),
+        ), mock.patch.object(
+            ClearController, "conclude_committed_discovery",
+            counting(ClearController.conclude_committed_discovery),
+        ):
+            fast, general = both_cells(design, HOT_POOL_KERNEL,
+                                       sq_entries=1, alt_entries=3)
+        assert fast == general
+        assert overflows["sq"] and overflows["alt"]
 
     def test_machine_wider_than_a_word_matches(self):
         # 70 cores: the directory's and the sharer index's core
@@ -129,6 +176,108 @@ class TestPairwiseDifferential:
         with general_path():
             general = truncated()
         assert fast == general
+
+
+#: A machine whose caches hold a few dozen lines: a 4-set 2-way L1, a
+#: 16-set 4-way L2 and a 16-set 8-way L3, over four directory sets.
+TINY_CACHES = dict(
+    l1_size=4 * 64 * 2, l1_assoc=2, l2_size=16 * 64 * 4, l2_assoc=4,
+    l3_size=16 * 64 * 8, l3_assoc=8, directory_sets=4,
+)
+
+#: Each tiny-cache workload and the rare paths its reference run must
+#: take. labyrinth's grids overflow every level; in the hot-pool
+#: kernel CLEAR's lock plans hold groups of two lines in one
+#: directory set.
+TINY_WORKLOADS = [
+    pytest.param("labyrinth", {
+        "L1 eviction", "L2 eviction", "L3 eviction", "inclusion drop",
+        "C2C", "UPG", "remote invalidation",
+    }, id="labyrinth"),
+    pytest.param(HOT_POOL_KERNEL, {
+            "C2C", "UPG", "remote invalidation", "multi-member group",
+            "directory-set lock",
+        }, id="gen-hot-pool"),
+]
+
+
+def reference_paths_taken(build):
+    """Run ``build()`` on the reference; return its digest and path counts.
+
+    The reference's memory model runs through ``MemorySystem`` and
+    ``SetAssocCache`` methods, so wrapping them counts the paths the
+    product step takes inline; CLEAR's lock plans and set locks are
+    counted on both paths' shared code.
+    """
+    counts = collections.Counter()
+    machines = []
+    install = SetAssocCache.install
+    drop_private = MemorySystem._drop_private_line
+    invalidate_private = MemorySystem._invalidate_private
+    lock_set = Directory.lock_set
+    prepare_lock_plan = ClearController.prepare_lock_plan
+
+    def counted_install(cache, line):
+        victim = install(cache, line)
+        if victim is not None:
+            memsys = machines[0].memsys
+            level = ("L3" if cache is memsys.l3
+                     else "L2" if cache in memsys.l2 else "L1")
+            counts[level + " eviction"] += 1
+        return victim
+
+    def counted(name, method):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return method(*args, **kwargs)
+        return wrapper
+
+    def counted_plan(controller, discovery, mode):
+        plan = prepare_lock_plan(controller, discovery, mode)
+        counts["multi-member group"] += sum(len(group) > 1 for group in plan)
+        return plan
+
+    with general_path():
+        machines.append(build())
+        with mock.patch.object(SetAssocCache, "install", counted_install), \
+                mock.patch.object(MemorySystem, "_drop_private_line",
+                                  counted("inclusion drop", drop_private)), \
+                mock.patch.object(MemorySystem, "_invalidate_private",
+                                  counted("remote invalidation",
+                                          invalidate_private)), \
+                mock.patch.object(Directory, "lock_set",
+                                  counted("directory-set lock", lock_set)), \
+                mock.patch.object(ClearController, "prepare_lock_plan",
+                                  counted_plan):
+            digest = run_digest(machines[0])
+    accesses = machines[0].stats.accesses_by_level
+    counts["C2C"] = accesses.get("C2C", 0)
+    counts["UPG"] = accesses.get("UPG", 0)
+    return digest, counts
+
+
+class TestTinyCaches:
+    """The miss path where the Table 2 geometry rarely goes."""
+
+    @pytest.mark.parametrize("workload, paths", TINY_WORKLOADS)
+    @pytest.mark.parametrize("design", ["baseline", "clear", "clear+powertm"])
+    def test_paths_match_on_tiny_caches(self, design, workload, paths):
+        config = SimConfig.for_design(design, num_cores=4, **TINY_CACHES)
+
+        def build():
+            return build_machine(
+                config, make_workload(workload, ops_per_thread=8), seed=1
+            )
+
+        fast = run_digest(build())
+        general, counts = reference_paths_taken(build)
+        assert fast == general
+        expected = set(paths)
+        if design == "baseline":
+            # No discovery, so no lock plans and no set locks.
+            expected -= {"multi-member group", "directory-set lock"}
+        missed = sorted(path for path in expected if not counts[path])
+        assert not missed, "paths never taken: {}".format(missed)
 
 
 class TestHookDegradation:

@@ -85,15 +85,25 @@ class TestMonitorPasses:
         )
         assert machine.run().total_commits > 0
 
-    def test_monitored_run_matches_plain_run(self):
+    # The micro cells of scripts/bench_perf.py (hashmap, genome and
+    # mwobject at 4 cores and 4 ops), on every registered design.
+    @pytest.mark.parametrize("workload", ["hashmap", "genome", "mwobject"])
+    @pytest.mark.parametrize("design", sorted(DESIGN_REGISTRY))
+    def test_monitored_run_matches_plain_run(self, design, workload):
+        # Checking changes no simulated result: the same cell with the
+        # monitor off and on ends with identical stats and event count.
         plain = Machine(
-            SimConfig.for_design("clear", num_cores=4),
-            make_workload("hashmap", ops_per_thread=6), seed=5,
-        ).run()
+            SimConfig.for_design(design, num_cores=4, oracle="off"),
+            make_workload(workload, ops_per_thread=4), seed=1,
+        )
         watched = Machine(
-            monitor_config(), make_workload("hashmap", ops_per_thread=6), seed=5
-        ).run()
-        assert plain.to_dict() == watched.to_dict()
+            monitor_config(design), make_workload(workload, ops_per_thread=4),
+            seed=1,
+        )
+        assert plain.monitor is None
+        assert watched.monitor is not None
+        assert plain.run().to_dict() == watched.run().to_dict()
+        assert plain.event_count == watched.event_count
 
     def test_fallback_heavy_run_checked(self):
         # retry_threshold=1 routes contended regions to the serial

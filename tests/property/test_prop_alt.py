@@ -1,9 +1,9 @@
-"""Property-based tests for the Addresses-to-Lock Table."""
+"""Property-based tests for the table-of-entries ALT reference."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.alt import AddressToLockTable, AltOverflow
+from tests.reference_discovery import AddressToLockTable, AltOverflow
 
 NUM_SETS = 8
 

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from repro.htm.rwset import CapacityExceeded, ReadWriteSets
 from repro.htm.sharer_index import SharerIndex
+from tests.reference_rwset import counters_consistent
 
 NUM_CORES = 4
 
@@ -90,7 +91,7 @@ def test_index_equals_rebuild_after_any_interleaving(interleaving):
 
         assert index.snapshot() == rebuild(visible)
         for rwsets in visible.values():
-            assert rwsets.counters_consistent()
+            assert counters_consistent(rwsets)
 
     # Drain everything; the index must come back to empty.
     for rwsets in list(visible.values()) + list(zombies.values()):

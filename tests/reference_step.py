@@ -6,8 +6,9 @@ operation of every mode in one frame. This module keeps the slow,
 obviously layered version it replaced: one function per concern,
 every memory op through ``LockManager.check_access``,
 ``Machine.resolve_conflict``, ``MemorySystem.access`` and the
-``ReadWriteSets`` methods, so a test can run the same machine both ways
-and compare everything observable.
+``ReadWriteSets`` methods, and discovery through the per-op hooks of
+``tests/reference_discovery.py``, so a test can run the same machine
+both ways and compare everything observable.
 
 :func:`tests.conftest.general_path` installs it: inside that block every
 executor built gets :func:`install`'s step instead of the closure. The
@@ -27,6 +28,7 @@ from repro.memory.address import line_of_word
 from repro.memory.locking import LockDenied, NackError
 from repro.sim.executor import MAX_OPS_PER_ATTEMPT
 from repro.sim.program import AbortOp, Branch, Compute, Load, Store
+from tests import reference_discovery
 
 
 def install(executor):
@@ -102,13 +104,11 @@ def exec_op(self, op):
     if isinstance(op, Store):
         return exec_memory_op(self, op, is_store=True)
     if isinstance(op, Compute):
-        if self.discovery is not None:
-            self.discovery.on_compute(op.ops)
         self.machine.stats.record_compute(op.ops)
         return self._busy(max(1, op.cycles))
     if isinstance(op, Branch):
         if self.discovery is not None:
-            self.discovery.on_branch(op.condition_tainted)
+            reference_discovery.on_branch(self.discovery, op.condition_tainted)
         self.machine.stats.record_branch()
         return self._busy(1)
     if isinstance(op, AbortOp):
@@ -161,7 +161,9 @@ def exec_memory_op(self, op, is_store):
 
     # Failed-mode stores never leave the SQ: no coherence request.
     if mode is ExecMode.FAILED_DISCOVERY and is_store:
-        discovery.on_store(line, op.addr_tainted)
+        reference_discovery.on_store(
+            discovery, self.controller, line, op.addr_tainted
+        )
         if rwsets is not None:
             try:
                 rwsets.record_write(line)
@@ -212,9 +214,13 @@ def exec_memory_op(self, op, is_store):
     failed = mode is ExecMode.FAILED_DISCOVERY
     if discovery is not None:
         if is_store:
-            discovery.on_store(line, op.addr_tainted)
+            reference_discovery.on_store(
+                discovery, self.controller, line, op.addr_tainted
+            )
         else:
-            discovery.on_load(line, op.addr_tainted)
+            reference_discovery.on_load(
+                discovery, self.controller, line, op.addr_tainted
+            )
         if failed and discovery.exhausted:
             return self._conclude_exhausted_failed_discovery()
 

@@ -1,8 +1,12 @@
-"""Unit tests for the Addresses-to-Lock Table."""
+"""Unit tests for the table-of-entries ALT, the int discovery state's reference.
+
+``DiscoveryState`` keeps the ALT as a ``line -> needs_locking`` dict;
+``test_prop_discovery.py`` compares it with this table.
+"""
 
 import pytest
 
-from repro.core.alt import AddressToLockTable, AltOverflow
+from tests.reference_discovery import AddressToLockTable, AltOverflow
 
 
 def dir_set(line, sets=4):

@@ -1,14 +1,19 @@
-"""Unit tests for the per-core CLEAR controller."""
+"""Unit tests for the per-core CLEAR controller.
+
+Discovery is driven through the per-op hooks of
+``tests/reference_discovery.py``, which stand in for the body step.
+"""
 
 from repro.core.controller import ClearController
 from repro.core.ert import SQ_FULL_COUNTER_MAX
 from repro.core.modes import ExecMode
+from tests.reference_discovery import on_load, on_store
 
 
 def make_controller(coreside=True, **kwargs):
     return ClearController(
         core=0,
-        dir_set_of=lambda line: line % 4,
+        directory_sets=4,
         can_coreside=lambda lines: coreside,
         **kwargs
     )
@@ -53,8 +58,8 @@ class TestConcludeFailed:
     def test_immutable_small_region_decides_nscl(self):
         controller = make_controller()
         discovery = controller.begin_invocation("r")
-        discovery.on_load(1, False)
-        discovery.on_store(2, False)
+        on_load(discovery, controller, 1, False)
+        on_store(discovery, controller, 2, False)
         decision = controller.conclude_failed_discovery(discovery)
         assert decision.mode is ExecMode.NS_CL
         entry = controller.ert.ensure("r")
@@ -64,8 +69,8 @@ class TestConcludeFailed:
     def test_tainted_region_with_writes_decides_scl(self):
         controller = make_controller()
         discovery = controller.begin_invocation("r")
-        discovery.on_load(1, True)
-        discovery.on_store(2, False)
+        on_load(discovery, controller, 1, True)
+        on_store(discovery, controller, 2, False)
         decision = controller.conclude_failed_discovery(discovery)
         assert decision.mode is ExecMode.S_CL
         assert not controller.ert.ensure("r").is_immutable
@@ -76,7 +81,7 @@ class TestConcludeFailed:
         # every other reader.
         controller = make_controller()
         discovery = controller.begin_invocation("r")
-        discovery.on_load(1, True)
+        on_load(discovery, controller, 1, True)
         decision = controller.conclude_failed_discovery(discovery)
         assert decision.mode is ExecMode.SPECULATIVE
         assert "read-only" in decision.reason
@@ -84,7 +89,7 @@ class TestConcludeFailed:
     def test_immutable_read_only_region_still_converts_to_nscl(self):
         controller = make_controller()
         discovery = controller.begin_invocation("r")
-        discovery.on_load(1, False)
+        on_load(discovery, controller, 1, False)
         decision = controller.conclude_failed_discovery(discovery)
         assert decision.mode is ExecMode.NS_CL
 
@@ -99,7 +104,7 @@ class TestConcludeFailed:
     def test_unlockable_region_marked_non_convertible(self):
         controller = make_controller(coreside=False)
         discovery = controller.begin_invocation("r")
-        discovery.on_load(1, False)
+        on_load(discovery, controller, 1, False)
         controller.conclude_failed_discovery(discovery)
         assert not controller.ert.ensure("r").is_convertible
 
@@ -109,7 +114,7 @@ class TestConcludeCommitted:
         controller = make_controller()
         controller.ert.ensure("r").note_sq_overflow()
         discovery = controller.begin_invocation("r")
-        discovery.on_load(1, False)
+        on_load(discovery, controller, 1, False)
         controller.conclude_committed_discovery(discovery)
         assert controller.ert.ensure("r").sq_full_counter == 0
 
@@ -117,14 +122,14 @@ class TestConcludeCommitted:
         controller = make_controller(alt_entries=2)
         discovery = controller.begin_invocation("r")
         for line in range(4):
-            discovery.on_load(line, False)
+            on_load(discovery, controller, line, False)
         controller.conclude_committed_discovery(discovery)
         assert not controller.ert.ensure("r").is_convertible
 
     def test_committed_taint_updates_immutability(self):
         controller = make_controller()
         discovery = controller.begin_invocation("r")
-        discovery.on_load(1, True)
+        on_load(discovery, controller, 1, True)
         controller.conclude_committed_discovery(discovery)
         assert not controller.ert.ensure("r").is_immutable
 
@@ -133,19 +138,19 @@ class TestLockPlans:
     def test_nscl_plan_locks_everything(self):
         controller = make_controller()
         discovery = controller.begin_invocation("r")
-        discovery.on_load(1, False)
-        discovery.on_store(2, False)
+        on_load(discovery, controller, 1, False)
+        on_store(discovery, controller, 2, False)
         plan = controller.prepare_lock_plan(discovery, ExecMode.NS_CL)
-        planned = {entry.line for group in plan for entry in group}
+        planned = {line for group in plan for line in group}
         assert planned == {1, 2}
 
     def test_scl_plan_locks_writes_only(self):
         controller = make_controller()
         discovery = controller.begin_invocation("r")
-        discovery.on_load(1, False)
-        discovery.on_store(2, False)
+        on_load(discovery, controller, 1, False)
+        on_store(discovery, controller, 2, False)
         plan = controller.prepare_lock_plan(discovery, ExecMode.S_CL)
-        planned = {entry.line for group in plan for entry in group}
+        planned = {line for group in plan for line in group}
         assert planned == {2}
 
     def test_scl_plan_promotes_crt_reads(self):
@@ -153,11 +158,25 @@ class TestLockPlans:
         controller = make_controller()
         controller.note_scl_conflicting_read(1)
         discovery = controller.begin_invocation("r")
-        discovery.on_load(1, False)
-        discovery.on_store(2, False)
+        on_load(discovery, controller, 1, False)
+        on_store(discovery, controller, 2, False)
         plan = controller.prepare_lock_plan(discovery, ExecMode.S_CL)
-        planned = {entry.line for group in plan for entry in group}
+        planned = {line for group in plan for line in group}
         assert planned == {1, 2}
+
+    def test_crt_lookups_run_in_lexicographical_order(self):
+        # A CRT hit refreshes its LRU way, so the promotion must look
+        # lines up in the ALT's order (directory set, then line), not
+        # in the order discovery first saw them.
+        controller = make_controller()
+        controller.crt.insert(1)
+        controller.crt.insert(9)  # same CRT set as 1; 1 is LRU
+        discovery = controller.begin_invocation("r")
+        on_load(discovery, controller, 9, False)
+        on_load(discovery, controller, 1, False)
+        plan = controller.prepare_lock_plan(discovery, ExecMode.S_CL)
+        assert plan == [[1, 9]]
+        assert controller.crt.lines() == [1, 9]
 
     def test_plan_rejects_non_cl_modes(self):
         controller = make_controller()

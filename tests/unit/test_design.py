@@ -17,6 +17,7 @@ from repro.htm.design import (
 )
 from repro.htm.rwset import CapacityExceeded, LimitedReadWriteSets
 from repro.sim.config import SimConfig
+from tests.reference_rwset import counters_consistent
 
 #: Hooks of the design protocol; every argument after self must be
 #: keyword-only so subclasses can override a subset without positional
@@ -269,7 +270,7 @@ class TestLimitedReadWriteSets:
         with pytest.raises(CapacityExceeded):
             sets.record_read(2)
         assert 2 not in sets.read_set
-        assert sets.counters_consistent()
+        assert counters_consistent(sets)
 
     def test_budgets_independent(self):
         sets = self.make(reads=1, writes=2)

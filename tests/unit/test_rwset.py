@@ -4,6 +4,7 @@ import pytest
 
 from repro.htm.rwset import CapacityExceeded, ReadWriteSets
 from repro.memory.shared import SharedMemory
+from tests.reference_rwset import counters_consistent, fits
 
 
 def unlimited():
@@ -145,26 +146,26 @@ class TestCapacityCounters:
         sets.record_read(0)
         sets.record_write(0)  # same line: union unchanged
         sets.record_read(5)   # other set, fine
-        assert sets.counters_consistent()
+        assert counters_consistent(sets)
 
     def test_write_then_read_same_line_counted_once(self):
         sets = ReadWriteSets(l1_sets=None, l1_assoc=None, l2_sets=2, l2_assoc=1)
         sets.record_write(0)
         sets.record_read(0)
-        assert sets.counters_consistent()
+        assert counters_consistent(sets)
 
     def test_duplicate_records_leave_counters_alone(self):
         sets = ReadWriteSets(l1_sets=4, l1_assoc=2, l2_sets=4, l2_assoc=2)
         for _ in range(3):
             sets.record_read(1)
             sets.record_write(2)
-        assert sets.counters_consistent()
+        assert counters_consistent(sets)
 
     def test_boundary_exactly_at_associativity_is_fine(self):
         sets = ReadWriteSets(l1_sets=2, l1_assoc=2, l2_sets=None, l2_assoc=None)
         sets.record_write(0)
         sets.record_write(2)  # exactly assoc ways in set 0
-        assert sets.counters_consistent()
+        assert counters_consistent(sets)
         with pytest.raises(CapacityExceeded):
             sets.record_write(4)
 
@@ -172,10 +173,10 @@ class TestCapacityCounters:
         sets = ReadWriteSets(l1_sets=2, l1_assoc=1, l2_sets=2, l2_assoc=1)
         sets.record_write(0)
         sets.discard()
-        assert sets.counters_consistent()
+        assert counters_consistent(sets)
         sets.record_write(0)  # would overflow if the old count survived
         sets.record_read(1)
-        assert sets.counters_consistent()
+        assert counters_consistent(sets)
 
     def test_counters_match_reference_fits(self):
         sets = ReadWriteSets(l1_sets=4, l1_assoc=2, l2_sets=4, l2_assoc=3)
@@ -183,6 +184,6 @@ class TestCapacityCounters:
             sets.record_read(line)
         for line in (0, 2, 6):
             sets.record_write(line)
-        assert sets.counters_consistent()
-        assert ReadWriteSets._fits(sets.write_set, 4, 2)
-        assert ReadWriteSets._fits(sets.read_set | sets.write_set, 4, 3)
+        assert counters_consistent(sets)
+        assert fits(sets.write_set, 4, 2)
+        assert fits(sets.read_set | sets.write_set, 4, 3)

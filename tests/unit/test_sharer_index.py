@@ -2,16 +2,18 @@
 
 Two halves: the :class:`SharerIndex` container itself (incremental
 registration, cleanup on drop), and exhaustive equivalence of
-``ConflictArbiter.resolve_line`` against the legacy full-peer-scan
-``resolve`` over the same machine snapshots.
+``ConflictArbiter.resolve_line`` against the full peer scan
+(``resolve`` in ``tests/reference_arbiter.py``) over the same machine
+snapshots.
 """
 
 import itertools
 
 from repro.htm.abort import AbortReason
-from repro.htm.arbiter import ConflictArbiter, NO_CONFLICT, TxPeerView
+from repro.htm.arbiter import ConflictArbiter, NO_CONFLICT
 from repro.htm.rwset import ReadWriteSets
 from repro.htm.sharer_index import SharerIndex
+from tests.reference_arbiter import TxPeerView, resolve
 
 
 class TestSharerIndex:
@@ -104,8 +106,8 @@ def assert_equivalent(attempts, requester, line, is_write,
     views, index, power_core = attempts_to_views_and_index(attempts)
     arbiter = ConflictArbiter()
     peers = [view for view in views if view.core != requester]
-    legacy = arbiter.resolve(requester, line, is_write, requester_failed,
-                             peers, requester_unstoppable=unstoppable)
+    legacy = resolve(requester, line, is_write, requester_failed,
+                     peers, requester_unstoppable=unstoppable)
     fast = arbiter.resolve_line(requester, line, is_write, requester_failed,
                                 index.get(line), power_core=power_core,
                                 requester_unstoppable=unstoppable)
