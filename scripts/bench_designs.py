@@ -252,9 +252,10 @@ def main(argv=None):
     designs = args.designs or sorted(DESIGN_REGISTRY)
     workloads = args.workloads or list(ALL_NAMES)
     engine = cli.build_engine(args)
-    # One job folder journals the whole matrix: each api.simulate call
-    # merges its cells into the manifest, so a killed benchmark run
-    # resumed with --resume replays every completed cell.
+    # One job folder stores the whole matrix: each api.simulate call
+    # merges its cells into the manifest and its results into the
+    # folder, so a killed run resumed with --resume serves every
+    # completed cell from it.
     journal = cli.resolve_journal(args)
     started = time.time()
     matrix = {}

@@ -10,21 +10,26 @@ in cProfile and prints an aggregated top-15 cumulative table.
 
 The matrix fans out over worker processes (``--jobs``, default: all
 cores) and memoizes finished cells in a content-addressed on-disk
-cache (``--cache-dir``, default ``.exp_cache``), so re-runs and
-crashed sweeps resume for free; ``--no-cache`` forces fresh
-simulation. Figure JSON is byte-identical (modulo ``elapsed_seconds``)
-whatever the job count, because every cell is independently seeded.
+cache (``--cache-dir``, default ``.exp_cache``), so re-runs resume for
+free; ``--no-cache`` forces fresh simulation. Figure JSON is
+byte-identical (modulo ``elapsed_seconds``) whatever the job count,
+because every cell is independently seeded.
 
 ``--trace OUT.json`` additionally exports a Chrome/Perfetto trace of
 one representative cell (first benchmark, config B, first seed) and
 ``--trace-report OUT.txt`` its per-region forensic abort report; both
 run after the matrix and never change the figure JSON.
 
-``--journal DIR`` makes the sweep crash-safe: every finished cell is
-durably logged into the job folder, and re-running with ``--resume
-DIR`` replays completed cells (and remembered quarantines) instead of
-re-executing them — a SIGKILL'd sweep resumes with exactly-once cell
-execution and byte-identical figure JSON.
+``--journal DIR`` makes the sweep crash-safe: the job folder becomes
+its only result store, in place of ``--cache-dir``. Every finished
+cell is written into it once, and re-running with ``--resume DIR``
+(with or without a cache) serves completed cells and remembered
+quarantines from it instead of re-executing them — a SIGKILL'd sweep
+resumes with exactly-once cell execution and byte-identical figure
+JSON. The run prints ``journal DIR: replayed=R replayed_failures=F
+executed=E corrupt_quarantined=Q``: R + E is the number of cells that
+completed, F the quarantines served from the manifest, and Q the
+corrupt entries of DIR set aside and re-executed.
 
 Exit status: 0 for a complete matrix, 2 when any cell was quarantined
 (the figure JSON is partial — CI and service callers must not treat it
@@ -179,16 +184,15 @@ def main(argv=None):
         json.dump(payload, handle, indent=1)
     print("wrote {} after {:.0f}s ({} jobs, cache {})".format(
         args.out, payload["elapsed_seconds"], jobs,
-        cache_dir or "disabled",
+        journal.path if journal is not None else cache_dir or "disabled",
     ))
     if report is not None and report.journal is not None:
         counters = report.journal
         print("journal {}: replayed={} replayed_failures={} executed={} "
-              "cache_hits={} dropped_tail={} skipped_corrupt={}".format(
+              "corrupt_quarantined={}".format(
                   counters["job_dir"], counters["replayed"],
                   counters["replayed_failures"], counters["executed"],
-                  report.cache_hits, counters["dropped_tail"],
-                  counters["skipped_corrupt"]))
+                  counters["corrupt_quarantined"]))
     exit_status = 0
     if report is not None and report.failures:
         print("WARNING: {} of {} cells failed; matrix is partial "

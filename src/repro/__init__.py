@@ -29,7 +29,7 @@ DESIGN.md §12).
 from repro.core.modes import ExecMode
 from repro.htm.design import DESIGN_REGISTRY, HtmDesign, register_design
 from repro.sim.config import ORACLE_MODES, SimConfig
-from repro.sim.engine import ExperimentEngine, RunSpec, run_specs
+from repro.sim.engine import ExperimentEngine, RunSpec
 from repro.sim.faults import FaultPlan
 from repro.sim.machine import Machine
 from repro.sim.monitor import OnlineMonitor
@@ -62,7 +62,6 @@ __all__ = [
     "FaultPlan",
     "ORACLE_MODES",
     "OnlineMonitor",
-    "run_specs",
     "EnergyModel",
     "ALL_NAMES",
     "make_workload",

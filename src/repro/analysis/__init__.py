@@ -30,7 +30,6 @@ from repro.analysis.experiments import (
 )
 from repro.analysis.report import render_table
 from repro.analysis.storage import StorageOverhead, storage_overhead
-from repro.analysis.export import export_all
 
 __all__ = [
     "RegionCharacterization",
@@ -50,5 +49,4 @@ __all__ = [
     "render_table",
     "StorageOverhead",
     "storage_overhead",
-    "export_all",
 ]

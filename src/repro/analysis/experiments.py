@@ -172,8 +172,9 @@ def run_config_matrix(settings=None, progress=None, *, jobs=1,
 
     ``journal`` (a job-folder path or
     :class:`~repro.sim.journal.SweepJournal`) makes the sweep
-    crash-safe: finished cells are durably logged and a resumed call
-    replays them with exactly-once execution.
+    crash-safe: the folder replaces the engine's cache as the sweep's
+    only store, and a resumed call serves its finished cells with
+    exactly-once execution.
     """
     settings = settings or ExperimentSettings.quick()
     if engine is None:

@@ -248,10 +248,12 @@ def simulate(workload, config=None, *, seeds=1, trim=PAPER_TRIM, trace=False,
         (inline execution only).
     journal:
         A crash-safe job folder (path or
-        :class:`~repro.sim.journal.SweepJournal`) durably logging every
-        finished cell; a killed run re-invoked with the same journal
-        replays completed cells instead of re-executing them. Requires
-        ``engine`` (durability is an engine-level property).
+        :class:`~repro.sim.journal.SweepJournal`), the call's only
+        result store in place of the engine's cache: every finished
+        cell is written into it; a killed run re-invoked with the same
+        folder serves completed cells from it instead of re-executing
+        them. Requires ``engine`` (durability is an engine-level
+        property).
     """
     config = _resolve_config(config, oracle)
     seed_list = _resolve_seeds(seeds)

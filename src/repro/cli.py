@@ -74,23 +74,27 @@ def add_oracle_flag(parser, default=None):
 
 
 def add_journal_flags(parser):
-    """Attach the crash-safe sweep-journal knobs.
+    """Attach the crash-safe job-folder knobs.
 
-    ``--journal DIR`` records every finished cell into a durable job
-    folder (created on first use, replayed when it already exists);
-    ``--resume DIR`` is the explicit resume spelling — the folder must
-    already hold a journal manifest, so a typo'd path fails loudly
+    ``--journal DIR`` makes DIR the sweep's only result store: every
+    finished cell is written into it once and every quarantine is
+    remembered in its manifest (created on first use, served from when
+    it already exists). ``--cache-dir`` does not apply to a journaled
+    sweep. ``--resume DIR`` is the explicit resume spelling — the
+    folder must already hold a manifest, so a typo'd path fails loudly
     instead of silently starting a fresh sweep.
     """
     parser.add_argument(
         "--journal", metavar="DIR", default=None,
-        help="crash-safe job folder: durably log per-cell outcomes and "
-             "replay completed cells on restart (created if missing)",
+        help="crash-safe job folder, the sweep's only result store in "
+             "place of --cache-dir: finished cells and quarantines are "
+             "kept there and served on restart (created if missing)",
     )
     parser.add_argument(
         "--resume", metavar="DIR", default=None,
         help="resume a previous --journal job folder (must already "
-             "contain a manifest); implies --journal DIR",
+             "contain a manifest); implies --journal DIR, and "
+             "--cache-dir does not apply",
     )
     return parser
 
@@ -120,7 +124,7 @@ def validate_journal_flags(parser, args):
 
 
 def resolve_journal(args):
-    """The :class:`~repro.sim.journal.SweepJournal`, or None."""
+    """The job folder's :class:`~repro.sim.journal.SweepJournal`, or None."""
     path = getattr(args, "journal", None)
     if not path:
         return None

@@ -1,24 +1,20 @@
 """Injectable filesystem seam for the durability layer.
 
 Every durable side effect the experiment substrate performs — atomic
-manifest/cache-entry writes and fsync'd journal appends — goes through
-a :class:`DiskIO` instance instead of raw ``open`` calls. That single
+cache-entry and job-folder manifest writes — goes through a
+:class:`DiskIO` instance instead of raw ``open`` calls. That single
 seam is what makes the engine's crash-safety *testable*: the chaos
-harness (:mod:`repro.sim.enginefaults`) subclasses it to inject torn
-writes, corrupted payloads, and ``ENOSPC`` at seeded rates, so the
-recovery paths in :class:`~repro.sim.journal.SweepJournal` and
-:class:`~repro.sim.engine.DiskCache` are exercised by tests rather
+harness (:mod:`repro.sim.enginefaults`) subclasses it to inject
+corrupted payloads and ``ENOSPC`` at seeded rates, so the recovery
+paths in :class:`~repro.sim.engine.DiskCache` and
+:class:`~repro.sim.journal.SweepJournal` are exercised by tests rather
 than trusted.
 
-Durability contract:
-
-- :meth:`DiskIO.write_atomic` — readers never observe a partial file:
-  the payload lands in a same-directory temp file, is flushed and
-  fsync'd, then renamed over the destination. The temp file is removed
-  on *any* failure (including a serialization error mid-write).
-- :meth:`DiskIO.append_line` — one record per call, newline-terminated,
-  fsync'd before returning. A crash can tear at most the final line,
-  which the journal's replay detects and drops.
+Durability contract: :meth:`DiskIO.write_atomic` readers never observe
+a partial file. The payload lands in a same-directory temp file, is
+flushed and fsync'd, then renamed over the destination. The temp file
+is removed on *any* failure (including a serialization error
+mid-write).
 """
 
 import os
@@ -53,19 +49,6 @@ class DiskIO:
             except OSError:
                 pass
             raise
-
-    def append_line(self, path, line):
-        """Append ``line`` (str, no newline) as one fsync'd record."""
-        self.append_bytes(path, line.encode("utf-8") + b"\n")
-
-    def append_bytes(self, path, data):
-        """Append raw bytes and fsync (the torn-write injection point)."""
-        fd = os.open(path, os.O_CREAT | os.O_WRONLY | os.O_APPEND, 0o644)
-        try:
-            os.write(fd, data)
-            os.fsync(fd)
-        finally:
-            os.close(fd)
 
     def read_bytes(self, path):
         """The file's bytes, or ``b""`` when it does not exist."""

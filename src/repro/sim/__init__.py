@@ -14,14 +14,15 @@
 - :mod:`repro.sim.engine` — the parallel, cached experiment engine
   fanning independent (workload, config, seed) cells over worker
   processes with content-addressed on-disk memoization.
-- :mod:`repro.sim.journal` — crash-safe sweep journaling: job folders
-  with an atomic manifest and an append-only fsync'd outcome log, so a
-  SIGKILL'd sweep resumes with exactly-once cell execution.
+- :mod:`repro.sim.journal` — crash-safe sweeps: a job folder is the
+  sweep's only result store (cache entries plus an atomic manifest
+  remembering quarantines), so a SIGKILL'd sweep resumes with
+  exactly-once cell execution.
 - :mod:`repro.sim.faults` — deterministic seeded fault injection (the
   chaos layer, faults *inside* the simulated machine).
 - :mod:`repro.sim.enginefaults` — seeded fault injection against the
-  engine substrate itself (worker SIGKILLs, cache corruption, torn
-  journal writes, ENOSPC).
+  engine substrate itself (worker SIGKILLs, entry corruption,
+  ENOSPC).
 - :mod:`repro.sim.monitor` — the online monitor (``oracle="online"``,
   the default): commit-order serializability by incremental epoch
   checking and the single-retry bound, at production rate, plus
@@ -37,7 +38,6 @@ from repro.sim.engine import (
     ProgressEvent,
     RunSpec,
     SweepReport,
-    run_specs,
 )
 from repro.sim.enginefaults import EngineFaultPlan
 from repro.sim.faults import FaultPlan
@@ -61,7 +61,6 @@ __all__ = [
     "ProgressEvent",
     "RunSpec",
     "OnlineMonitor",
-    "run_specs",
     "Load",
     "Store",
     "Compute",

@@ -11,14 +11,14 @@ machinery everything above it builds on:
 - :class:`DiskCache` — a content-addressed on-disk result store keyed
   by SHA-256 over (schema version, workload, ops_per_thread, seed,
   config fingerprint); re-runs and crashed sweeps resume for free.
-  Production-hardened: size-capped LRU eviction, cross-process write
-  locking, corrupt-entry quarantine, and graceful degradation to
-  cache-off on a full disk.
+  Atomic writes, corrupt-entry quarantine, and graceful degradation
+  to cache-off on a full disk.
 - Crash-safe sweeps — pass ``journal=`` (a
   :class:`~repro.sim.journal.SweepJournal` job folder) to the run
-  entry points and every finished cell is durably logged; a SIGKILL'd
-  sweep resumed with the same folder replays completed cells with
-  exactly-once execution semantics.
+  entry points and the folder becomes the sweep's only store: every
+  finished cell is written into it once, and a SIGKILL'd sweep resumed
+  with the same folder serves completed cells and remembered
+  quarantines from it with exactly-once execution semantics.
 - :class:`ExperimentEngine` — expands specs, serves what it can from
   the cache, fans the misses out over a ``ProcessPoolExecutor``
   (``jobs=1`` degenerates to a strictly serial in-process loop so
@@ -35,7 +35,6 @@ serial, parallel, and cached runs are indistinguishable downstream.
 
 import collections
 import concurrent.futures
-import contextlib
 import cProfile
 import dataclasses
 import errno
@@ -45,16 +44,10 @@ import json
 import os
 import time
 
-try:
-    import fcntl
-except ImportError:  # pragma: no cover - non-POSIX fallback
-    fcntl = None
-
 from repro.common.diskio import DiskIO
 from repro.common.errors import ExperimentCellError
 from repro.common.retry import RetryPolicy
 from repro.common.serialize import Serializable
-from repro.sim.journal import SweepJournal
 from repro.obs.trace import EventTrace
 from repro.sim.config import SimConfig
 from repro.sim.runner import RunResult, _simulate_one
@@ -173,13 +166,11 @@ def execute_spec_profiled(spec, profile_dir):
 
 @dataclasses.dataclass
 class CacheStats:
-    """What the cache did this process: served, stored, shed, survived."""
+    """What the cache did this process: served, stored, survived."""
 
     hits: int = 0
     misses: int = 0
     stores: int = 0
-    evictions: int = 0
-    evicted_bytes: int = 0
     corrupt_quarantined: int = 0
     enospc_degraded: bool = False
 
@@ -191,20 +182,13 @@ class DiskCache:
     """Content-addressed JSON store under one root directory.
 
     Entries live at ``<root>/<key[:2]>/<key>.json`` (fan-out keeps any
-    single directory small). Writes are atomic (temp file + fsync +
-    rename, through the injectable :class:`~repro.common.diskio.DiskIO`
-    seam), so a crashed run never leaves a truncated entry. Production
-    hardening beyond the original store:
+    single directory small) as ``{"schema_version", "result"}``. Writes
+    are atomic (temp file + fsync + rename, through the injectable
+    :class:`~repro.common.diskio.DiskIO` seam), so a crashed run never
+    leaves a truncated entry. An entry's bytes are a pure function of
+    its key, so writers sharing one root need no lock: whichever rename
+    lands last leaves the same file.
 
-    - **Size bound** — with ``max_bytes`` set, stores evict the
-      least-recently-used entries (mtime order; loads touch mtime)
-      until the cache fits. Entries read or written since the last
-      :meth:`begin_sweep` are pinned and never evicted, so a sweep can
-      trust every key it has already observed.
-    - **Concurrent writers** — stores and evictions run under an
-      advisory ``flock`` on ``<root>/.lock``, so parallel sweeps
-      sharing one cache (the service's dedupe path) cannot interleave
-      an eviction scan with each other's renames.
     - **Corruption accounting** — an unparseable entry is moved to
       ``<root>/quarantine/`` and counted (``stats.corrupt_quarantined``)
       instead of silently shadowing a bug; the key reads as a miss and
@@ -215,39 +199,15 @@ class DiskCache:
     """
 
     QUARANTINE_DIR = "quarantine"
-    LOCK_NAME = ".lock"
 
-    def __init__(self, root, max_bytes=None, io=None):
-        if max_bytes is not None and max_bytes <= 0:
-            raise ValueError("max_bytes must be positive or None")
+    def __init__(self, root, io=None):
         self.root = root
-        self.max_bytes = max_bytes
         self.io = io if io is not None else DiskIO()
         self.stats = CacheStats()
         self.disabled = False
-        self._pinned = set()
 
     def _path(self, key):
         return os.path.join(self.root, key[:2], key + ".json")
-
-    def begin_sweep(self):
-        """Start a fresh pin generation: prior pins become evictable."""
-        self._pinned.clear()
-
-    @contextlib.contextmanager
-    def _locked(self):
-        """Advisory cross-process lock over mutating operations."""
-        if fcntl is None:
-            yield
-            return
-        os.makedirs(self.root, exist_ok=True)
-        fd = os.open(os.path.join(self.root, self.LOCK_NAME),
-                     os.O_CREAT | os.O_RDWR, 0o644)
-        try:
-            fcntl.flock(fd, fcntl.LOCK_EX)
-            yield
-        finally:
-            os.close(fd)  # closing releases the flock
 
     def load(self, key, config=None):
         """The stored dict for ``key``, or None on miss/corruption.
@@ -261,9 +221,8 @@ class DiskCache:
         """
         if self.disabled:
             return None
-        path = self._path(key)
         try:
-            with open(path) as handle:
+            with open(self._path(key)) as handle:
                 payload = json.load(handle)
         except OSError:
             self.stats.misses += 1
@@ -282,12 +241,7 @@ class DiskCache:
                                    or result.get("config") != config):
             self._quarantine(key)
             return None
-        self._pinned.add(key)
         self.stats.hits += 1
-        try:
-            os.utime(path)  # refresh LRU recency
-        except OSError:
-            pass
         return result
 
     def _quarantine(self, key):
@@ -301,7 +255,7 @@ class DiskCache:
         except OSError:
             pass  # racing writer already replaced/removed it
 
-    def store(self, key, result, spec=None):
+    def store(self, key, result):
         """Atomically persist ``result`` (a RunResult dict) under ``key``.
 
         No-op once the cache has degraded to off (ENOSPC). A failed
@@ -309,82 +263,24 @@ class DiskCache:
         DiskIO seam cleans up), so the cache directory cannot fill with
         ``*.tmp`` litter from crashed or erroring sweeps.
         """
+        data = json.dumps({"schema_version": SCHEMA_VERSION, "result": result},
+                          separators=(",", ":")).encode("utf-8")
+        if self._write(self._path(key), data):
+            self.stats.stores += 1
+
+    def _write(self, path, data):
+        """Atomically write ``data`` to ``path``; False once degraded."""
         if self.disabled:
-            return
-        payload = {"schema_version": SCHEMA_VERSION, "result": result}
-        if spec is not None:
-            payload["spec"] = {
-                "workload": spec.workload,
-                "ops_per_thread": spec.ops_per_thread,
-                "seed": spec.seed,
-                "config": spec.config.to_dict(),
-            }
-        data = json.dumps(payload, separators=(",", ":")).encode("utf-8")
+            return False
         try:
-            with self._locked():
-                self.io.write_atomic(self._path(key), data)
-                self._pinned.add(key)
-                self.stats.stores += 1
-                if self.max_bytes is not None:
-                    self._evict()
+            self.io.write_atomic(path, data)
         except OSError as exc:
-            if exc.errno == errno.ENOSPC:
-                self.disabled = True
-                self.stats.enospc_degraded = True
-                return
-            raise
-
-    def _entries(self):
-        """Every cache entry as ``(mtime, size, key, path)``."""
-        entries = []
-        try:
-            shards = os.listdir(self.root)
-        except OSError:
-            return entries
-        for shard in shards:
-            if len(shard) != 2:
-                continue  # quarantine/, .lock, stray files
-            shard_dir = os.path.join(self.root, shard)
-            try:
-                names = os.listdir(shard_dir)
-            except OSError:
-                continue
-            for name in names:
-                if not name.endswith(".json"):
-                    continue
-                path = os.path.join(shard_dir, name)
-                try:
-                    stat = os.stat(path)
-                except OSError:
-                    continue
-                entries.append((stat.st_mtime, stat.st_size, name[:-5], path))
-        return entries
-
-    def _evict(self):
-        """Drop least-recently-used unpinned entries until under budget.
-
-        Called with the lock held. Pinned keys (read or written this
-        sweep) are never candidates, so the cache may temporarily
-        exceed ``max_bytes`` when the live working set alone is larger
-        than the bound — by design: correctness of the running sweep
-        beats the size target.
-        """
-        entries = self._entries()
-        total = sum(size for _, size, _, _ in entries)
-        if total <= self.max_bytes:
-            return
-        for _, size, key, path in sorted(entries):
-            if key in self._pinned:
-                continue
-            try:
-                os.unlink(path)
-            except OSError:
-                continue
-            total -= size
-            self.stats.evictions += 1
-            self.stats.evicted_bytes += size
-            if total <= self.max_bytes:
-                return
+            if exc.errno != errno.ENOSPC:
+                raise
+            self.disabled = True
+            self.stats.enospc_degraded = True
+            return False
+        return True
 
 
 class _FailureLog(list):
@@ -497,8 +393,8 @@ class SweepReport(Serializable):
     ``results`` aligns with the input specs; failed cells hold ``None``.
     ``journal`` (journaled sweeps only) carries the exactly-once proof:
     how many cells were replayed from the job folder versus freshly
-    executed, plus the recovery counters (torn tail dropped, corrupt
-    records skipped).
+    executed, how many remembered quarantines it served, and how many
+    corrupt entries it quarantined.
     """
 
     results: list
@@ -575,31 +471,29 @@ class ExperimentEngine:
     ``cell_timeout`` — wall-clock seconds one cell may run before its
                        worker pool is killed and the cell retried
                        (parallel mode only; ``None`` disables).
-    ``max_cell_retries``      — extra attempts a timed-out or
+    ``max_cell_retries`` — extra attempts a timed-out or
                        crash-victim cell gets before quarantine.
-    ``retry_backoff_seconds`` — base sleep after a pool kill/crash
-                       (legacy spelling; builds the default
-                       ``retry_policy``).
     ``retry_policy`` — a :class:`~repro.common.retry.RetryPolicy`
                        governing pool-restart backoff: jittered
                        exponential delays plus an optional total
                        retry-time budget; once the budget is exhausted
                        further retry candidates are quarantined so the
-                       sweep always terminates.
-    ``cache_max_bytes`` — LRU size bound for the on-disk cache
-                       (``None`` = unbounded); ``cache_dir`` may also
-                       be a prebuilt :class:`DiskCache` for full
-                       control (size bound, custom IO seam).
+                       sweep always terminates. Default:
+                       ``RetryPolicy()`` (0.5 s doubling to 10 s).
     ``execute``      — override the per-cell executor (module-level
                        picklable callable; the chaos harness's seam).
 
+    ``cache_dir`` may also be a prebuilt :class:`DiskCache` (a custom
+    IO seam).
+
     Durability: pass ``journal=`` (a job-folder path or
     :class:`~repro.sim.journal.SweepJournal`) to the run entry points
-    and every finished cell is durably logged the moment it completes.
-    A killed sweep resumed with the same journal replays completed
-    cells and remembered quarantines instead of re-executing them, and
-    a torn tail record (the crash hit mid-write) is detected and
-    dropped rather than poisoning the resume.
+    and the job folder is that call's only store, in place of
+    ``cache_dir``: every finished cell is written into it once, the
+    moment it completes, and every quarantine is remembered in its
+    manifest. A killed sweep resumed with the same folder serves
+    completed cells and remembered quarantines from it instead of
+    re-executing them, with or without a cache.
 
     Fault tolerance: a hung cell trips the per-cell deadline, the pool
     is torn down (``ProcessPoolExecutor`` cannot cancel a *running*
@@ -618,13 +512,9 @@ class ExperimentEngine:
     an interrupted sweep resumes from where it stopped.
     """
 
-    #: Cap on the exponential pool-restart backoff.
-    MAX_BACKOFF_SECONDS = 10.0
-
     def __init__(self, jobs=None, cache_dir=DEFAULT_CACHE_DIR, progress=None,
-                 cell_timeout=None, max_cell_retries=2,
-                 retry_backoff_seconds=0.5, profile_dir=None,
-                 retry_policy=None, cache_max_bytes=None, execute=None):
+                 cell_timeout=None, max_cell_retries=2, profile_dir=None,
+                 retry_policy=None, execute=None):
         self.jobs = jobs if jobs is not None else (os.cpu_count() or 1)
         if self.jobs < 1:
             raise ValueError("jobs must be >= 1, not {}".format(self.jobs))
@@ -635,18 +525,12 @@ class ExperimentEngine:
         if isinstance(cache_dir, DiskCache):
             self.cache = cache_dir
         else:
-            self.cache = (
-                DiskCache(cache_dir, max_bytes=cache_max_bytes)
-                if cache_dir else None
-            )
+            self.cache = DiskCache(cache_dir) if cache_dir else None
         self.progress = progress
         self.cell_timeout = cell_timeout
         self.max_cell_retries = max_cell_retries
-        self.retry_backoff_seconds = retry_backoff_seconds
-        self.retry_policy = retry_policy if retry_policy is not None else (
-            RetryPolicy(base_seconds=retry_backoff_seconds,
-                        max_seconds=self.MAX_BACKOFF_SECONDS)
-        )
+        self.retry_policy = (retry_policy if retry_policy is not None
+                             else RetryPolicy())
         self.profile_dir = profile_dir
         # Cells served from cache are never profiled — only actual
         # simulation work produces a .prof file.
@@ -687,9 +571,10 @@ class ExperimentEngine:
 
         With ``journal`` (a job-folder path or
         :class:`~repro.sim.journal.SweepJournal`) the sweep is
-        crash-safe: completed cells and quarantines are durably logged
-        as they happen, and a resumed run replays them instead of
-        re-executing (``report.journal`` carries the proof counters).
+        crash-safe: the folder is its only store, completed cells and
+        quarantines land in it as they happen, and a resumed run
+        serves them instead of re-executing (``report.journal``
+        carries the proof counters).
         """
         return self._run(list(specs), journal=journal)
 
@@ -737,21 +622,24 @@ class ExperimentEngine:
         result_dicts = [None] * total
         if execute is None:
             execute = self._execute
-        use_cache = use_cache and self.cache is not None
         if isinstance(journal, (str, os.PathLike)):
+            from repro.sim.journal import SweepJournal
+
             journal = SweepJournal(journal)
-        keys = None
-        if use_cache or journal is not None:
+        # A job folder is its sweep's only store; without one, the cache.
+        store = journal if journal is not None else (
+            self.cache if use_cache else None)
+        if store is not None:
             keys = [spec.cache_key() for spec in specs]
             # A stored result serves a spec only if it stores the spec's
             # config: one dict per config object, not one per cell.
             configs = {id(spec.config): spec.config for spec in specs}
             stored_configs = {ident: config.to_dict()
                               for ident, config in configs.items()}
+        remembered = {}
         if journal is not None:
-            journal.ensure(specs, SCHEMA_VERSION)
-        if use_cache:
-            self.cache.begin_sweep()
+            remembered = journal.ensure(specs, SCHEMA_VERSION)["failures"]
+            quarantined_before = journal.stats.corrupt_quarantined
         self.retry_policy.begin()
 
         def emit(index, from_cache):
@@ -766,61 +654,37 @@ class ExperimentEngine:
                 from_cache=from_cache,
             ))
 
-        def record(index, result, from_cache=False, replayed=False):
+        def record(index, result, stored=False):
             result_dicts[index] = result
-            if not from_cache and use_cache:
-                self.cache.store(keys[index], result, specs[index])
-            if journal is not None and not replayed:
-                # Durable the moment it finishes: cache hits included,
-                # so the journal stays self-contained even if the cache
-                # is later evicted or the resume runs with --no-cache.
-                journal.record_result(keys[index], result)
             progress_state["done"] += 1
-            if from_cache:
-                progress_state["cache_hits"] += 1
-            elif replayed:
-                progress_state["replayed"] += 1
+            if stored:
+                progress_state[
+                    "cache_hits" if journal is None else "replayed"] += 1
             else:
+                if store is not None:
+                    store.store(keys[index], result)
                 progress_state["executed"] += 1
-            emit(index, from_cache or replayed)
+            emit(index, stored)
 
         failures = _FailureLog(
-            None if journal is None
-            else (lambda failure: journal.record_failure(
-                failure.spec.cache_key(), failure.to_dict()))
-        )
-        replayed_records = journal.replay() if journal is not None else {}
+            None if journal is None else journal.record_failure)
         misses = []
         for index in range(total):
-            if journal is not None:
-                record_entry = replayed_records.get(keys[index])
-                if record_entry is not None:
-                    done = record_entry["status"] == "done"
-                    stored = (record_entry["result"].get("config") if done
-                              else record_entry["failure"].get("spec_config"))
-                    if stored == stored_configs[id(specs[index].config)]:
-                        if done:
-                            record(index, record_entry["result"],
-                                   replayed=True)
-                        else:
-                            # A remembered quarantine: deterministic
-                            # retries already failed; re-append without
-                            # re-logging.
-                            list.append(failures, CellFailure.from_dict(
-                                record_entry["failure"]
-                            ))
-                        continue
-                    # Another configuration's record: skipped as
-                    # corrupt, and the cell runs again.
-                    journal.discard(keys[index])
-            if use_cache:
-                cached = self.cache.load(
-                    keys[index], stored_configs[id(specs[index].config)]
-                )
+            if store is not None:
+                stored_config = stored_configs[id(specs[index].config)]
+                cached = store.load(keys[index], stored_config)
                 if cached is not None:
-                    record(index, cached, from_cache=True)
+                    record(index, cached, stored=True)
+                    continue
+                failure = remembered.get(keys[index])
+                if (failure is not None
+                        and failure.get("spec_config") == stored_config):
+                    # A remembered quarantine: deterministic retries
+                    # already failed; re-append without re-recording.
+                    list.append(failures, CellFailure.from_dict(failure))
                     continue
             misses.append(index)
+        replayed_failures = len(failures)
 
         if misses:
             if self.jobs == 1:
@@ -838,12 +702,15 @@ class ExperimentEngine:
             results = result_dicts
         journal_info = None
         if journal is not None:
-            journal_info = dict(journal.counters())
-            journal_info.update(
-                job_dir=journal.path,
-                replayed=progress_state["replayed"],
-                executed=progress_state["executed"],
-            )
+            journal_info = {
+                "job_dir": journal.path,
+                "replayed": progress_state["replayed"],
+                "replayed_failures": replayed_failures,
+                "executed": progress_state["executed"],
+                "corrupt_quarantined": (journal.stats.corrupt_quarantined
+                                        - quarantined_before),
+                "enospc_degraded": journal.stats.enospc_degraded,
+            }
         return SweepReport(
             results=results,
             failures=list(failures),
@@ -1046,14 +913,3 @@ class ExperimentEngine:
             process.terminate()
         pool.shutdown(wait=False, cancel_futures=True)
 
-
-def run_specs(specs, *, jobs=None, cache_dir=DEFAULT_CACHE_DIR, progress=None,
-              cell_timeout=None, max_cell_retries=2,
-              retry_backoff_seconds=0.5, retry_policy=None, journal=None):
-    """One-shot functional entry point over a throwaway engine."""
-    engine = ExperimentEngine(jobs=jobs, cache_dir=cache_dir,
-                              progress=progress, cell_timeout=cell_timeout,
-                              max_cell_retries=max_cell_retries,
-                              retry_backoff_seconds=retry_backoff_seconds,
-                              retry_policy=retry_policy)
-    return engine.run_specs(specs, journal=journal)

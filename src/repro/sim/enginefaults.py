@@ -10,12 +10,11 @@ against. Three seeded fault families, all deterministic:
   process with ``SIGKILL`` (the untrappable kind). A marker file makes
   each kill exactly-once per cell per job, so the engine's
   crash-recovery path is exercised but every chaos run still converges.
-- **Cache/journal file corruption and torn writes** — :class:`FaultyIO`
+- **Cache and job-folder entry corruption** — :class:`FaultyIO`
   subclasses the :class:`~repro.common.diskio.DiskIO` seam: atomic
-  writes may land garbage payloads, appends may tear mid-record
-  (exactly what a power loss does to the journal tail).
+  writes may land garbage payloads.
 - **ENOSPC** — writes may raise ``OSError(ENOSPC)``, driving the
-  cache's degrade-to-off path and the journal's error handling.
+  store's degrade-to-off path.
 
 Every decision hashes ``(seed, fault kind, target, occurrence)`` so two
 runs under the same :class:`EngineFaultPlan` inject identical faults —
@@ -44,7 +43,7 @@ class EngineFaultPlan:
     """Seeded rates for each engine-fault family.
 
     Rates are independent probabilities per opportunity: per cell for
-    ``worker_kill_rate``, per write/append for the IO families. The
+    ``worker_kill_rate``, per write for the IO families. The
     frozen dataclass is hashable and picklable, so a plan can cross
     process boundaries and key test parametrizations.
     """
@@ -52,12 +51,10 @@ class EngineFaultPlan:
     seed: int = 0
     worker_kill_rate: float = 0.0
     corrupt_rate: float = 0.0
-    torn_write_rate: float = 0.0
     enospc_rate: float = 0.0
 
     def __post_init__(self):
-        for field in ("worker_kill_rate", "corrupt_rate",
-                      "torn_write_rate", "enospc_rate"):
+        for field in ("worker_kill_rate", "corrupt_rate", "enospc_rate"):
             rate = getattr(self, field)
             if not 0.0 <= rate <= 1.0:
                 raise ValueError(
@@ -75,48 +72,26 @@ class FaultyIO(DiskIO):
     Decisions key on the target's basename and a per-path operation
     counter, so every *retry* of an operation gets a fresh draw — a
     fault plan with rates below 1 therefore always converges: a
-    corrupted cache entry is quarantined and rewritten, a torn journal
-    record is dropped on replay and re-appended after re-execution.
-    ``injected`` counts what actually fired, per fault kind.
+    corrupted entry is quarantined, its cell re-executed and the entry
+    rewritten. ``injected`` counts what actually fired, per fault kind.
     """
 
     def __init__(self, plan):
         self.plan = plan
-        self.injected = {"corrupt": 0, "torn": 0, "enospc": 0}
-        self._op_counts = {}
-
-    def _occurrence(self, kind, name):
-        key = (kind, name)
-        count = self._op_counts.get(key, 0)
-        self._op_counts[key] = count + 1
-        return count
-
-    def _raise_enospc(self, path):
-        self.injected["enospc"] += 1
-        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), path)
+        self.injected = {"corrupt": 0, "enospc": 0}
+        self._op_counts = {}  # basename -> writes so far
 
     def write_atomic(self, path, data):
         name = os.path.basename(path)
-        occurrence = self._occurrence("write", name)
+        occurrence = self._op_counts.get(name, 0)
+        self._op_counts[name] = occurrence + 1
         if self.plan.roll("enospc", name, occurrence) < self.plan.enospc_rate:
-            self._raise_enospc(path)
+            self.injected["enospc"] += 1
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), path)
         if self.plan.roll("corrupt", name, occurrence) < self.plan.corrupt_rate:
             self.injected["corrupt"] += 1
             data = b"\x00CHAOS" + data[: max(0, len(data) // 2)]
         super().write_atomic(path, data)
-
-    def append_line(self, path, line):
-        name = os.path.basename(path)
-        occurrence = self._occurrence("append", name)
-        if self.plan.roll("enospc", name, occurrence) < self.plan.enospc_rate:
-            self._raise_enospc(path)
-        data = line.encode("utf-8") + b"\n"
-        if self.plan.roll("torn", name, occurrence) < self.plan.torn_write_rate:
-            self.injected["torn"] += 1
-            # Tear mid-record: keep a strict prefix, lose the newline —
-            # byte-for-byte what a crash during write() leaves behind.
-            data = data[: max(1, len(data) // 2)]
-        self.append_bytes(path, data)
 
 
 def should_kill(spec_key, *, rate, seed, marker_dir):

@@ -1,13 +1,14 @@
 """Seeded gen-workload sweep through the engine, journaled and resumed.
 
 The corpus CI job's gate: a 12-cell matrix of generated kernels (2
-specs x 2 designs x 3 seeds) fans out across worker processes with
-sweep journaling on, then a resumed run must replay every completed
-cell — exactly once, byte-identical — instead of re-executing. This
-proves the ``gen:`` namespace survives the whole durability stack:
-worker processes re-resolve canonical names from scratch, cache keys
-carry the spec fingerprint token, and journal replay reconstructs the
-same results.
+specs x 2 designs x 3 seeds) fans out across worker processes into a
+job folder, then a resumed run must serve every completed cell from
+that folder — exactly once, byte-identical — instead of re-executing,
+whatever cache the resuming engine was given. This proves the ``gen:``
+namespace survives the whole durability stack: worker processes
+re-resolve canonical names from scratch, cache keys carry the spec
+fingerprint token, and the folder's entries decode to the same
+results.
 """
 
 import json
@@ -65,6 +66,9 @@ def test_journaled_sweep_resumes_byte_identical(tmp_path):
     assert resumed.journal["replayed"] == 12
     assert resumed.journal["executed"] == 0
     assert dump(resumed) == dump(first)
+    # The job folder was both runs' only store.
+    assert not (tmp_path / "cache").exists()
+    assert not (tmp_path / "cache2").exists()
 
 
 @pytest.mark.slow

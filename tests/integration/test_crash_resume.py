@@ -1,15 +1,16 @@
 """Crash/resume integration: journaled sweeps survive SIGKILL.
 
-The durability proof the journal exists for, at three scopes:
+The durability proof the job folder exists for, at three scopes:
 
-- in-process: a resumed engine replays every journaled cell without
-  re-execution (a bomb executor catches any cheating), remembers
-  quarantines, and recovers a torn journal tail;
+- in-process: a resumed engine serves every stored cell from the job
+  folder without re-execution (a bomb executor catches any cheating),
+  whatever its own cache setting, remembers quarantines, and
+  re-executes only the cell whose entry was cut short;
 - subprocess (slow): a real ``run_experiments.py`` sweep is SIGKILL'd
   mid-flight and resumed with ``--resume`` — the figure JSON must be
   byte-identical to an uninterrupted run's, with exactly-once cell
   execution;
-- chaos (slow): seeded worker kills and IO faults from
+- chaos (slow): seeded worker kills and entry corruption from
   :mod:`repro.sim.enginefaults` — two runs under the same plan
   converge to identical reports.
 """
@@ -28,7 +29,7 @@ import pytest
 from repro.common.retry import RetryPolicy
 from repro.sim.config import SimConfig
 from repro.sim.engine import (
-    DiskCache,
+    SCHEMA_VERSION,
     ExperimentEngine,
     RunSpec,
     execute_spec,
@@ -134,22 +135,21 @@ class TestInProcessResume:
         assert resumed.journal["replayed_failures"] == 1
         assert resumed.journal["executed"] == 0
 
-    def test_resume_recovers_torn_tail(self, tmp_path):
+    def test_resume_quarantines_a_truncated_entry(self, tmp_path):
         job = str(tmp_path / "job")
         specs = tiny_specs()
         first = engine().run_specs_report(specs, journal=job)
-        log = SweepJournal(job).log_path
-        with open(log, "rb") as handle:
+        entry = SweepJournal(job)._path(specs[-1].cache_key())
+        with open(entry, "rb") as handle:
             intact = handle.read()
-        boundary = intact.rindex(b"\n", 0, len(intact) - 1) + 1
-        with open(log, "wb") as handle:
-            handle.write(intact[: boundary + 10])  # torn final record
+        with open(entry, "wb") as handle:
+            handle.write(intact[:10])  # cut short
 
         resumed = engine().run_specs_report(specs, journal=job)
         assert resumed.ok
         assert resumed.journal["replayed"] == 2
-        assert resumed.journal["executed"] == 1  # only the torn cell
-        assert resumed.journal["dropped_tail"] == 1
+        assert resumed.journal["executed"] == 1  # only the cut cell
+        assert resumed.journal["corrupt_quarantined"] == 1
         assert results_json(resumed) == results_json(first)
 
     def test_journal_composes_with_cache(self, tmp_path):
@@ -159,12 +159,18 @@ class TestInProcessResume:
             specs, journal=job
         )
         assert first.journal["executed"] == 3
-        # Resume with *no* cache: the journal alone carries the results.
-        resumed = engine(execute=_bomb_execute).run_specs_report(
-            specs, journal=job
-        )
-        assert resumed.journal["replayed"] == 3
-        assert results_json(resumed) == results_json(first)
+        # The job folder replaced the cache for the journaled call.
+        assert not (tmp_path / "cache").exists()
+        # Resume with *no* cache, or another one: the job folder alone
+        # carries the results.
+        for cache_dir in (None, str(tmp_path / "other-cache")):
+            resumed = engine(
+                cache_dir=cache_dir, execute=_bomb_execute,
+            ).run_specs_report(specs, journal=job)
+            assert resumed.journal["replayed"] == 3
+            assert resumed.cache_hits == 0
+            assert results_json(resumed) == results_json(first)
+        assert not (tmp_path / "other-cache").exists()
 
 
 @pytest.mark.slow
@@ -201,18 +207,19 @@ class TestSigkillSubprocessResume:
             stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
             env=env, cwd=str(tmp_path),
         )
-        # SIGKILL once a few cells are durably journaled but (with high
+        # SIGKILL once a few cells are durably stored but (with high
         # probability) well before all of them are.
-        log = job / "journal.jsonl"
+        def stored():
+            return len(list(job.glob("??/*.json")))
+
         deadline = time.monotonic() + 120
         while time.monotonic() < deadline and victim.poll() is None:
-            if log.exists() and log.read_bytes().count(b"\n") >= 3:
+            if stored() >= 3:
                 break
             time.sleep(0.05)
         victim.send_signal(signal.SIGKILL)
         victim.wait()
-        recorded = log.read_bytes().count(b"\n")
-        assert recorded >= 1, "sweep died before journaling anything"
+        assert stored() >= 1, "sweep died before storing anything"
 
         resume = self.run_script(
             ["micro", str(killed_out), "--benchmarks", self.BENCHMARKS,
@@ -267,45 +274,39 @@ class TestEngineChaos:
     def test_seeded_io_chaos_runs_converge(self, tmp_path):
         """Two runs under one fault plan end in identical reports.
 
-        The crash model: journal appends tear (what a power loss does),
-        cache entries corrupt (what bad disks do). The manifest is
-        written atomically, so corrupting it would model unrecoverable
-        disk corruption — which the journal refuses by design — not a
-        crash; hence separate fault plans per substrate.
+        The fault model: entries in the job folder corrupt (what bad
+        disks do). The manifest is written atomically, so corrupting it
+        would model unrecoverable disk corruption — which the job
+        folder refuses by design — so it is written clean first and the
+        plan only meets cell entries.
         """
         specs = tiny_specs()
-        log_plan = EngineFaultPlan(seed=5, torn_write_rate=0.4)
-        cache_plan = EngineFaultPlan(seed=5, corrupt_rate=0.4)
+        plan = EngineFaultPlan(seed=5, corrupt_rate=0.4)
         clean = engine().run_specs_report(specs)
 
         outcomes = []
         for run in ("a", "b"):
-            root = tmp_path / run
-            cache_io = FaultyIO(cache_plan)
-            log_io = FaultyIO(log_plan)
-            cache = DiskCache(str(root / "cache"), io=cache_io)
-            job = SweepJournal(root / "job", io=log_io)
-            first = engine(cache_dir=cache).run_specs_report(
-                specs, journal=job
+            job = tmp_path / run / "job"
+            SweepJournal(job).ensure(specs, SCHEMA_VERSION)
+            io = FaultyIO(plan)
+            first = engine().run_specs_report(
+                specs, journal=SweepJournal(job, io=io)
             )
             assert first.ok
-            # Resume through a *clean* journal handle: torn records cost
-            # re-execution, corrupt cache entries are quarantined — the
-            # sweep still converges to the uninterrupted results.
-            resumed = engine(cache_dir=DiskCache(str(root / "cache")))
-            resumed_report = resumed.run_specs_report(
-                specs, journal=SweepJournal(root / "job")
-            )
-            assert resumed_report.ok
-            assert results_json(resumed_report) == results_json(clean)
+            # Resume through a *clean* handle: corrupt entries are
+            # quarantined and only their cells re-execute — the sweep
+            # still converges to the uninterrupted results.
+            resumed = engine().run_specs_report(specs, journal=str(job))
+            assert resumed.ok
+            assert results_json(resumed) == results_json(clean)
+            assert resumed.journal["executed"] == io.injected["corrupt"]
             outcomes.append((
-                dict(cache_io.injected),
-                dict(log_io.injected),
-                resumed_report.journal["replayed"],
-                resumed_report.journal["executed"],
-                resumed_report.journal["dropped_tail"],
+                dict(io.injected),
+                resumed.journal["replayed"],
+                resumed.journal["executed"],
+                resumed.journal["corrupt_quarantined"],
             ))
         # Same plan, same seeds: the chaos itself is reproducible —
         # and it actually fired (a quiet plan would prove nothing).
         assert outcomes[0] == outcomes[1]
-        assert (outcomes[0][0]["corrupt"] + outcomes[0][1]["torn"]) > 0
+        assert outcomes[0][0]["corrupt"] > 0

@@ -168,7 +168,8 @@ class TestJournalFlags:
             )
             assert status == 0
             assert (job / "manifest.json").exists()
-            assert (job / "journal.jsonl").exists()
+            # The job folder holds the cells: one entry per cell.
+            assert len(list(job.glob("??/*.json"))) == 4
             status = run_experiments.main(
                 ["micro", str(resumed_path), "--jobs", "1", "--no-cache",
                  "--resume", str(job)]

@@ -1,15 +1,17 @@
-"""Property-based tests for sweep-journal crash recovery.
+"""Property-based tests for the job folder's crash recovery.
 
-The journal's durability claim, stated as invariants:
+The one store's durability claim, stated as invariants:
 
-- **Truncation safety** — a crash may cut the log at *any* byte offset
-  inside the final record. Whatever the offset, replay must never
-  raise, must recover every fully-written record, may additionally
-  recover the final record only when its payload survived intact, and
-  must leave the log appendable (the repair lands on a line boundary).
+- **Round trip** — whatever results a sweep stored in its job folder,
+  a fresh handle on the folder serves back exactly.
+- **Corruption safety** — an entry cut at *any* byte offset, or
+  replaced by arbitrary bytes, is never served: loading it never
+  raises, sets the entry aside, and leaves every other entry and the
+  key's next store intact.
 - **Resume convergence** (slow) — under an arbitrary seeded fault plan
-  tearing journal appends, a run plus one resume always converges to
-  the uninterrupted sweep's exact results.
+  corrupting the folder's entries, a run plus one resume always
+  converges to the uninterrupted sweep's exact results, re-executing
+  exactly the corrupted cells.
 """
 
 import json
@@ -20,9 +22,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.common.retry import RetryPolicy
 from repro.sim.config import SimConfig
-from repro.sim.engine import ExperimentEngine, RunSpec
+from repro.sim.engine import SCHEMA_VERSION, ExperimentEngine, RunSpec
 from repro.sim.enginefaults import EngineFaultPlan, FaultyIO
 from repro.sim.journal import SweepJournal
 
@@ -36,60 +37,8 @@ record_values = st.dictionaries(
 def build_journal(root, records):
     journal = SweepJournal(os.path.join(root, "job"))
     for index, value in enumerate(records):
-        journal.record_result("key-{}".format(index), value)
+        journal.store("key-{}".format(index), value)
     return journal
-
-
-@given(
-    st.lists(record_values, min_size=1, max_size=5),
-    st.integers(min_value=0, max_value=10**6),
-)
-@settings(max_examples=80, deadline=None)
-def test_truncation_anywhere_in_final_record_recovers(records, cut_seed):
-    # hypothesis reuses examples across runs, so the scratch directory
-    # must be per-example (a function-scoped tmp_path fixture is not).
-    with tempfile.TemporaryDirectory() as root:
-        journal = build_journal(root, records)
-        with open(journal.log_path, "rb") as handle:
-            intact = handle.read()
-        boundary = (
-            intact.rindex(b"\n", 0, len(intact) - 1) + 1
-            if intact.count(b"\n") > 1 else 0
-        )
-        # Cut anywhere from "final record fully gone" to "only its
-        # newline gone" — every offset a crash could leave behind.
-        cut = boundary + cut_seed % (len(intact) - boundary)
-        with open(journal.log_path, "wb") as handle:
-            handle.write(intact[:cut])
-
-        recovered = SweepJournal(journal.path)
-        replayed = recovered.replay()
-
-        complete = {
-            "key-{}".format(i): value
-            for i, value in enumerate(records[:-1])
-        }
-        last_key = "key-{}".format(len(records) - 1)
-        assert set(replayed) - {last_key} == set(complete)
-        for key, value in complete.items():
-            assert replayed[key]["result"] == value
-        if last_key in replayed:
-            # Only the terminator was lost: the payload must be exact.
-            assert replayed[last_key]["result"] == records[-1]
-            assert recovered.dropped_tail == 0
-        else:
-            # Torn bytes were dropped — unless the cut landed exactly
-            # on the boundary, where there is nothing to drop.
-            assert recovered.dropped_tail == (1 if cut > boundary else 0)
-
-        # The repair restored a clean boundary: appending still works
-        # and a fresh replay sees old and new records.
-        recovered.record_result("fresh", {"v": 1})
-        final = SweepJournal(journal.path).replay()
-        assert final["fresh"]["result"] == {"v": 1}
-        assert set(complete) <= set(final)
-        with open(journal.log_path, "rb") as handle:
-            assert handle.read().endswith(b"\n")
 
 
 @given(st.lists(record_values, min_size=1, max_size=5))
@@ -97,29 +46,50 @@ def test_truncation_anywhere_in_final_record_recovers(records, cut_seed):
 def test_replay_equals_what_was_recorded(records):
     with tempfile.TemporaryDirectory() as root:
         journal = build_journal(root, records)
-        replayed = SweepJournal(journal.path).replay()
-        assert len(replayed) == len(records)
+        fresh = SweepJournal(journal.path)
         for index, value in enumerate(records):
-            assert replayed["key-{}".format(index)]["result"] == value
+            assert fresh.load("key-{}".format(index)) == value
+
+
+@given(
+    st.lists(record_values, min_size=1, max_size=5),
+    st.integers(min_value=0, max_value=10**6),
+)
+@settings(max_examples=80, deadline=None)
+def test_truncation_anywhere_in_an_entry_is_quarantined(records, cut_seed):
+    # hypothesis reuses examples across runs, so the scratch directory
+    # must be per-example (a function-scoped tmp_path fixture is not).
+    with tempfile.TemporaryDirectory() as root:
+        journal = build_journal(root, records)
+        last_key = "key-{}".format(len(records) - 1)
+        path = journal._path(last_key)
+        with open(path, "rb") as handle:
+            intact = handle.read()
+        with open(path, "wb") as handle:
+            handle.write(intact[:cut_seed % len(intact)])
+
+        recovered = SweepJournal(journal.path)
+        assert recovered.load(last_key) is None
+        assert recovered.stats.corrupt_quarantined == 1
+        for index, value in enumerate(records[:-1]):
+            assert recovered.load("key-{}".format(index)) == value
+        recovered.store(last_key, records[-1])
+        assert SweepJournal(journal.path).load(last_key) == records[-1]
 
 
 @given(st.binary(max_size=200))
 @settings(max_examples=60, deadline=None)
-def test_arbitrary_log_garbage_never_crashes_replay(garbage):
+def test_arbitrary_entry_garbage_never_crashes_load(garbage):
     with tempfile.TemporaryDirectory() as root:
         journal = SweepJournal(os.path.join(root, "job"))
-        os.makedirs(journal.path)
-        with open(journal.log_path, "wb") as handle:
+        os.makedirs(os.path.dirname(journal._path("key")))
+        with open(journal._path("key"), "wb") as handle:
             handle.write(garbage)
-        recovered = SweepJournal(journal.path)
-        replayed = recovered.replay()  # must not raise
-        for record in replayed.values():
-            assert record["status"] in ("done", "failed")
-        # Whatever survived, the log must be appendable afterwards.
-        recovered.record_result("fresh", {"v": 1})
-        assert SweepJournal(journal.path).replay()["fresh"]["result"] == {
-            "v": 1
-        }
+        # Must not raise, and never serves bytes that do not hold the
+        # spec's config.
+        assert journal.load("key", {"num_cores": 2}) is None
+        journal.store("key", {"v": 1})
+        assert SweepJournal(journal.path).load("key") == {"v": 1}
 
 
 @pytest.mark.slow
@@ -128,7 +98,7 @@ def test_arbitrary_log_garbage_never_crashes_replay(garbage):
     st.floats(min_value=0.0, max_value=0.9),
 )
 @settings(max_examples=8, deadline=None)
-def test_resume_converges_under_any_fault_plan(seed, torn_rate):
+def test_resume_converges_under_any_fault_plan(seed, corrupt_rate):
     specs = [
         RunSpec(
             workload="mwobject",
@@ -140,13 +110,15 @@ def test_resume_converges_under_any_fault_plan(seed, torn_rate):
     ]
     clean = ExperimentEngine(jobs=1, cache_dir=None).run_specs_report(specs)
     expected = json.dumps([r.to_dict() for r in clean.results], sort_keys=True)
-    plan = EngineFaultPlan(seed=seed, torn_write_rate=torn_rate)
     with tempfile.TemporaryDirectory() as root:
         job = os.path.join(root, "job")
-        first = ExperimentEngine(
-            jobs=1, cache_dir=None,
-            retry_policy=RetryPolicy(base_seconds=0.0),
-        ).run_specs_report(specs, journal=SweepJournal(job, io=FaultyIO(plan)))
+        # The manifest is written atomically, so corrupting it models
+        # unrecoverable disk corruption (refused by design): write it
+        # clean, and let the plan corrupt the cell entries.
+        SweepJournal(job).ensure(specs, SCHEMA_VERSION)
+        io = FaultyIO(EngineFaultPlan(seed=seed, corrupt_rate=corrupt_rate))
+        first = ExperimentEngine(jobs=1, cache_dir=None).run_specs_report(
+            specs, journal=SweepJournal(job, io=io))
         assert first.ok
         resumed = ExperimentEngine(jobs=1, cache_dir=None).run_specs_report(
             specs, journal=job
@@ -156,5 +128,6 @@ def test_resume_converges_under_any_fault_plan(seed, torn_rate):
             [r.to_dict() for r in resumed.results], sort_keys=True
         )
         assert got == expected
+        assert resumed.journal["executed"] == io.injected["corrupt"]
         assert (resumed.journal["replayed"] + resumed.journal["executed"]
                 == len(specs))

@@ -151,6 +151,10 @@ class TestJournalFlags:
         cli.validate_journal_flags(parser, args)
         assert args.journal == job
 
+    def test_help_says_cache_dir_does_not_apply(self):
+        text = " ".join(self.make_parser().format_help().split())
+        assert "--cache-dir does not apply" in text
+
     def test_conflicting_journal_and_resume_error(self, tmp_path):
         parser = self.make_parser()
         args = parser.parse_args(

@@ -1,29 +1,19 @@
-"""Unit tests for the hardened DiskCache (size bound, quarantine, ENOSPC)."""
+"""Unit tests for the hardened DiskCache (quarantine, ENOSPC, sharing)."""
 
 import json
+import multiprocessing
 import os
-import time
 
 import pytest
 
-from repro.sim.engine import SCHEMA_VERSION, DiskCache
+from repro.sim.config import SimConfig
+from repro.sim.engine import (
+    SCHEMA_VERSION,
+    DiskCache,
+    ExperimentEngine,
+    RunSpec,
+)
 from repro.sim.enginefaults import EngineFaultPlan, FaultyIO
-
-
-def fill(cache, key, payload_bytes=64):
-    """Store a result whose entry is roughly ``payload_bytes`` on disk."""
-    cache.store(key, {"pad": "x" * payload_bytes})
-
-
-def entry_keys(cache):
-    keys = set()
-    for shard in os.listdir(cache.root):
-        if len(shard) != 2:
-            continue
-        for name in os.listdir(os.path.join(cache.root, shard)):
-            if name.endswith(".json"):
-                keys.add(name[:-5])
-    return keys
 
 
 class TestTempFileHygiene:
@@ -90,64 +80,6 @@ class TestQuarantine:
         assert cache.load("deadbeef") == {"v": 2}
 
 
-class TestEviction:
-    def test_no_bound_never_evicts(self, tmp_path):
-        cache = DiskCache(str(tmp_path / "cache"))
-        for i in range(10):
-            fill(cache, "key%02d" % i)
-        assert cache.stats.evictions == 0
-        assert len(entry_keys(cache)) == 10
-
-    def test_bad_max_bytes_rejected(self, tmp_path):
-        with pytest.raises(ValueError):
-            DiskCache(str(tmp_path / "cache"), max_bytes=0)
-
-    def test_lru_evicts_oldest_first(self, tmp_path):
-        cache = DiskCache(str(tmp_path / "cache"), max_bytes=300)
-        for i in range(6):
-            fill(cache, "key%02d" % i)
-            os.utime(cache._path("key%02d" % i), (i, i))  # force mtime order
-            cache.begin_sweep()  # unpin so eviction can act
-        fill(cache, "newkey")
-        assert cache.stats.evictions > 0
-        survivors = entry_keys(cache)
-        assert "newkey" in survivors
-        assert "key00" not in survivors  # oldest went first
-
-    def test_load_refreshes_recency(self, tmp_path):
-        cache = DiskCache(str(tmp_path / "cache"), max_bytes=300)
-        for i in range(6):
-            fill(cache, "key%02d" % i)
-            os.utime(cache._path("key%02d" % i), (i, i))
-        cache.begin_sweep()
-        assert cache.load("key00") is not None  # touch + pin the oldest
-        fill(cache, "newkey")
-        survivors = entry_keys(cache)
-        assert "key00" in survivors
-        assert "key01" not in survivors  # next-oldest evicted instead
-
-    def test_pinned_entries_never_evicted(self, tmp_path):
-        cache = DiskCache(str(tmp_path / "cache"), max_bytes=200)
-        for i in range(5):
-            fill(cache, "key%02d" % i)
-        # Everything stored this sweep is pinned: bound exceeded, no evictions.
-        assert cache.stats.evictions == 0
-        assert len(entry_keys(cache)) == 5
-        cache.begin_sweep()  # next sweep: pins cleared
-        fill(cache, "newkey")
-        assert cache.stats.evictions > 0
-        assert "newkey" in entry_keys(cache)
-
-    def test_eviction_counts_bytes(self, tmp_path):
-        cache = DiskCache(str(tmp_path / "cache"), max_bytes=150)
-        fill(cache, "key00")
-        cache.begin_sweep()
-        fill(cache, "key01")
-        fill(cache, "key02")
-        assert cache.stats.evicted_bytes > 0
-        assert cache.stats.evictions >= 1
-
-
 class TestEnospcDegradation:
     def make_degraded(self, tmp_path):
         io = FaultyIO(EngineFaultPlan(seed=1, enospc_rate=1.0))
@@ -178,18 +110,26 @@ class TestEnospcDegradation:
         assert not cache.disabled
 
 
-class TestLocking:
-    def test_lock_file_created_on_store(self, tmp_path):
-        cache = DiskCache(str(tmp_path / "cache"))
-        cache.store("key", {"v": 1})
-        assert os.path.exists(
-            os.path.join(cache.root, DiskCache.LOCK_NAME)
-        )
+def entry_value(key):
+    return {"key": key, "pad": key * 4}
 
-    def test_lock_file_not_an_entry(self, tmp_path):
-        cache = DiskCache(str(tmp_path / "cache"), max_bytes=10_000)
-        cache.store("key", {"v": 1})
-        assert entry_keys(cache) == {"key"}
+
+def store_keys(root, keys, barrier, rounds=3):
+    """One writer process: store every key ``rounds`` times."""
+    cache = DiskCache(root)
+    barrier.wait(timeout=60)
+    for _ in range(rounds):
+        for key in keys:
+            cache.store(key, entry_value(key))
+
+
+class TestSharedRoot:
+    """Writers sharing one root need no lock.
+
+    An entry's bytes are a pure function of its key and land by an
+    atomic rename, so concurrent stores of one key leave the same file
+    whichever rename lands last.
+    """
 
     def test_two_handles_same_root_interleave(self, tmp_path):
         a = DiskCache(str(tmp_path / "cache"))
@@ -198,3 +138,42 @@ class TestLocking:
         b.store("key-b", {"v": 2})
         assert a.load("key-b") == {"v": 2}
         assert b.load("key-a") == {"v": 1}
+
+    def test_two_processes_store_overlapping_keys(self, tmp_path):
+        root = str(tmp_path / "cache")
+        keys = ["%064x" % index for index in range(48)]
+        context = multiprocessing.get_context("spawn")
+        barrier = context.Barrier(2)
+        workers = [
+            context.Process(target=store_keys, args=(root, part, barrier))
+            for part in (keys[:32], keys[16:])  # 16 keys overlap
+        ]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=120)
+        assert [worker.exitcode for worker in workers] == [0, 0]
+        cache = DiskCache(root)
+        for key in keys:
+            assert cache.load(key) == entry_value(key)
+        assert cache.stats.corrupt_quarantined == 0
+        litter = [name for _, _, names in os.walk(root)
+                  for name in names if name.endswith(".tmp")]
+        assert litter == []
+
+
+class TestEntryFormat:
+    def test_entry_stores_the_config_once(self, tmp_path):
+        spec = RunSpec(
+            workload="mwobject",
+            config=SimConfig.for_design("baseline", num_cores=2),
+            seed=1,
+            ops_per_thread=3,
+        )
+        engine = ExperimentEngine(jobs=1, cache_dir=str(tmp_path))
+        engine.run_spec(spec)
+        with open(engine.cache._path(spec.cache_key()), "rb") as handle:
+            data = handle.read()
+        assert set(json.loads(data)) == {"schema_version", "result"}
+        config = json.dumps(spec.config.to_dict(), separators=(",", ":"))
+        assert data.count(config.encode("utf-8")) == 1

@@ -19,6 +19,7 @@ import time
 import pytest
 
 from repro.common.errors import ExperimentCellError
+from repro.common.retry import RetryPolicy
 from repro.sim import engine as engine_module
 from repro.sim.config import SimConfig
 from repro.sim.engine import (
@@ -206,7 +207,7 @@ class TestHungCells:
         patched_execute(hang_on_sentinel)
         engine = ExperimentEngine(
             jobs=2, cache_dir=str(tmp_path), cell_timeout=1.0,
-            max_cell_retries=1, retry_backoff_seconds=0.01,
+            max_cell_retries=1, retry_policy=RetryPolicy(base_seconds=0.01),
         )
         specs = [tiny_spec(seed=1), tiny_spec(seed=HANG_SEED), tiny_spec(seed=2)]
         report = engine.run_specs_report(specs)
@@ -230,7 +231,7 @@ class TestHungCells:
         patched_execute(hang_on_sentinel)
         engine = ExperimentEngine(
             jobs=2, cache_dir=None, cell_timeout=1.0,
-            max_cell_retries=0, retry_backoff_seconds=0.01,
+            max_cell_retries=0, retry_policy=RetryPolicy(base_seconds=0.01),
         )
         with pytest.raises(ExperimentCellError) as excinfo:
             engine.run_specs([tiny_spec(seed=HANG_SEED)])
@@ -248,7 +249,7 @@ class TestWorkerCrashes:
         patched_execute(crash_once_on_sentinel)
         engine = ExperimentEngine(
             jobs=2, cache_dir=None, max_cell_retries=2,
-            retry_backoff_seconds=0.01,
+            retry_policy=RetryPolicy(base_seconds=0.01),
         )
         specs = [tiny_spec(seed=1), tiny_spec(seed=CRASH_SEED), tiny_spec(seed=2)]
         results = engine.run_specs(specs)  # crash absorbed: no raise
@@ -259,7 +260,7 @@ class TestWorkerCrashes:
         patched_execute(crash_always_on_sentinel)
         engine = ExperimentEngine(
             jobs=2, cache_dir=None, max_cell_retries=1,
-            retry_backoff_seconds=0.01,
+            retry_policy=RetryPolicy(base_seconds=0.01),
         )
         specs = [tiny_spec(seed=1), tiny_spec(seed=CRASH_SEED)]
         report = engine.run_specs_report(specs)

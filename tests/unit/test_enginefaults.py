@@ -25,7 +25,7 @@ class TestRoll:
         "a,b",
         [
             ((1, "kill", "c", 0), (2, "kill", "c", 0)),
-            ((1, "kill", "c", 0), (1, "torn", "c", 0)),
+            ((1, "kill", "c", 0), (1, "corrupt", "c", 0)),
             ((1, "kill", "c", 0), (1, "kill", "d", 0)),
             ((1, "kill", "c", 0), (1, "kill", "c", 1)),
         ],
@@ -41,7 +41,7 @@ class TestEngineFaultPlan:
         assert plan.corrupt_rate == 0.0
 
     @pytest.mark.parametrize("field", [
-        "worker_kill_rate", "corrupt_rate", "torn_write_rate", "enospc_rate",
+        "worker_kill_rate", "corrupt_rate", "enospc_rate",
     ])
     @pytest.mark.parametrize("rate", [-0.1, 1.5])
     def test_rates_validated(self, field, rate):
@@ -65,11 +65,8 @@ class TestFaultyIO:
         io = FaultyIO(EngineFaultPlan(seed=1))
         target = str(tmp_path / "entry.json")
         io.write_atomic(target, b'{"ok": 1}')
-        io.append_line(str(tmp_path / "log.jsonl"), '{"rec": 1}')
         assert open(target, "rb").read() == b'{"ok": 1}'
-        assert (open(str(tmp_path / "log.jsonl"), "rb").read()
-                == b'{"rec": 1}\n')
-        assert io.injected == {"corrupt": 0, "torn": 0, "enospc": 0}
+        assert io.injected == {"corrupt": 0, "enospc": 0}
 
     def test_corrupt_rate_one_garbles_every_write(self, tmp_path):
         io = FaultyIO(EngineFaultPlan(seed=1, corrupt_rate=1.0))
@@ -78,15 +75,6 @@ class TestFaultyIO:
         assert open(target, "rb").read().startswith(b"\x00CHAOS")
         assert io.injected["corrupt"] == 1
 
-    def test_torn_rate_one_tears_every_append(self, tmp_path):
-        io = FaultyIO(EngineFaultPlan(seed=1, torn_write_rate=1.0))
-        target = str(tmp_path / "log.jsonl")
-        io.append_line(target, '{"rec": 1}')
-        data = open(target, "rb").read()
-        full = b'{"rec": 1}\n'
-        assert data == full[: len(full) // 2]  # strict prefix, no newline
-        assert io.injected["torn"] == 1
-
     def test_enospc_rate_one_raises(self, tmp_path):
         import errno
 
@@ -94,9 +82,7 @@ class TestFaultyIO:
         with pytest.raises(OSError) as excinfo:
             io.write_atomic(str(tmp_path / "entry.json"), b"data")
         assert excinfo.value.errno == errno.ENOSPC
-        with pytest.raises(OSError):
-            io.append_line(str(tmp_path / "log.jsonl"), "rec")
-        assert io.injected["enospc"] == 2
+        assert io.injected["enospc"] == 1
 
     def test_retries_get_fresh_draws(self, tmp_path):
         # With a sub-1 rate, repeating the same operation must not repeat
@@ -117,20 +103,21 @@ class TestFaultyIO:
         pytest.fail("no seed in 0..99 corrupted the first write at rate 0.5")
 
     def test_two_instances_same_plan_inject_identically(self, tmp_path):
-        plan = EngineFaultPlan(seed=9, corrupt_rate=0.5, torn_write_rate=0.5)
+        plan = EngineFaultPlan(seed=9, corrupt_rate=0.5, enospc_rate=0.3)
         outputs = []
         for run in ("a", "b"):
             root = tmp_path / run
             root.mkdir()
             io = FaultyIO(plan)
+            written = []
             for i in range(10):
-                io.write_atomic(str(root / "e.json"), b"payload-%d" % i)
-                io.append_line(str(root / "log.jsonl"), "rec-%d" % i)
-            outputs.append((
-                open(str(root / "e.json"), "rb").read(),
-                open(str(root / "log.jsonl"), "rb").read(),
-                dict(io.injected),
-            ))
+                try:
+                    io.write_atomic(str(root / "e.json"), b"payload-%d" % i)
+                except OSError:
+                    written.append(None)
+                    continue
+                written.append(open(str(root / "e.json"), "rb").read())
+            outputs.append((written, dict(io.injected)))
         assert outputs[0] == outputs[1]
 
 

@@ -165,15 +165,16 @@ STORED_MISMATCHES = {
 class TestStoredConfigCheck:
     """A stored result serves a spec only if it stores the spec's config.
 
-    Anything else is corrupt: the cache quarantines it, the journal
-    skips it, both count it, and the cell simulates again.
+    Anything else is corrupt: the cache, or the job folder that
+    replaces it, quarantines and counts a stored result, the job folder
+    ignores a remembered quarantine, and the cell simulates again.
     """
 
     @pytest.mark.parametrize("stored", sorted(STORED_MISMATCHES))
     def test_cache_quarantines_and_resimulates(self, tmp_path, stored):
         spec = tiny_spec()
         cache = DiskCache(str(tmp_path))
-        cache.store(spec.cache_key(), STORED_MISMATCHES[stored](), spec)
+        cache.store(spec.cache_key(), STORED_MISMATCHES[stored]())
         report = ExperimentEngine(jobs=1, cache_dir=cache).run_specs_report(
             [spec])
         assert report.ok and report.cache_hits == 0
@@ -194,22 +195,23 @@ class TestStoredConfigCheck:
         job = str(tmp_path / "job")
         journal = SweepJournal(job)
         journal.ensure([spec], engine_module.SCHEMA_VERSION)
-        journal.record_result(spec.cache_key(), STORED_MISMATCHES[stored]())
+        journal.store(spec.cache_key(), STORED_MISMATCHES[stored]())
         report = ExperimentEngine(jobs=1, cache_dir=None).run_specs_report(
             [spec], journal=job)
         assert report.ok
-        assert report.journal["skipped_corrupt"] == 1
-        assert report.journal["replayed_results"] == 0
+        assert report.journal["corrupt_quarantined"] == 1
+        assert os.path.exists(os.path.join(
+            job, DiskCache.QUARANTINE_DIR, spec.cache_key() + ".json"))
         assert (report.journal["replayed"], report.journal["executed"]) \
             == (0, 1)
         assert report.results[0].config == spec.config
         assert report.results[0].to_dict() == execute_spec(spec)
-        # The fresh record supersedes the skipped one on the next resume.
+        # The fresh entry replaced the quarantined one for the resume.
         resumed = ExperimentEngine(jobs=1, cache_dir=None).run_specs_report(
             [spec], journal=job)
         assert (resumed.journal["replayed"], resumed.journal["executed"]) \
             == (1, 0)
-        assert resumed.journal["skipped_corrupt"] == 0
+        assert resumed.journal["corrupt_quarantined"] == 0
 
     def test_journal_skips_a_quarantine_record_it_cannot_parse(
             self, tmp_path):
@@ -220,12 +222,14 @@ class TestStoredConfigCheck:
         failure = CellFailure(spec=spec, kind="error", attempts=1,
                               message="injected").to_dict()
         failure["spec_config"]["backend"] = "batch"
-        journal.record_failure(spec.cache_key(), failure)
+        journal.manifest["failures"][spec.cache_key()] = failure
+        with open(journal.manifest_path, "w") as handle:
+            json.dump(journal.manifest, handle)
         report = ExperimentEngine(jobs=1, cache_dir=None).run_specs_report(
             [spec], journal=job)
         assert report.ok
-        assert report.journal["skipped_corrupt"] == 1
         assert report.journal["replayed_failures"] == 0
+        assert report.journal["executed"] == 1
         assert report.results[0].to_dict() == execute_spec(spec)
 
 

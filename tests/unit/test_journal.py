@@ -1,13 +1,23 @@
-"""Unit tests for the crash-safe sweep journal (repro.sim.journal)."""
+"""Unit tests for the crash-safe job folder (repro.sim.journal)."""
 
+import collections
 import json
 import os
 
 import pytest
 
+from repro.common.diskio import DiskIO
 from repro.common.errors import JournalError, JournalSchemaError
 from repro.sim.config import SimConfig
-from repro.sim.engine import SCHEMA_VERSION, RunSpec
+from repro.sim.engine import (
+    SCHEMA_VERSION,
+    CellFailure,
+    DiskCache,
+    ExperimentEngine,
+    RunSpec,
+    execute_spec,
+)
+from repro.sim.enginefaults import EngineFaultPlan, FaultyIO
 from repro.sim.journal import (
     JOURNAL_VERSION,
     MANIFEST_NAME,
@@ -31,6 +41,16 @@ def make_specs(n=3):
     return [tiny_spec(seed=seed) for seed in range(1, n + 1)]
 
 
+def fail_seed_two(spec):
+    if spec.seed == 2:
+        raise ValueError("injected deterministic failure")
+    return execute_spec(spec)
+
+
+def bomb(spec):
+    raise AssertionError("cell executed although its result was stored")
+
+
 class TestManifest:
     def test_ensure_creates_folder_and_manifest(self, tmp_path):
         specs = make_specs()
@@ -43,6 +63,7 @@ class TestManifest:
         assert manifest["journal_version"] == JOURNAL_VERSION
         assert manifest["schema_version"] == SCHEMA_VERSION
         assert set(manifest["cells"]) == {s.cache_key() for s in specs}
+        assert manifest["failures"] == {}
 
     def test_spec_summary_is_human_readable(self):
         spec = tiny_spec()
@@ -80,6 +101,22 @@ class TestManifest:
         with pytest.raises(JournalSchemaError):
             SweepJournal(journal.path).ensure(make_specs(1), SCHEMA_VERSION)
 
+    def test_pre_change_folder_refused(self, tmp_path):
+        """A folder from the JSONL-log format is refused, not half-read."""
+        job = tmp_path / "job"
+        job.mkdir()
+        (job / MANIFEST_NAME).write_text(json.dumps({
+            "journal_version": 1, "schema_version": SCHEMA_VERSION,
+            "cells": {tiny_spec().cache_key(): {}},
+        }))
+        (job / "journal.jsonl").write_text(
+            '{"key": "k", "status": "done", "result": {}}\n')
+        with pytest.raises(JournalSchemaError, match="journal_version 1"):
+            SweepJournal(job).ensure([tiny_spec()], SCHEMA_VERSION)
+        with pytest.raises(JournalSchemaError):
+            ExperimentEngine(jobs=1, cache_dir=None).run_specs_report(
+                [tiny_spec()], journal=str(job))
+
     def test_schema_version_mismatch_raises(self, tmp_path):
         journal = SweepJournal(tmp_path / "job")
         journal.ensure(make_specs(1), SCHEMA_VERSION)
@@ -106,89 +143,73 @@ class TestManifest:
 
 
 class TestRecordReplay:
-    def test_roundtrip(self, tmp_path):
-        journal = SweepJournal(tmp_path / "job")
-        journal.ensure(make_specs(2), SCHEMA_VERSION)
-        journal.record_result("k1", {"cycles": 10})
-        journal.record_failure("k2", {"error": "boom"})
-        fresh = SweepJournal(journal.path)
-        records = fresh.replay()
-        assert records["k1"]["status"] == "done"
-        assert records["k1"]["result"] == {"cycles": 10}
-        assert records["k2"]["status"] == "failed"
-        assert records["k2"]["failure"] == {"error": "boom"}
-        assert fresh.replayed_results == 1
-        assert fresh.replayed_failures == 1
+    """What a sweep records in its job folder, a fresh handle serves."""
 
-    def test_replay_empty_log(self, tmp_path):
-        journal = SweepJournal(tmp_path / "job")
-        journal.ensure(make_specs(1), SCHEMA_VERSION)
-        assert SweepJournal(journal.path).replay() == {}
+    def test_roundtrip(self, tmp_path):
+        specs = make_specs(2)
+        job = tmp_path / "job"
+        first = ExperimentEngine(
+            jobs=1, cache_dir=None, execute=fail_seed_two,
+        ).run_specs_report(specs, journal=SweepJournal(job))
+        fresh = SweepJournal(job)
+        manifest = fresh.ensure(specs, SCHEMA_VERSION)
+        assert fresh.load(specs[0].cache_key()) == first.results[0].to_dict()
+        assert manifest["failures"] == {
+            specs[1].cache_key(): first.failures[0].to_dict(),
+        }
 
     def test_last_record_per_key_wins(self, tmp_path):
         journal = SweepJournal(tmp_path / "job")
-        journal.record_result("k", {"v": 1})
-        journal.record_failure("k", {"error": "boom"})
-        journal.record_result("k", {"v": 2})
-        records = SweepJournal(journal.path).replay()
-        assert records["k"]["status"] == "done"
-        assert records["k"]["result"] == {"v": 2}
+        journal.store("k", {"v": 1})
+        journal.store("k", {"v": 2})
+        assert SweepJournal(journal.path).load("k") == {"v": 2}
+
+    def test_finished_entry_beats_a_remembered_failure(self, tmp_path):
+        spec = tiny_spec()
+        journal = SweepJournal(tmp_path / "job")
+        journal.ensure([spec], SCHEMA_VERSION)
+        journal.record_failure(CellFailure(
+            spec=spec, kind="timeout", attempts=3, message="slow host"))
+        journal.store(spec.cache_key(), execute_spec(spec))
+        report = ExperimentEngine(
+            jobs=1, cache_dir=None, execute=bomb,
+        ).run_specs_report([spec], journal=journal.path)
+        assert report.ok
+        assert report.journal["replayed"] == 1
 
     def test_records_visible_through_live_instance(self, tmp_path):
+        spec = tiny_spec()
         journal = SweepJournal(tmp_path / "job")
-        assert journal.replay() == {}
-        journal.record_result("k", {"v": 1})
-        assert journal.replay()["k"]["result"] == {"v": 1}
-        assert journal.recorded == 1
-
-    def test_torn_tail_dropped_and_truncated(self, tmp_path):
-        journal = SweepJournal(tmp_path / "job")
-        journal.record_result("k1", {"v": 1})
-        journal.record_result("k2", {"v": 2})
-        with open(journal.log_path, "rb") as handle:
-            intact = handle.read()
-        boundary = intact.rindex(b"\n", 0, len(intact) - 1) + 1
-        # Tear the final record mid-way: strict prefix, no newline.
-        torn = intact[: boundary + (len(intact) - boundary) // 2]
-        with open(journal.log_path, "wb") as handle:
-            handle.write(torn)
-        fresh = SweepJournal(journal.path)
-        records = fresh.replay()
-        assert set(records) == {"k1"}
-        assert fresh.dropped_tail == 1
-        # The repair truncated the torn bytes: appends start clean.
-        assert open(journal.log_path, "rb").read() == intact[:boundary]
-        fresh.record_result("k3", {"v": 3})
-        again = SweepJournal(journal.path).replay()
-        assert set(again) == {"k1", "k3"}
-
-    def test_tail_missing_only_newline_is_kept(self, tmp_path):
-        journal = SweepJournal(tmp_path / "job")
-        journal.record_result("k1", {"v": 1})
-        journal.record_result("k2", {"v": 2})
-        with open(journal.log_path, "rb+") as handle:
-            handle.seek(-1, os.SEEK_END)
-            handle.truncate()  # lose just the final newline
-        fresh = SweepJournal(journal.path)
-        records = fresh.replay()
-        assert set(records) == {"k1", "k2"}
-        assert fresh.dropped_tail == 0
-        # The record was re-sealed with a newline.
-        assert open(journal.log_path, "rb").read().endswith(b"}\n")
+        journal.ensure([spec], SCHEMA_VERSION)
+        assert journal.load("k") is None
+        journal.store("k", {"v": 1})
+        assert journal.load("k") == {"v": 1}
+        journal.record_failure(CellFailure(
+            spec=spec, kind="error", attempts=1, message="boom"))
+        assert journal.manifest["failures"][spec.cache_key()]["message"] \
+            == "boom"
+        assert journal.stats.stores == 1
 
     def test_interior_corruption_skipped(self, tmp_path):
-        journal = SweepJournal(tmp_path / "job")
-        journal.record_result("k1", {"v": 1})
-        with open(journal.log_path, "ab") as handle:
-            handle.write(b"\x00garbage not json\n")
-        journal.record_result("k2", {"v": 2})
-        fresh = SweepJournal(journal.path)
-        records = fresh.replay()
-        assert set(records) == {"k1", "k2"}
-        assert fresh.skipped_corrupt == 1
+        specs = make_specs(3)
+        job = str(tmp_path / "job")
+        first = ExperimentEngine(jobs=1, cache_dir=None).run_specs_report(
+            specs, journal=job)
+        key = specs[1].cache_key()
+        with open(SweepJournal(job)._path(key), "wb") as handle:
+            handle.write(b"\x00garbage not json")
+        resumed = ExperimentEngine(jobs=1, cache_dir=None).run_specs_report(
+            specs, journal=job)
+        assert resumed.ok
+        assert (resumed.journal["replayed"], resumed.journal["executed"],
+                resumed.journal["corrupt_quarantined"]) == (2, 1, 1)
+        assert os.path.exists(
+            os.path.join(job, DiskCache.QUARANTINE_DIR, key + ".json"))
+        assert ([r.to_dict() for r in resumed.results]
+                == [r.to_dict() for r in first.results])
 
     @pytest.mark.parametrize(
-        "line",
+        "data",
         [
             b'{"no": "key"}',
             b'{"key": 5, "status": "done", "result": {}}',
@@ -198,23 +219,81 @@ class TestRecordReplay:
             b'["not", "a", "dict"]',
         ],
     )
-    def test_malformed_records_rejected(self, tmp_path, line):
+    def test_malformed_records_rejected(self, tmp_path, data):
+        """An entry that holds no servable result is never served."""
+        spec = tiny_spec()
         journal = SweepJournal(tmp_path / "job")
-        os.makedirs(journal.path)
-        with open(journal.log_path, "xb") as handle:
-            handle.write(line + b"\n")
-        fresh = SweepJournal(journal.path)
-        assert fresh.replay() == {}
-        assert fresh.skipped_corrupt == 1
+        journal.ensure([spec], SCHEMA_VERSION)
+        path = journal._path(spec.cache_key())
+        os.makedirs(os.path.dirname(path))
+        with open(path, "wb") as handle:
+            handle.write(data)
+        report = ExperimentEngine(jobs=1, cache_dir=None).run_specs_report(
+            [spec], journal=journal.path)
+        assert report.ok
+        assert (report.journal["replayed"], report.journal["executed"]) \
+            == (0, 1)
+        assert report.results[0].to_dict() == execute_spec(spec)
 
     def test_counters_dict(self, tmp_path):
-        journal = SweepJournal(tmp_path / "job")
-        journal.record_result("k", {"v": 1})
-        counters = journal.counters()
-        assert counters == {
-            "replayed_results": 0,
+        job = str(tmp_path / "job")
+        report = ExperimentEngine(jobs=1, cache_dir=None).run_specs_report(
+            make_specs(2), journal=job)
+        assert report.journal == {
+            "job_dir": job,
+            "replayed": 0,
             "replayed_failures": 0,
-            "recorded": 1,
-            "dropped_tail": 0,
-            "skipped_corrupt": 0,
+            "executed": 2,
+            "corrupt_quarantined": 0,
+            "enospc_degraded": False,
         }
+
+
+class CountingIO(DiskIO):
+    """A real DiskIO that counts atomic writes per file name."""
+
+    def __init__(self):
+        self.writes = collections.Counter()
+
+    def write_atomic(self, path, data):
+        self.writes[os.path.basename(path)] += 1
+        super().write_atomic(path, data)
+
+
+class TestOneStore:
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_one_write_per_finished_cell(self, tmp_path, jobs):
+        specs = make_specs(3)
+        io = CountingIO()
+        cache_dir = tmp_path / "cache"
+        journal = SweepJournal(tmp_path / "job", io=io)
+        report = ExperimentEngine(
+            jobs=jobs, cache_dir=str(cache_dir), execute=fail_seed_two,
+        ).run_specs_report(specs, journal=journal)
+        assert len(report.failures) == 1
+        finished = [spec for spec in specs if spec.seed != 2]
+        # One entry per finished cell; the manifest once at the start
+        # and once for the quarantine.
+        expected = {spec.cache_key() + ".json": 1 for spec in finished}
+        expected[MANIFEST_NAME] = 2
+        assert io.writes == expected
+        assert not cache_dir.exists()  # the job folder replaced the cache
+
+    def test_enospc_degrades_the_store_to_off(self, tmp_path):
+        specs = make_specs(2)
+        job = tmp_path / "job"
+        SweepJournal(job).ensure(specs, SCHEMA_VERSION)
+        full = SweepJournal(job, io=FaultyIO(
+            EngineFaultPlan(seed=1, enospc_rate=1.0)))
+        report = ExperimentEngine(
+            jobs=1, cache_dir=None, execute=fail_seed_two,
+        ).run_specs_report(specs, journal=full)
+        assert len(report.failures) == 1 and report.completed == 1
+        assert report.journal["enospc_degraded"]
+        assert full.disabled
+        # Nothing was stored, so a resume executes again.
+        resumed = ExperimentEngine(jobs=1, cache_dir=None).run_specs_report(
+            specs, journal=str(job))
+        assert resumed.ok
+        assert resumed.journal["replayed"] == 0
+
