@@ -220,9 +220,8 @@ def parse_args(argv):
     )
     parser.add_argument(
         "--workloads", nargs="+", default=None, metavar="NAME",
-        help="subset of workloads to run: built-in names, "
-             "gen:<spec|fingerprint|folder>, or trace:<folder> "
-             "(default: all 19 built-ins)",
+        help="subset of workloads to run: built-in names or "
+             "gen:<spec|fingerprint|folder> (default: all 19 built-ins)",
     )
     parser.add_argument(
         "--json", metavar="OUT", default=JSON_PATH,

@@ -3,18 +3,15 @@
 
 Sweeps the generator axes (footprint, mutability class, contention;
 optionally regions/nesting/read mix) into one kernel folder per spec —
-``OUT_DIR/<fingerprint12>/genspec.json`` plus a ``corpus.json`` index —
-following the same folder-per-kernel convention the recorded-trace
-format uses. Each kernel is then addressable as
-``gen:OUT_DIR/<fingerprint12>`` from any script, or by fingerprint
-after ``repro.workloads.gen.load_corpus(OUT_DIR)``.
+``OUT_DIR/<fingerprint12>/genspec.json`` plus a ``corpus.json`` index.
+Each kernel is then addressable as ``gen:OUT_DIR/<fingerprint12>``
+from any script, or by fingerprint after
+``repro.workloads.gen.load_corpus(OUT_DIR)``.
 
-``--record`` additionally records each kernel's trace (one run under
-``--design``/``--cores``/``--seed``) into ``<kernel>/trace/``, giving
-every generated kernel a replayable ``trace:`` twin. ``--check`` runs
-every kernel (and recorded trace) through ``api.simulate`` with the
-online serializability monitor armed and reports commits/cycles — a
-corpus that passes is safe to commit.
+``--check`` runs every kernel through ``api.simulate`` (one run under
+``--design``/``--cores``/``--seed``) with the online serializability
+monitor armed and reports commits/cycles — a corpus that passes is
+safe to commit.
 
 Exit status: 0 on success, 2 on a bad spec axis or a failed check.
 """
@@ -28,7 +25,6 @@ from repro.cli import argparse
 from repro.common.errors import ConfigurationError, ReproError
 from repro.sim.config import SimConfig
 from repro.workloads.gen import GenSpec, save_gen_spec
-from repro.workloads.trace import record_trace
 
 
 def _floats(text):
@@ -68,27 +64,22 @@ def parse_args(argv):
         help="read-only fraction axis (default: %(default)s)",
     )
     parser.add_argument(
-        "--record", action="store_true",
-        help="record a replayable trace per kernel into <kernel>/trace/",
-    )
-    parser.add_argument(
         "--check", action="store_true",
-        help="run every kernel (and recorded trace) through api.simulate "
-             "with the online monitor armed",
+        help="run every kernel through api.simulate with the online "
+             "monitor armed",
     )
     cli.add_design_flag(parser, default="clear")
     parser.add_argument(
         "--cores", type=int, default=4, metavar="N",
-        help="cores for --record/--check runs (default: %(default)s)",
+        help="cores for --check runs (default: %(default)s)",
     )
     parser.add_argument(
         "--seed", type=int, default=1, metavar="S",
-        help="seed for --record/--check runs (default: %(default)s)",
+        help="seed for --check runs (default: %(default)s)",
     )
     parser.add_argument(
         "--ops", type=int, default=8, metavar="N",
-        help="ops per thread for --record/--check runs "
-             "(default: %(default)s)",
+        help="ops per thread for --check runs (default: %(default)s)",
     )
     return parser.parse_args(argv)
 
@@ -111,8 +102,8 @@ def build_specs(args):
 
 def main(argv=None):
     args = parse_args(argv if argv is not None else sys.argv[1:])
-    config = SimConfig(num_cores=args.cores, design=args.design)
-    check_config = config.replaced(oracle="online")
+    config = SimConfig(num_cores=args.cores, design=args.design,
+                       oracle="online")
     try:
         specs = build_specs(args)
     except ConfigurationError as exc:
@@ -124,33 +115,20 @@ def main(argv=None):
         fingerprint = spec.fingerprint()
         folder = "{}/{}".format(args.out.rstrip("/"), fingerprint[:12])
         save_gen_spec(spec, folder)
-        entry = {"folder": folder, "spec": spec.canonical()}
         name = "gen:" + spec.canonical()
-        targets = [name]
-        if args.record:
-            trace_dir = "{}/trace".format(folder)
-            manifest = record_trace(
-                name, trace_dir, config=config, seed=args.seed,
-                ops_per_thread=args.ops,
-            )
-            entry["trace"] = trace_dir
-            entry["trace_digest"] = manifest["content_digest"]
-            targets.append("trace:" + trace_dir)
         if args.check:
-            for target in targets:
-                try:
-                    report = api.simulate(
-                        target, check_config, seeds=args.seed,
-                        ops_per_thread=args.ops,
-                    )
-                except ReproError as exc:
-                    failures += 1
-                    print("FAIL {}: {}".format(target, exc))
-                    continue
+            try:
+                report = api.simulate(
+                    name, config, seeds=args.seed, ops_per_thread=args.ops,
+                )
+            except ReproError as exc:
+                failures += 1
+                print("FAIL {}: {}".format(name, exc))
+            else:
                 print("ok   {:60s} commits={:<5d} cycles={:,.0f}".format(
-                    target[:60], report.stats.total_commits, report.cycles,
+                    name[:60], report.stats.total_commits, report.cycles,
                 ))
-        index[fingerprint] = entry
+        index[fingerprint] = {"folder": folder, "spec": spec.canonical()}
     from repro.common.diskio import DiskIO
 
     DiskIO().write_atomic(

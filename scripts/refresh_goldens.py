@@ -1,20 +1,19 @@
 #!/usr/bin/env python3
 """Regenerate the committed golden files, with a diff summary first.
 
-The test suite pins two goldens:
+The test suite pins three goldens:
 
 - ``tests/goldens/figures_micro.json`` — the figure payload of the full
   micro experiment matrix (all benchmarks x B/P/C/W at 4 cores).
 - ``tests/goldens/trace_micro.json`` — the exact event stream of one
   micro cell (genome/W/4c seed 1).
 - ``tests/goldens/corpus_micro.json`` — the committed workload corpus
-  (``tests/workloads/corpus/``: one generated kernel folder, one
-  recorded trace) run through every registered design with the online
-  serializability monitor armed, digests pinned per cell. The corpus
-  folders themselves are fixed committed inputs; only the result
-  digests are recomputed here.
+  (``tests/workloads/corpus/``: one generated kernel folder) run
+  through every registered design with the online serializability
+  monitor armed, digests pinned per cell. The kernel folder is a fixed
+  committed input; only the result digests are recomputed here.
 
-Both must only ever change when simulated behaviour *intentionally*
+All three must only ever change when simulated behaviour *intentionally*
 changes. This script recomputes each golden, prints a summary of what
 would change, and only overwrites with ``--apply`` — so an accidental
 behaviour change reads as a scary diff instead of a silently rewritten
@@ -74,38 +73,32 @@ def compute_corpus():
     from repro.sim.machine import build_machine
     from repro.workloads import make_workload
 
-    corpus = os.path.join(REPO, "tests", "workloads", "corpus")
-    targets = {
-        "gen": "gen:" + os.path.join(corpus, "kernel"),
-        "trace": "trace:" + os.path.join(corpus, "trace"),
-    }
-    results = {}
-    for label, name in sorted(targets.items()):
-        per_design = {}
-        for design in sorted(DESIGN_REGISTRY):
-            config = SimConfig.for_design(design, num_cores=4,
-                                          oracle="online")
-            report = api.simulate(name, config, seeds=1, ops_per_thread=4)
-            stats = report.runs[0].stats
-            # api.simulate does not surface final memory; digest it from
-            # a direct machine run of the same cell.
-            machine = build_machine(
-                config, make_workload(name, ops_per_thread=4), seed=1
-            )
-            machine.run()
-            memory = machine.memory.snapshot()
-            per_design[design] = {
-                "commits": stats.total_commits,
-                "cycles": stats.makespan_cycles,
-                "stats_sha256": hashlib.sha256(json.dumps(
-                    stats.to_dict(), sort_keys=True,
-                    separators=(",", ":"),
-                ).encode()).hexdigest(),
-                "memory_sha256": hashlib.sha256(json.dumps(
-                    sorted(memory.items()), separators=(",", ":"),
-                ).encode()).hexdigest(),
-            }
-        results[label] = per_design
+    name = "gen:" + os.path.join(REPO, "tests", "workloads", "corpus",
+                                 "kernel")
+    per_design = {}
+    for design in sorted(DESIGN_REGISTRY):
+        config = SimConfig.for_design(design, num_cores=4,
+                                      oracle="online")
+        report = api.simulate(name, config, seeds=1, ops_per_thread=4)
+        stats = report.runs[0].stats
+        # api.simulate does not surface final memory; digest it from
+        # a direct machine run of the same cell.
+        machine = build_machine(
+            config, make_workload(name, ops_per_thread=4), seed=1
+        )
+        machine.run()
+        memory = machine.memory.snapshot()
+        per_design[design] = {
+            "commits": stats.total_commits,
+            "cycles": stats.makespan_cycles,
+            "stats_sha256": hashlib.sha256(json.dumps(
+                stats.to_dict(), sort_keys=True,
+                separators=(",", ":"),
+            ).encode()).hexdigest(),
+            "memory_sha256": hashlib.sha256(json.dumps(
+                sorted(memory.items()), separators=(",", ":"),
+            ).encode()).hexdigest(),
+        }
     return {
         "description": (
             "Committed corpus (tests/workloads/corpus/) through every "
@@ -115,7 +108,7 @@ def compute_corpus():
         "num_cores": 4,
         "seed": 1,
         "ops_per_thread": 4,
-        "results": results,
+        "results": {"gen": per_design},
     }
 
 

@@ -70,8 +70,8 @@ def parse_args(argv):
     cli.add_trace_flags(parser)
     parser.add_argument(
         "--benchmarks", default=None, metavar="A,B,...",
-        help="comma-separated benchmark subset: built-in names, "
-             "gen:<spec|fingerprint|folder>, or trace:<folder> "
+        help="comma-separated benchmark subset: built-in names or "
+             "gen:<spec|fingerprint|folder> "
              "(default: all 19 built-ins). Multi-axis gen specs contain "
              "commas — pass those by fingerprint or saved kernel folder",
     )

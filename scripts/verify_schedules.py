@@ -69,8 +69,8 @@ def parse_args(argv):
     if args.workloads == "all":
         args.workload_list = list(DATASTRUCTURE_NAMES)
     else:
-        # Any namespace is explorable: built-ins, gen: specs, trace:
-        # folders. Unknown names exit with a one-line message.
+        # Any namespace is explorable: built-ins and gen: specs.
+        # Unknown names exit with a one-line message.
         args.workload_list = cli.resolve_workload_names(
             parser, args.workloads.split(",")
         )

@@ -212,9 +212,8 @@ def simulate(workload, config=None, *, seeds=1, trim=PAPER_TRIM, trace=False,
     ----------
     workload:
         A benchmark name from the registry (``repro.ALL_NAMES``), a
-        namespaced name (``gen:<spec|fingerprint|folder>`` for a seeded
-        generated workload, ``trace:<folder>`` for a recorded trace),
-        or a zero-argument workload factory.
+        ``gen:<spec|fingerprint|folder>`` name for a seeded generated
+        workload, or a zero-argument workload factory.
     config:
         A :class:`~repro.sim.config.SimConfig`, a registered design
         name (``"baseline"``/``"powertm"``/``"clear"``/

@@ -206,8 +206,8 @@ def validate_explore_flags(parser, args):
 def resolve_workload_names(parser, names):
     """Canonicalize workload names from any namespace, or exit cleanly.
 
-    Accepts built-in benchmark names, ``gen:<spec|fingerprint|folder>``
-    spellings, and ``trace:<folder>`` paths; returns the list of
+    Accepts built-in benchmark names and
+    ``gen:<spec|fingerprint|folder>`` spellings; returns the list of
     self-contained canonical names. An unknown or malformed name
     becomes ``parser.error`` (a one-line message and exit status 2)
     instead of a traceback.

@@ -14,10 +14,9 @@ class UnknownWorkloadError(ConfigurationError, KeyError):
 
     Raised by :func:`repro.workloads.make_workload` (and the name
     canonicalization helpers) when a name is neither a built-in
-    benchmark, a ``gen:<spec|fingerprint|folder>`` generated workload,
-    nor a ``trace:<folder>`` recorded trace. Subclasses ``KeyError``
-    for backward compatibility with callers that catch the registry's
-    historical exception.
+    benchmark nor a ``gen:<spec|fingerprint|folder>`` generated
+    workload. Subclasses ``KeyError`` for backward compatibility with
+    callers that catch the registry's historical exception.
     """
 
     def __str__(self):

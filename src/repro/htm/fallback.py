@@ -86,14 +86,3 @@ class FallbackLock:
         self._readers.discard(core)
         if self.observer is not None:
             self.observer("release", core, True)
-
-    def force_release_any(self, core):
-        """Drop whatever hold ``core`` has (abort cleanup)."""
-        if self._writer == core:
-            self._writer = None
-            if self.observer is not None:
-                self.observer("release", core, False)
-        if core in self._readers:
-            self._readers.discard(core)
-            if self.observer is not None:
-                self.observer("release", core, True)

@@ -25,8 +25,6 @@ SharerIndex`, and ``detach_index`` (called on abort/commit/zombie)
 withdraws all of them; see that module for the visibility invariant.
 """
 
-from repro.memory.address import line_of_word
-
 
 class CapacityExceeded(Exception):
     """The read or write set no longer fits the tracking structure."""
@@ -166,30 +164,9 @@ class ReadWriteSets:
         self._write_counts.clear()
         self._write_over = 0
 
-    def conflicts_with_write(self, line):
-        """Would a remote write to ``line`` conflict with this tx?"""
-        return line in self.read_set or line in self.write_set
-
-    def conflicts_with_read(self, line):
-        """Would a remote read of ``line`` conflict with this tx?"""
-        return line in self.write_set
-
-    @property
-    def store_buffer_entries(self):
-        """Number of buffered speculative stores."""
-        return len(self._write_buffer)
-
     def touched_lines(self):
         """All lines in either set."""
         return self.read_set | self.write_set
-
-    def written_words(self):
-        """Buffered (word, value) pairs, for commit-order tests."""
-        return list(self._write_buffer.items())
-
-    def written_lines_of_buffer(self):
-        """Distinct lines with buffered stores."""
-        return {line_of_word(addr) for addr in self._write_buffer}
 
 
 class LimitedReadWriteSets(ReadWriteSets):

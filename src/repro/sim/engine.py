@@ -108,10 +108,10 @@ class RunSpec:
             "config": self.config.fingerprint(),
             "trace": self.trace,
         }
-        # Namespaced workloads (gen:/trace:) contribute their content
-        # token so regenerated specs or rewritten trace folders cannot
-        # alias a cached result; built-in names add nothing, keeping
-        # their keys byte-identical to every earlier release.
+        # A gen: workload contributes its spec fingerprint so a
+        # regenerated spec cannot alias a cached result; built-in names
+        # add nothing, keeping their keys byte-identical to every
+        # earlier release.
         token = workload_cache_token(self.workload)
         if token is not None:
             key_input["workload_token"] = token

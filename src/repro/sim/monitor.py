@@ -93,9 +93,16 @@ fallback ops nothing else. ``validate_machine`` runs once, at the end
 of the run, so checking with the monitor costs only what its hooks do.
 
 Violations raise :class:`repro.common.errors.OracleViolation` carrying
-its ``kind`` and a structured ``details`` dict. The monitor costs zero
-simulated cycles; it is pure host-side measurement machinery.
+its ``kind`` and a structured ``details`` dict, whose ``commits`` list
+is the monitor's ring of the last :data:`COMMIT_TAIL` regions that
+advanced the clock. The ring is all the history the monitor keeps, so
+its memory stays flat however long the run: a stale read names the
+writer of the line's current epoch while that writer is still in the
+ring. The monitor costs zero simulated cycles; it is pure host-side
+measurement machinery.
 """
+
+from collections import deque
 
 from repro.common.constants import WORDS_PER_LINE
 from repro.common.errors import OracleViolation
@@ -103,7 +110,8 @@ from repro.core.modes import ExecMode
 from repro.htm.abort import AbortReason
 from repro.sim.validate import validate_machine
 
-#: How many trailing commit records a violation report carries.
+#: How many records of regions that advanced the clock the monitor
+#: keeps, newest last; every violation report carries them.
 COMMIT_TAIL = 32
 
 #: How many diverging addresses a serializability violation reports.
@@ -163,18 +171,17 @@ def check_leaks(machine):
 class CommitRecord:
     """One region that advanced the commit clock, for violation reports.
 
-    Every committed AR gets one, in commit order (``order`` is its index
-    among the commits). A fallback region that aborted after storing
-    gets one too (``aborted``), because its direct stores persist and
-    move epochs like a commit; its ``order`` is the number of commits
-    before it.
+    Every committed AR gets one. A fallback region that aborted after
+    storing gets one too (``aborted``), because its direct stores
+    persist and move epochs like a commit. ``epoch`` is the clock value
+    the region wrote.
     """
 
-    __slots__ = ("order", "core", "region_id", "mode", "via_abort", "aborted")
+    __slots__ = ("epoch", "core", "region_id", "mode", "via_abort", "aborted")
 
-    def __init__(self, order, core, region_id, mode, via_abort,
+    def __init__(self, epoch, core, region_id, mode, via_abort,
                  aborted=False):
-        self.order = order
+        self.epoch = epoch
         self.core = core
         self.region_id = region_id
         self.mode = mode
@@ -184,7 +191,7 @@ class CommitRecord:
     def to_dict(self):
         """JSON-serializable form (used in violation details)."""
         return {
-            "order": self.order,
+            "epoch": self.epoch,
             "core": self.core,
             "region": list(self.region_id)
             if isinstance(self.region_id, tuple) else self.region_id,
@@ -218,10 +225,9 @@ class OnlineMonitor:
         self._values = dict(machine.memory.snapshot())
         #: Lines stored to by the current fallback region, per core.
         self._fallback_lines = [set() for _ in range(machine.config.num_cores)]
-        #: Committed ARs, in commit order.
-        self.commits = []
-        #: The record that wrote each epoch: epoch N is ``_writers[N - 1]``.
-        self._writers = []
+        #: The last COMMIT_TAIL regions that advanced the clock, one
+        #: CommitRecord each, oldest first: the newest wrote ``clock``.
+        self.tail = deque(maxlen=COMMIT_TAIL)
         self.reads_checked = 0
         self._retry_threshold = machine.config.retry_threshold
         self._early_reasons = machine.design.early_fallback_reasons
@@ -265,11 +271,9 @@ class OnlineMonitor:
         """
         clock = self.clock + 1
         self.clock = clock
-        record = CommitRecord(
-            len(self.commits), core, invocation.region_id, mode, via_abort
+        self.tail.append(
+            CommitRecord(clock, core, invocation.region_id, mode, via_abort)
         )
-        self.commits.append(record)
-        self._writers.append(record)
         early_fallback = self._early_fallback[core]
         self._early_fallback[core] = False
         threshold = self._retry_threshold
@@ -306,9 +310,7 @@ class OnlineMonitor:
                     stale.append(
                         {"line": line, "read_epoch": seen,
                          "current_epoch": current,
-                         "intervening_commit":
-                             self._writers[current - 1].to_dict()
-                             if current else None}
+                         "intervening_commit": self._writer_of(current)}
                     )
             if stale:
                 self._violation(
@@ -320,11 +322,8 @@ class OnlineMonitor:
                     ),
                     details={
                         "stale_reads": stale[:MAX_DIFF_REPORT],
-                        "commit": self.commits[-1].to_dict(),
-                        "commits": [
-                            record.to_dict()
-                            for record in self.commits[-COMMIT_TAIL:]
-                        ],
+                        "commit": self.tail[-1].to_dict(),
+                        "commits": self._tail_dicts(),
                     },
                 )
         for line in rwsets.write_set:
@@ -359,10 +358,7 @@ class OnlineMonitor:
                     "actual": value,
                     "expected": expected,
                     "core": core,
-                    "commits": [
-                        record.to_dict()
-                        for record in self.commits[-COMMIT_TAIL:]
-                    ],
+                    "commits": self._tail_dicts(),
                 },
             )
 
@@ -378,9 +374,9 @@ class OnlineMonitor:
         if lines:
             clock = self.clock + 1
             self.clock = clock
-            self._writers.append(CommitRecord(
-                len(self.commits), core, invocation.region_id,
-                ExecMode.FALLBACK, False, aborted=True,
+            self.tail.append(CommitRecord(
+                clock, core, invocation.region_id, ExecMode.FALLBACK, False,
+                aborted=True,
             ))
             epochs = self.line_epochs
             for line in lines:
@@ -426,14 +422,26 @@ class OnlineMonitor:
                 ),
                 details={
                     "diffs": diffs[:MAX_DIFF_REPORT],
-                    "commits": [
-                        record.to_dict()
-                        for record in self.commits[-COMMIT_TAIL:]
-                    ],
+                    "commits": self._tail_dicts(),
                 },
             )
 
     # -- violation plumbing --------------------------------------------------
+
+    def _tail_dicts(self):
+        return [record.to_dict() for record in self.tail]
+
+    def _writer_of(self, epoch):
+        """The record that wrote ``epoch`` as a dict, or None.
+
+        None for epoch 0 (never written) and for a writer that has left
+        the ring. The ring's records wrote consecutive epochs ending at
+        ``clock``.
+        """
+        index = epoch - self.clock + len(self.tail) - 1
+        if epoch and index >= 0:
+            return self.tail[index].to_dict()
+        return None
 
     def _violation(self, message, details):
         raise OracleViolation(message, details=details)
@@ -443,7 +451,5 @@ class OnlineMonitor:
         details["region"] = (
             list(region_id) if isinstance(region_id, tuple) else region_id
         )
-        details["commits"] = [
-            record.to_dict() for record in self.commits[-COMMIT_TAIL:]
-        ]
+        details["commits"] = self._tail_dicts()
         raise OracleViolation(message, details=details, kind=kind)

@@ -382,7 +382,7 @@ def verify(workload, config=None, *, cores=None, seed=1, schedules=20,
         from repro.workloads import canonical_workload_name, make_workload
 
         # Self-contained spelling so engine fan-out workers (and saved
-        # artifacts) can re-resolve gen:/trace: names from scratch.
+        # artifacts) can re-resolve gen: names from scratch.
         workload = workload_name = canonical_workload_name(workload)
         kwargs = {}
         if ops_per_thread is not None:

@@ -1,4 +1,4 @@
-"""All 19 evaluated benchmarks (paper §6), plus the corpus namespaces.
+"""All 19 evaluated benchmarks (paper §6), plus the ``gen:`` namespace.
 
 Data-structure benchmarks: arrayswap, bitcoin, bst, deque, hashmap,
 mwobject, queue, stack, sorted-list. STAMP suite (synthetic kernels
@@ -7,9 +7,8 @@ intruder, kmeans-h, kmeans-l, labyrinth, ssca2, vacation-h, vacation-l,
 yada.
 
 Beyond the built-ins, :func:`make_workload` resolves ``gen:<spec>``
-seeded generated workloads (:mod:`repro.workloads.gen`) and
-``trace:<folder>`` recorded-trace replays
-(:mod:`repro.workloads.trace`); see DESIGN.md §16.
+seeded generated workloads (:mod:`repro.workloads.gen`); see DESIGN.md
+§16.
 """
 
 from repro.workloads.base import Workload, RegionSpec, Mutability
@@ -18,7 +17,6 @@ from repro.workloads.registry import (
     DATASTRUCTURE_NAMES,
     GEN_PREFIX,
     STAMP_NAMES,
-    TRACE_PREFIX,
     ALL_NAMES,
     WORKLOAD_NAMESPACES,
     canonical_workload_name,
@@ -35,7 +33,6 @@ __all__ = [
     "STAMP_NAMES",
     "ALL_NAMES",
     "GEN_PREFIX",
-    "TRACE_PREFIX",
     "WORKLOAD_NAMESPACES",
     "canonical_workload_name",
     "make_workload",

@@ -106,21 +106,6 @@ def list_traverse_count(head_addr, match_value, max_steps=64,
     return body
 
 
-def scatter_updates(addrs, delta=1, taint_seed_addr=None):
-    """Mutable-footprint scatter: update many lines, optionally after a
-    data-dependent branch (used by the larger STAMP kernels)."""
-
-    def body():
-        if taint_seed_addr is not None:
-            seed = yield Load(taint_seed_addr)
-            yield Branch(seed)
-        for addr in addrs:
-            value = yield Load(addr)
-            yield Store(addr, value + delta)
-
-    return body
-
-
 def dynamic_scatter(cursor_addr, base, pool_lines, count,
                     stride=WORDS_PER_LINE, step=7):
     """Mutable: touch ``count`` lines selected by an in-memory cursor.
@@ -139,20 +124,5 @@ def dynamic_scatter(cursor_addr, base, pool_lines, count,
             value = yield Load(slot)
             yield Store(slot, value + 1)
         yield Store(cursor_addr, cursor + count)
-
-    return body
-
-
-def read_mostly_scan(addrs, write_addr=None, delta=1):
-    """Large read set, tiny write set (capacity-pressure pattern)."""
-
-    def body():
-        total = 0
-        for addr in addrs:
-            value = yield Load(addr)
-            total = total + value
-        if write_addr is not None:
-            old = yield Load(write_addr)
-            yield Store(write_addr, old + delta)
 
     return body

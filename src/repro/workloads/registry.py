@@ -1,22 +1,18 @@
 """Benchmark registry: workload name → workload instance.
 
-Three namespaces resolve through :func:`make_workload`:
+Two namespaces resolve through :func:`make_workload`:
 
 - **built-in names** — the paper's 19 kernels, matching its figures
   exactly (including the ``kmeans-h``/``kmeans-l`` and
   ``vacation-h``/``vacation-l`` input variants);
 - ``gen:<spec|fingerprint|folder>`` — seeded parametric workloads from
-  :mod:`repro.workloads.gen`;
-- ``trace:<folder>`` — recorded-trace replays from
-  :mod:`repro.workloads.trace`.
+  :mod:`repro.workloads.gen`.
 
 :func:`canonical_workload_name` rewrites a name to its self-contained
 spelling (the one worker processes can resolve without shared state),
 and :func:`workload_cache_token` supplies the extra content-address
-material namespaced workloads contribute to engine cache keys.
+material a ``gen:`` workload contributes to engine cache keys.
 """
-
-import os
 
 from repro.common.errors import UnknownWorkloadError
 from repro.workloads.datastructures import (
@@ -78,21 +74,19 @@ STAMP_NAMES = (
 ALL_NAMES = DATASTRUCTURE_NAMES + STAMP_NAMES
 
 GEN_PREFIX = "gen:"
-TRACE_PREFIX = "trace:"
 
 #: Human-readable description of every resolvable namespace, used by
 #: the unknown-name error and the CLI help strings.
 WORKLOAD_NAMESPACES = (
     "a built-in benchmark name",
     "gen:<spec|fingerprint|folder> (seeded generator)",
-    "trace:<folder> (recorded trace)",
 )
 
 
 def _unknown(name):
     return UnknownWorkloadError(
         "unknown workload {!r}; expected {} — built-in names: {}".format(
-            name, ", ".join(WORKLOAD_NAMESPACES),
+            name, " or ".join(WORKLOAD_NAMESPACES),
             ", ".join(sorted(WORKLOAD_FACTORIES)),
         )
     )
@@ -100,15 +94,10 @@ def _unknown(name):
 
 def make_workload(name, **kwargs):
     """Instantiate a workload by name (any namespace)."""
-    if isinstance(name, str):
-        if name.startswith(GEN_PREFIX):
-            from repro.workloads.gen import make_generated
+    if isinstance(name, str) and name.startswith(GEN_PREFIX):
+        from repro.workloads.gen import make_generated
 
-            return make_generated(name[len(GEN_PREFIX):], **kwargs)
-        if name.startswith(TRACE_PREFIX):
-            from repro.workloads.trace import TraceWorkload
-
-            return TraceWorkload(name[len(TRACE_PREFIX):], **kwargs)
+        return make_generated(name[len(GEN_PREFIX):], **kwargs)
     try:
         factory = WORKLOAD_FACTORIES[name]
     except (KeyError, TypeError):
@@ -120,45 +109,32 @@ def canonical_workload_name(name):
     """The self-contained spelling of ``name``.
 
     Built-in names pass through; ``gen:`` arguments (spec strings,
-    fingerprints, kernel folders) become the canonical spec string; a
-    ``trace:`` folder becomes its absolute path. The result resolves in
-    any process — this is what the experiment engine ships to workers.
-    Raises :class:`~repro.common.errors.UnknownWorkloadError` when the
-    name matches no namespace.
+    fingerprints, kernel folders) become the canonical spec string. The
+    result resolves in any process — this is what the experiment engine
+    ships to workers. Raises
+    :class:`~repro.common.errors.UnknownWorkloadError` when the name
+    matches no namespace.
     """
-    if isinstance(name, str):
-        if name.startswith(GEN_PREFIX):
-            from repro.workloads.gen import parse_gen_spec
+    if isinstance(name, str) and name.startswith(GEN_PREFIX):
+        from repro.workloads.gen import parse_gen_spec
 
-            return GEN_PREFIX + parse_gen_spec(name[len(GEN_PREFIX):]).canonical()
-        if name.startswith(TRACE_PREFIX):
-            from repro.workloads.trace import read_manifest
-
-            path = os.path.abspath(name[len(TRACE_PREFIX):])
-            read_manifest(path)
-            return TRACE_PREFIX + path
+        return GEN_PREFIX + parse_gen_spec(name[len(GEN_PREFIX):]).canonical()
     if name in WORKLOAD_FACTORIES:
         return name
     raise _unknown(name)
 
 
 def workload_cache_token(name):
-    """Extra cache-key material for namespaced workloads, or ``None``.
+    """Extra cache-key material for a ``gen:`` workload, or ``None``.
 
     Built-in names are fully described by the name itself, so they
     contribute nothing (their cache keys stay byte-identical to every
-    earlier release). A ``gen:`` name contributes the spec fingerprint
-    and a ``trace:`` name the folder's recorded content digest, so two
-    different traces at the same path — or a re-generated spec behind
-    the same fingerprint prefix — can never alias a cached result.
+    earlier release). A ``gen:`` name contributes the spec fingerprint,
+    so a re-generated spec behind the same fingerprint prefix can never
+    alias a cached result.
     """
-    if isinstance(name, str):
-        if name.startswith(GEN_PREFIX):
-            from repro.workloads.gen import parse_gen_spec
+    if isinstance(name, str) and name.startswith(GEN_PREFIX):
+        from repro.workloads.gen import parse_gen_spec
 
-            return parse_gen_spec(name[len(GEN_PREFIX):]).fingerprint()
-        if name.startswith(TRACE_PREFIX):
-            from repro.workloads.trace import manifest_digest
-
-            return manifest_digest(name[len(TRACE_PREFIX):])
+        return parse_gen_spec(name[len(GEN_PREFIX):]).fingerprint()
     return None

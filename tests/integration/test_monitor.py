@@ -13,6 +13,7 @@ import pickle
 
 import pytest
 
+from repro.common.constants import WORDS_PER_LINE
 from repro.common.errors import OracleViolation
 from repro.core.modes import ExecMode
 from repro.htm.arbiter import NO_CONFLICT
@@ -21,6 +22,7 @@ from repro.htm.rwset import ReadWriteSets
 from repro.memory.address import line_of_word
 from repro.sim.config import SimConfig
 from repro.sim.machine import Machine
+from repro.sim.monitor import COMMIT_TAIL
 from repro.sim.program import Invoke
 from repro.workloads import ALL_NAMES, make_workload
 from tests.conftest import general_path, takes_one_step
@@ -53,21 +55,42 @@ class TestMonitorPasses:
         )
         stats = machine.run()  # finalize() runs inside; no raise = pass
         assert stats.total_commits > 0
-        assert len(machine.monitor.commits) == stats.total_commits
+        # No fallback region aborts here, so each commit is one tick.
+        monitor = machine.monitor
+        assert monitor.clock == stats.total_commits
+        assert len(monitor.tail) == min(monitor.clock, COMMIT_TAIL)
 
     def test_commit_records_are_serializable(self):
         machine = Machine(
             monitor_config(), make_workload("hashmap", ops_per_thread=5), seed=4
         )
         machine.run()
-        assert machine.monitor.commits
-        for record in machine.monitor.commits:
+        monitor = machine.monitor
+        assert monitor.tail
+        for epoch, record in enumerate(monitor.tail,
+                                       monitor.clock - len(monitor.tail) + 1):
             dumped = record.to_dict()
-            assert dumped["order"] == record.order
+            assert dumped["epoch"] == record.epoch == epoch
             assert dumped["mode"] in {
                 "speculative", "failed_discovery", "ns_cl", "s_cl", "fallback",
             }
             assert dumped["aborted"] is False
+
+    def test_ring_stays_bounded_on_long_runs(self):
+        # More clock ticks than COMMIT_TAIL: the monitor keeps only the
+        # newest COMMIT_TAIL records, which wrote the newest epochs.
+        machine = Machine(
+            monitor_config(), make_workload("mwobject", ops_per_thread=16),
+            seed=1,
+        )
+        stats = machine.run()
+        monitor = machine.monitor
+        assert monitor.clock > COMMIT_TAIL
+        assert monitor.clock >= stats.total_commits
+        assert len(monitor.tail) == min(monitor.clock, COMMIT_TAIL)
+        assert [record.epoch for record in monitor.tail] == list(
+            range(monitor.clock - COMMIT_TAIL + 1, monitor.clock + 1)
+        )
 
     def test_monitor_actually_checks_reads(self):
         machine = Machine(
@@ -240,7 +263,10 @@ class TestFallbackAbortEpochs:
 
     WORD = 4096
 
-    def stale_read_after(self, aborts):
+    def stale_read_after(self, aborts, then_elsewhere=0):
+        """Abort ``aborts`` fallback regions that store to WORD, then
+        ``then_elsewhere`` that store to another line, and commit a read
+        of WORD's line at epoch 0."""
         machine = Machine(
             monitor_config("baseline", num_cores=2),
             make_workload("mwobject", ops_per_thread=1), seed=1,
@@ -250,6 +276,9 @@ class TestFallbackAbortEpochs:
         fallback_region = Invoke(("fallback", 0), lambda: iter(()))
         for value in range(1, aborts + 1):
             monitor.note_fallback_store(0, self.WORD, value)
+            monitor.note_fallback_abort(0, fallback_region)
+        for value in range(then_elsewhere):
+            monitor.note_fallback_store(0, self.WORD + WORDS_PER_LINE, value)
             monitor.note_fallback_abort(0, fallback_region)
         reader = ReadWriteSets(monitor_epochs={})
         reader.monitor_reads[line] = 0
@@ -270,10 +299,29 @@ class TestFallbackAbortEpochs:
         assert writer["region"] == ["fallback", 0]
         assert writer["mode"] == "fallback"
         assert writer["aborted"] is True
+        assert writer["epoch"] == aborts
         assert details["commit"]["core"] == 1
-        # Aborted regions are writers, not commits.
-        assert len(monitor.commits) == 1
+        assert details["commit"]["aborted"] is False
+        # The report's tail is the ring: the aborted regions, then the
+        # commit that read stale.
         assert monitor.clock == aborts + 1
+        assert [(record["epoch"], record["aborted"])
+                for record in details["commits"]] == (
+            [(epoch, True) for epoch in range(1, aborts + 1)]
+            + [(aborts + 1, False)]
+        )
+
+    def test_writer_that_left_the_ring_is_reported_by_epoch(self):
+        # The writer of epoch 1 is followed by COMMIT_TAIL more ticks,
+        # so by the reader's commit it has left the ring.
+        monitor, details = self.stale_read_after(1, then_elsewhere=COMMIT_TAIL)
+        (stale,) = details["stale_reads"]
+        assert stale["read_epoch"] == 0
+        assert stale["current_epoch"] == 1
+        assert stale["intervening_commit"] is None
+        assert monitor.clock == COMMIT_TAIL + 2
+        assert len(details["commits"]) == COMMIT_TAIL
+        assert details["commits"][0]["epoch"] == 3
 
 
 class TestCrossCheck:

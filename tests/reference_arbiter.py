@@ -13,6 +13,7 @@ refers to the module.
 
 from repro.htm.abort import AbortReason
 from repro.htm.arbiter import NO_CONFLICT, Resolution
+from tests.reference_rwset import conflicts_with_read, conflicts_with_write
 
 
 class TxPeerView:
@@ -57,9 +58,9 @@ def resolve(requester_core, line, is_write, requester_failed, peers,
             # away, so there is nothing to protect.
             continue
         if is_write:
-            hit = peer.rwsets.conflicts_with_write(line)
+            hit = conflicts_with_write(peer.rwsets, line)
         else:
-            hit = peer.rwsets.conflicts_with_read(line)
+            hit = conflicts_with_read(peer.rwsets, line)
         if hit:
             conflicting.append(peer)
 

@@ -1,4 +1,4 @@
-"""The capacity rule as a re-walk: the reference ``ReadWriteSets``' counters are tested against.
+"""Test-only views of ``ReadWriteSets``: the capacity re-walk and the conflict rule.
 
 :class:`repro.htm.rwset.ReadWriteSets` checks associativity in O(1)
 per access with per-cache-set occupancy counters and a count of sets
@@ -6,9 +6,24 @@ over their associativity. :func:`fits` is the rule they implement,
 over a whole set of lines, and :func:`counters_consistent` re-walks an
 instance's read and write sets and compares the result with its
 counters. ``tests/unit/test_rwset.py``, ``tests/unit/test_design.py``
-and ``tests/property/test_prop_sharer_index.py`` use them; nothing
-under ``src/`` refers to the module.
+and ``tests/property/test_prop_sharer_index.py`` use them.
+
+:func:`conflicts_with_write` and :func:`conflicts_with_read` ask one
+transaction's sets whether a remote request conflicts with it: the
+per-peer question of the full peer scan in ``tests/reference_arbiter.py``.
+The simulator answers it from the sharer index instead. Nothing under
+``src/`` refers to the module.
 """
+
+
+def conflicts_with_write(rwsets, line):
+    """Would a remote write to ``line`` conflict with this tx?"""
+    return line in rwsets.read_set or line in rwsets.write_set
+
+
+def conflicts_with_read(rwsets, line):
+    """Would a remote read of ``line`` conflict with this tx?"""
+    return line in rwsets.write_set
 
 
 def fits(lines, num_sets, assoc):

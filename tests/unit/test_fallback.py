@@ -68,21 +68,6 @@ class TestReaders:
             FallbackLock(5).release_read(0)
 
 
-class TestForceRelease:
-    def test_force_release_write(self):
-        lock = FallbackLock(5)
-        lock.try_acquire_write(0)
-        lock.force_release_any(0)
-        assert not lock.is_write_held()
-
-    def test_force_release_read(self):
-        lock = FallbackLock(5)
-        lock.try_acquire_read(0)
-        lock.force_release_any(0)
-        assert lock.readers == frozenset()
-
-    def test_force_release_nothing_held_ok(self):
-        FallbackLock(5).force_release_any(3)
-
+class TestLine:
     def test_line_exposed(self):
         assert FallbackLock(42).line == 42

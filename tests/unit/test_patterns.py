@@ -10,7 +10,6 @@ from repro.workloads.patterns import (
     indirect_rmw,
     indirect_transfer,
     list_traverse_count,
-    read_mostly_scan,
 )
 
 
@@ -140,16 +139,3 @@ class TestDynamicScatter:
         result = probe_body(dynamic_scatter(cursor, pool, 32, count=5), memory)
         # 5 pool lines + the cursor line.
         assert result.footprint_size == 6
-
-
-class TestScan:
-    def test_scan_reads_everything_writes_one(self):
-        memory, alloc = fresh_memory()
-        addrs = [alloc.alloc_lines(1) for _ in range(5)]
-        write_addr = alloc.alloc_lines(1)
-        result = probe_body(
-            read_mostly_scan(addrs, write_addr=write_addr), memory, commit=True
-        )
-        assert result.loads == 6  # 5 scans + RMW load
-        assert result.stores == 1
-        assert memory.peek(write_addr) == 1

@@ -1,13 +1,12 @@
-"""Golden-pinned corpus smoke: the committed kernel + trace, every design.
+"""Golden-pinned corpus smoke: the committed kernel, every design.
 
-``tests/workloads/corpus/`` commits one generated kernel folder and one
-recorded mwobject trace. This suite replays both through
-``api.simulate`` across every registered design with the online
-serializability monitor armed and pins the results byte-for-byte
-against ``tests/goldens/corpus_micro.json`` — so the on-disk formats,
-the namespace resolution, and the designs' behaviour on corpus
-workloads are all frozen together. Refresh intentionally moved results
-with ``scripts/refresh_goldens.py --only corpus --apply``.
+``tests/workloads/corpus/`` commits one generated kernel folder. This
+suite runs it through ``api.simulate`` across every registered design
+with the online serializability monitor armed and pins the results
+byte-for-byte against ``tests/goldens/corpus_micro.json`` — so the
+on-disk format, the namespace resolution, and the designs' behaviour
+on corpus workloads are all frozen together. Refresh intentionally
+moved results with ``scripts/refresh_goldens.py --only corpus --apply``.
 """
 
 import hashlib
@@ -22,16 +21,12 @@ from repro.sim.config import SimConfig
 from repro.sim.machine import build_machine
 from repro.workloads import make_workload
 from repro.workloads.gen import load_gen_spec
-from repro.workloads.trace import read_manifest
 
 TESTS_DIR = os.path.join(os.path.dirname(__file__), "..")
 CORPUS_DIR = os.path.join(TESTS_DIR, "workloads", "corpus")
 GOLDEN_PATH = os.path.join(TESTS_DIR, "goldens", "corpus_micro.json")
 
-TARGETS = {
-    "gen": "gen:" + os.path.join(CORPUS_DIR, "kernel"),
-    "trace": "trace:" + os.path.join(CORPUS_DIR, "trace"),
-}
+TARGETS = {"gen": "gen:" + os.path.join(CORPUS_DIR, "kernel")}
 
 
 def load_golden():
@@ -52,12 +47,9 @@ def test_golden_covers_every_design_and_target():
 
 
 def test_committed_folders_are_intact():
-    # Loading performs the full format/digest validation for each
-    # on-disk format.
+    # Loading performs the full format/fingerprint validation.
     spec = load_gen_spec(os.path.join(CORPUS_DIR, "kernel"))
     assert spec.regions == 2
-    manifest = read_manifest(os.path.join(CORPUS_DIR, "trace"))
-    assert manifest["workload"] == "mwobject"
 
 
 @pytest.mark.parametrize("label", sorted(TARGETS))

@@ -70,12 +70,14 @@ class TestGenSpec:
 
 class TestNamespaces:
     def test_unknown_name_is_typed_and_lists_namespaces(self):
-        with pytest.raises(UnknownWorkloadError) as excinfo:
-            make_workload("nope")
-        message = str(excinfo.value)
-        assert "gen:" in message and "trace:" in message
-        # Back-compat: the historical registry exception was KeyError.
-        assert isinstance(excinfo.value, KeyError)
+        # trace: is no namespace: its names are unknown like any other.
+        for name in ("nope", "trace:corpus/kernel/trace"):
+            with pytest.raises(UnknownWorkloadError) as excinfo:
+                make_workload(name)
+            listed = str(excinfo.value).split("; expected ", 1)[1]
+            assert "gen:" in listed and "trace:" not in listed
+            # Back-compat: the historical registry exception was KeyError.
+            assert isinstance(excinfo.value, KeyError)
 
     def test_gen_name_resolves(self):
         workload = make_workload("gen:footprint=2", ops_per_thread=3)
