@@ -152,7 +152,11 @@ def load_pytest_cov_report(path):
 
 
 def main(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser = argparse.ArgumentParser(
+        description=__doc__.splitlines()[0],
+        epilog="Any other arguments are extra pytest arguments for the "
+               "fallback measurement (default: the tier-1 fast profile).",
+    )
     parser.add_argument(
         "--report", metavar="coverage.json", default=None,
         help="check an existing pytest-cov JSON report instead of "
@@ -163,18 +167,13 @@ def main(argv=None):
         help="rewrite {} from this measurement".format(
             os.path.relpath(BASELINE_PATH, REPO)),
     )
-    parser.add_argument(
-        "pytest_args", nargs="*",
-        help="extra pytest arguments for the fallback measurement "
-             "(default: the tier-1 fast profile)",
-    )
-    args = parser.parse_args(argv)
+    args, pytest_args = parser.parse_known_args(argv)
 
     if args.report:
         per_file = load_pytest_cov_report(args.report)
         method = "pytest-cov"
     else:
-        per_file = measure(args.pytest_args)
+        per_file = measure(pytest_args)
         method = "settrace"
     percent = totals(per_file)
     print("total line coverage: {:.2f}% ({})".format(percent, method))

@@ -9,7 +9,7 @@ The test suite pins three goldens:
   micro cell (genome/W/4c seed 1).
 - ``tests/goldens/corpus_micro.json`` — the committed workload corpus
   (``tests/workloads/corpus/``: one generated kernel folder) run
-  through every registered design with the online serializability
+  through each of the four designs with the online serializability
   monitor armed, digests pinned per cell. The kernel folder is a fixed
   committed input; only the result digests are recomputed here.
 

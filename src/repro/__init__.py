@@ -19,15 +19,13 @@ Quickstart::
     report = api.simulate("mwobject", "clear+powertm", seeds=1)
     print(report.stats.summary())
 
-:func:`repro.api.simulate` is the single supported entry point. HTM
-designs are pluggable: :class:`repro.HtmDesign` is the backend
-protocol, :data:`repro.DESIGN_REGISTRY` maps design names to
-implementations, and :func:`repro.register_design` adds new ones (see
-DESIGN.md §12).
+:func:`repro.api.simulate` is the single supported entry point.
+:data:`repro.DESIGN_REGISTRY` is the table of the paper's four designs
+(see DESIGN.md §12).
 """
 
 from repro.core.modes import ExecMode
-from repro.htm.design import DESIGN_REGISTRY, HtmDesign, register_design
+from repro.htm.design import DESIGN_REGISTRY
 from repro.sim.config import ORACLE_MODES, SimConfig
 from repro.sim.engine import ExperimentEngine, RunSpec
 from repro.sim.faults import FaultPlan
@@ -51,9 +49,7 @@ __all__ = [
     "MetricRegistry",
     "ExecMode",
     "SimConfig",
-    "HtmDesign",
     "DESIGN_REGISTRY",
-    "register_design",
     "Machine",
     "AggregateResult",
     "RunResult",

@@ -215,10 +215,9 @@ def simulate(workload, config=None, *, seeds=1, trim=PAPER_TRIM, trace=False,
         ``gen:<spec|fingerprint|folder>`` name for a seeded generated
         workload, or a zero-argument workload factory.
     config:
-        A :class:`~repro.sim.config.SimConfig`, a registered design
-        name (``"baseline"``/``"powertm"``/``"clear"``/
-        ``"clear+powertm"``/``"lrw"``/``"bigatomics"``), or None for
-        defaults.
+        A :class:`~repro.sim.config.SimConfig`, a design name
+        (``"baseline"``/``"powertm"``/``"clear"``/``"clear+powertm"``),
+        or None for defaults.
     seeds:
         One seed (int) or an iterable of seeds; one run per seed.
     trim:

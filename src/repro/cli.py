@@ -41,14 +41,14 @@ def add_engine_flags(parser, cache_default=DEFAULT_CACHE_DIR):
 
 
 def add_design_flag(parser, default="baseline"):
-    """Attach the shared ``--design`` knob selecting the HTM backend.
+    """Attach the shared ``--design`` knob selecting the HTM design.
 
-    Choices come from :data:`~repro.htm.design.DESIGN_REGISTRY`, so
-    designs registered by the calling script automatically appear.
+    Choices are the paper's four designs, the keys of
+    :data:`~repro.htm.design.DESIGN_REGISTRY`.
     """
     parser.add_argument(
         "--design", choices=sorted(DESIGN_REGISTRY), default=default,
-        help="HTM design backend (default: %(default)s)",
+        help="HTM design (default: %(default)s)",
     )
     return parser
 

@@ -64,7 +64,6 @@ class EnergyModel:
         tx_begin=12.0,
         tx_commit=10.0,
         tx_abort=25.0,
-        multiword_commit=4.0,
     ):
         self.static_power_per_core = static_power_per_core
         self.compute_op = compute_op
@@ -81,10 +80,6 @@ class EnergyModel:
         self.tx_begin = tx_begin
         self.tx_commit = tx_commit
         self.tx_abort = tx_abort
-        # Constant-time multiword-atomic commits (the bigatomics
-        # design) publish the whole write set in one step and cost
-        # less than a full commit sequence.
-        self.multiword_commit = multiword_commit
 
     def evaluate(self, stats):
         """Energy of a run from its :class:`MachineStats`."""
@@ -97,16 +92,6 @@ class EnergyModel:
         dynamic += self.compute_op * stats.compute_ops
         dynamic += self.branch_op * stats.branch_ops
         dynamic += self.tx_begin * stats.tx_begins
-        # Design annotations may reclassify some commits as multiword
-        # (bigatomics); zero for every other design, where the math is
-        # float-identical to charging tx_commit for all commits.
-        multiword = getattr(stats, "design_annotations", {}).get(
-            "multiword_commits", 0
-        )
-        if multiword:
-            dynamic += self.tx_commit * (stats.total_commits - multiword)
-            dynamic += self.multiword_commit * multiword
-        else:
-            dynamic += self.tx_commit * stats.total_commits
+        dynamic += self.tx_commit * stats.total_commits
         dynamic += self.tx_abort * stats.total_aborts
         return EnergyBreakdown(static=static, dynamic=dynamic)

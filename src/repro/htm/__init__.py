@@ -11,19 +11,13 @@ four evaluated configurations:
 - :mod:`repro.htm.powertm` — the single power-mode token of PowerTM.
 - :mod:`repro.htm.arbiter` — requester-wins conflict arbitration with
   the PowerTM and CLEAR/S-CL NACK refinements.
-- :mod:`repro.htm.design` — the pluggable :class:`HtmDesign` backend
-  protocol and :data:`DESIGN_REGISTRY` of named designs.
+- :mod:`repro.htm.design` — :data:`DESIGN_REGISTRY`, the paper's four
+  designs as one table of letters and mechanism flags.
 """
 
 from repro.htm.abort import AbortReason, AbortCategory, categorize_abort
-from repro.htm.design import (
-    DESIGN_REGISTRY,
-    LEGACY_LETTER_DESIGNS,
-    HtmDesign,
-    design_name,
-    register_design,
-)
-from repro.htm.rwset import LimitedReadWriteSets, ReadWriteSets, CapacityExceeded
+from repro.htm.design import DESIGN_REGISTRY, LEGACY_LETTER_DESIGNS, design_name
+from repro.htm.rwset import ReadWriteSets, CapacityExceeded
 from repro.htm.fallback import FallbackLock
 from repro.htm.powertm import PowerToken
 from repro.htm.arbiter import ConflictArbiter, Resolution
@@ -32,13 +26,10 @@ __all__ = [
     "AbortReason",
     "AbortCategory",
     "categorize_abort",
-    "HtmDesign",
     "DESIGN_REGISTRY",
     "LEGACY_LETTER_DESIGNS",
-    "register_design",
     "design_name",
     "ReadWriteSets",
-    "LimitedReadWriteSets",
     "CapacityExceeded",
     "FallbackLock",
     "PowerToken",

@@ -51,22 +51,17 @@ NO_CONFLICT.victims = ()
 class ConflictArbiter:
     """Pure conflict-resolution policy (no machine state).
 
-    ``design`` is the machine's :class:`~repro.htm.design.HtmDesign`
-    instance; when present, its ``conflict_nacker`` hook decides whether
-    the power-token holder NACKs the requester. Without a design (unit
-    tests) the built-in PowerTM rule applies —
-    which is exactly what every registered design currently implements,
-    keeping the cross-check against the tests' full peer scan
-    (``tests/reference_arbiter.py``) valid.
+    When the power-token holder is among the conflicting peers,
+    PowerTM's rule applies: the power transaction never loses, so it
+    NACKs the requester, except an unstoppable one (an NS-CL lock
+    acquisition, whose completion guarantee wins, §5.2). Designs B and
+    C never take the token, so for them the rule never fires.
 
     Resolutions produced here are what the online serializability
     monitor (:mod:`repro.sim.monitor`) audits downstream: a resolution
     this arbiter wrongly drops lets two overlapping ARs commit, which
     the monitor flags as a stale read at the second commit.
     """
-
-    def __init__(self, design=None):
-        self._design = design
 
     def resolve_line(self, requester_core, line, is_write, requester_failed,
                      sharers, power_core=None, requester_unstoppable=False):
@@ -98,17 +93,10 @@ class ConflictArbiter:
         if not conflicting:
             return NO_CONFLICT
 
-        if power_core is not None and conflicting >> power_core & 1:
-            if self._design is not None:
-                nacker = self._design.conflict_nacker(
-                    power_core=power_core,
-                    requester_unstoppable=requester_unstoppable,
-                )
-            else:
-                nacker = None if requester_unstoppable else power_core
-            if nacker is not None:
-                return Resolution(
-                    requester_abort_reason=AbortReason.NACKED,
-                    nacking_core=nacker,
-                )
+        if (power_core is not None and conflicting >> power_core & 1
+                and not requester_unstoppable):
+            return Resolution(
+                requester_abort_reason=AbortReason.NACKED,
+                nacking_core=power_core,
+            )
         return Resolution(victims=cores_of(conflicting))

@@ -168,33 +168,3 @@ class ReadWriteSets:
         """All lines in either set."""
         return self.read_set | self.write_set
 
-
-class LimitedReadWriteSets(ReadWriteSets):
-    """Bounded speculative tracking for the ``lrw`` design.
-
-    On top of the cache-geometry checks, flat per-attempt budgets cap
-    how many distinct lines the read and write sets may track —
-    modelling small dedicated tracking structures (arXiv 2510.15888)
-    instead of whole private caches. The budget is checked *before* a
-    line is admitted, so a rejected line never registers in the sharer
-    index and the overflow abort needs no index cleanup for it.
-    """
-
-    __slots__ = ("_max_read_lines", "_max_write_lines")
-
-    def __init__(self, max_read_lines, max_write_lines, **kwargs):
-        super().__init__(**kwargs)
-        if max_read_lines < 1 or max_write_lines < 1:
-            raise ValueError("LRW line budgets must be >= 1")
-        self._max_read_lines = max_read_lines
-        self._max_write_lines = max_write_lines
-
-    def record_read(self, line):
-        if line not in self.read_set and len(self.read_set) >= self._max_read_lines:
-            raise CapacityExceeded("read", line)
-        super().record_read(line)
-
-    def record_write(self, line):
-        if line not in self.write_set and len(self.write_set) >= self._max_write_lines:
-            raise CapacityExceeded("write", line)
-        super().record_write(line)

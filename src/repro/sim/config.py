@@ -80,7 +80,7 @@ class SimConfig(Serializable):
     backoff_base: int = 8
     backoff_max_exponent: int = 6
     # -- HTM design (repro.htm.design) --
-    # Canonical registry key selecting the protocol backend.
+    # One of the paper's four designs, a DESIGN_REGISTRY key.
     design: str = "baseline"
     # -- CLEAR --
     ert_entries: int = 16
@@ -97,16 +97,6 @@ class SimConfig(Serializable):
     failed_mode_discovery: bool = True
     # §5: the Conflicting Reads Table feeding S-CL lock promotion.
     crt_enabled: bool = True
-    # -- LRW (design "lrw"): flat per-attempt tracking budgets --
-    # Distinct lines the bounded read/write tracking structures hold
-    # before the attempt overflows straight to the fallback path.
-    lrw_read_lines: int = 64
-    lrw_write_lines: int = 16
-    # -- Big Atomics (design "bigatomics") --
-    # Footprints of at most this many lines commit multiword-atomically
-    # in a short constant time instead of the full commit sequence.
-    bigatomics_lines: int = 8
-    bigatomics_commit_cycles: int = 6
     # -- transaction overheads (cycles) --
     tx_begin_cycles: int = 30
     tx_commit_cycles: int = 25
@@ -146,14 +136,10 @@ class SimConfig(Serializable):
             raise ConfigurationError("CLEAR tables need at least one entry")
         if self.design not in DESIGN_REGISTRY:
             raise ConfigurationError(
-                "unknown design {!r}; registered designs: {}".format(
+                "unknown design {!r}; designs: {}".format(
                     self.design, ", ".join(sorted(DESIGN_REGISTRY))
                 )
             )
-        for knob in ("lrw_read_lines", "lrw_write_lines",
-                     "bigatomics_lines", "bigatomics_commit_cycles"):
-            if getattr(self, knob) < 1:
-                raise ConfigurationError("{} must be >= 1".format(knob))
         if self.speculation not in ("htm", "sle"):
             raise ConfigurationError(
                 "speculation must be 'htm' or 'sle', not {!r}".format(
@@ -206,14 +192,14 @@ class SimConfig(Serializable):
         )
 
     @property
-    def design_class(self):
-        """The registered :class:`~repro.htm.design.HtmDesign` subclass."""
+    def design_row(self):
+        """The design's :data:`~repro.htm.design.DESIGN_REGISTRY` row."""
         return DESIGN_REGISTRY[self.design]
 
     @property
     def config_letter(self):
-        """The paper's letter (B/P/C/W), or the design name otherwise."""
-        return self.design_class.letter or self.design
+        """The paper's letter (B/P/C/W) of the design."""
+        return self.design_row.letter
 
     def replaced(self, **overrides):
         """A copy of this configuration with some fields replaced."""
@@ -262,7 +248,7 @@ class SimConfig(Serializable):
 
     @classmethod
     def for_design(cls, name, **overrides):
-        """Build a configuration for a registered design by name.
+        """Build a configuration for a design by name.
 
         ``name`` must be a :data:`~repro.htm.design.DESIGN_REGISTRY`
         key.

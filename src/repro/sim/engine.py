@@ -69,7 +69,10 @@ from repro.workloads import make_workload, workload_cache_token
 #: collapsed to "off"/"online", and from_dict stopped migrating v2/v3
 #: payloads (powertm/clear booleans, a boolean oracle); v5 cache
 #: entries miss and v5 job folders are refused.
-SCHEMA_VERSION = 6
+#: v7: SimConfig lost the four fields of the two post-paper designs
+#: (limited read/write sets, Big Atomics) and MachineStats its design
+#: annotations; v6 cache entries miss and v6 job folders are refused.
+SCHEMA_VERSION = 7
 
 DEFAULT_CACHE_DIR = ".exp_cache"
 

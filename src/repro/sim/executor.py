@@ -64,7 +64,7 @@ class CoreExecutor:
     """One core's execution state."""
 
     __slots__ = (
-        "core", "machine", "config", "design", "controller", "phase", "mode",
+        "core", "machine", "config", "powertm", "controller", "phase", "mode",
         "rng",
         "invocation", "counting_retries", "attempt_index", "next_mode",
         "saved_discovery", "invocation_aborts", "first_abort_footprint",
@@ -82,9 +82,8 @@ class CoreExecutor:
         self.core = core
         self.machine = machine
         self.config = machine.config
-        # The machine's HtmDesign instance: every policy decision the
-        # config booleans used to gate dispatches through its hooks.
-        self.design = machine.design
+        # PowerTM's rule: a retry requests the power token (P and W).
+        self.powertm = self.config.design_row.powertm
         self.controller = controller
         self.trace = machine.trace
         # Online monitor (repro.sim.monitor): serializability and the
@@ -248,7 +247,7 @@ class CoreExecutor:
         self.discovery = None
         if self.controller is not None:
             self.discovery = self.controller.begin_invocation(self.invocation.region_id)
-        if self.design.wants_power_token(counting_retries=self.counting_retries):
+        if self.powertm and self.counting_retries > 0:
             machine.power.try_acquire(self.core)
         self._plan_fault_injection()
         self.gen = self.invocation.body_factory()
@@ -289,10 +288,24 @@ class CoreExecutor:
         return self._start_attempt()
 
     def _new_rwsets(self):
-        # Design-provided conflict-detecting tracking; the default is
-        # cache-geometry ReadWriteSets with every tracked line
-        # registered in the machine-global sharer index.
-        return self.design.build_rwsets(executor=self)
+        """Speculative access tracking for one conflict-detecting attempt.
+
+        TSX-like tracking in the private caches: the write set against
+        L1 geometry, the union against L2, with every tracked line
+        registered in the machine-global sharer index (and in the
+        online monitor's first-read epoch summary when armed).
+        """
+        config = self.config
+        monitor = self.monitor
+        return ReadWriteSets(
+            l1_sets=config.l1_size // (64 * config.l1_assoc),
+            l1_assoc=config.l1_assoc,
+            l2_sets=config.l2_size // (64 * config.l2_assoc),
+            l2_assoc=config.l2_assoc,
+            index=self.machine.sharer_index,
+            core=self.core,
+            monitor_epochs=monitor.line_epochs if monitor is not None else None,
+        )
 
     # ------------------------------------------------------------------
     # Cacheline-locked attempts (NS-CL / S-CL)
@@ -479,10 +492,7 @@ class CoreExecutor:
         if self.discovery is not None and not sq_only:
             entry = self.controller.ert.ensure(self.invocation.region_id)
             entry.is_convertible = False
-        return self._abort_attempt(
-            self.design.classify_capacity_abort(executor=self, exc=exc),
-            line=exc.line,
-        )
+        return self._abort_attempt(AbortReason.CAPACITY, line=exc.line)
 
     def _fire_injected_abort(self):
         """The fault plan's abort for this attempt fires now."""
@@ -510,7 +520,7 @@ class CoreExecutor:
         with their evictions. It calls out for the inclusion drop of a
         line the private L2 evicts (``MemorySystem._drop_private_line``)
         and of an L1 victim the L2 lacks (``Directory.drop``), for
-        bounded ``lrw`` sets, for the monitor's fallback hooks, for the
+        the monitor's fallback hooks, for the
         controller when a held conflict starts failed mode (or, without
         failed mode, decides at once), for a fault plan's latency
         jitter, and for every abort, commit and region end.
@@ -926,16 +936,7 @@ class CoreExecutor:
             # Speculative tracking: ReadWriteSets.record_write/record_read
             # inline, registering each new line in the machine's sharer
             # index unless the set is in none (failed mode, NS-CL).
-            # Bounded sets check their budgets in their own methods.
-            if rwsets.__class__ is not ReadWriteSets:
-                try:
-                    if is_store:
-                        rwsets.record_write(line)
-                    else:
-                        rwsets.record_read(line)
-                except CapacityExceeded as exc:
-                    return self._capacity_abort(exc, sq_only=failed and is_store)
-            elif is_store:
+            if is_store:
                 write_set = rwsets.write_set
                 if line not in write_set:
                     write_set.add(line)
@@ -1065,9 +1066,6 @@ class CoreExecutor:
     def _commit(self, via_abort=False):
         machine = self.machine
         mode = self.mode
-        # Ask the design for the commit cost while the attempt state
-        # (mode, rwsets) is still live; _clear_attempt_state nulls both.
-        commit_cycles = self.design.commit_cycles(executor=self)
         if self.monitor is not None:
             # Retry-bound and epoch staleness checks + value-map fold;
             # needs the write buffer intact, so it runs before drain_to.
@@ -1096,7 +1094,7 @@ class CoreExecutor:
         self._clear_attempt_state()
         self.invocation = None
         self.phase = IDLE
-        return self._busy(commit_cycles)
+        return self._busy(self.config.tx_commit_cycles)
 
     # ------------------------------------------------------------------
     # Aborts
@@ -1171,16 +1169,16 @@ class CoreExecutor:
 
         # Pick the next attempt's mode: the per-mode logic proposes
         # (CLEAR's decision tree via decided_mode, else a plain
-        # speculative retry) and the design gets the final word — the
-        # default applies the paper's counting-retry fallback budget.
+        # speculative retry) and the machine's retry rule applies the
+        # paper's counting-retry fallback budget.
         if decided_mode is not None:
             proposed = decided_mode
         else:
             if mode is ExecMode.S_CL and reason in NON_MEMORY_REASONS:
                 self.controller.mark_non_discoverable(self.invocation.region_id)
             proposed = ExecMode.SPECULATIVE
-        self.next_mode = self.design.select_retry_mode(
-            executor=self, reason=reason, proposed=proposed
+        self.next_mode = machine.select_retry_mode(
+            self.counting_retries, proposed
         )
         if self.next_mode is not ExecMode.SPECULATIVE:
             # Power priority only matters for speculative retries; keep

@@ -28,8 +28,8 @@ once:
     a resume remembers deterministic failures instead of retrying
     them. Re-opening a folder validates both versions — serving
     results that mean something else is worse than re-executing — and
-    merges any new cells in, so one folder can hold a multi-call sweep
-    (e.g. the cross-design matrix, one engine call per cell).
+    merges any new cells in, so one folder can hold a sweep made of
+    several engine calls.
 
 The folder is single-sweep: two sweeps sharing one could each rewrite
 the manifest and lose the other's cells or failures (entries are

@@ -19,8 +19,10 @@ from repro.common.errors import (
     SimulationError,
 )
 from repro.common.rng import DeterministicRng
+from repro.core.controller import ClearController
 from repro.core.modes import ExecMode
 from repro.htm.arbiter import ConflictArbiter
+from repro.htm.fallback import FallbackLock
 from repro.htm.powertm import PowerToken
 from repro.htm.sharer_index import SharerIndex
 from repro.memory.address import line_of_word
@@ -104,16 +106,10 @@ class Machine:
             mem_latency=config.mem_latency,
             directory_sets=config.directory_sets,
         )
-        # The HTM design backend: one instance per machine, shared by
-        # all executors; every policy choice the booleans used to gate
-        # dispatches through its hooks (see repro.htm.design).
-        self.design = config.design_class(config)
         fallback_word = self.allocator.alloc_lines(1)
-        self.fallback = self.design.build_fallback_lock(
-            line=line_of_word(fallback_word)
-        )
+        self.fallback = FallbackLock(line_of_word(fallback_word))
         self.power = PowerToken()
-        self.arbiter = ConflictArbiter(design=self.design)
+        self.arbiter = ConflictArbiter()
         # Reverse sharer index: line -> (readers, writers) over every
         # conflict-visible attempt, so conflict checks probe the actual
         # sharers instead of scanning all cores (see htm/sharer_index).
@@ -138,9 +134,10 @@ class Machine:
         # after workload setup so its value map seeds from the exact
         # post-setup architectural state.
         self.monitor = OnlineMonitor(self) if config.online_monitor else None
+        clear = config.design_row.clear
         self.executors = []
         for core in range(config.num_cores):
-            controller = self.design.make_controller(core=core, machine=self)
+            controller = self._make_controller(core) if clear else None
             self.executors.append(CoreExecutor(core, self, controller))
         self._action_rngs = [
             self.rng.child(("actions", core)) for core in range(config.num_cores)
@@ -152,6 +149,22 @@ class Machine:
             # takeover) is covered without touching the executors.
             self.fallback.observer = self._on_fallback_event
             self.power.observer = self._on_power_event
+
+    def _make_controller(self, core):
+        """Core ``core``'s CLEAR controller (designs C and W)."""
+        config = self.config
+        return ClearController(
+            core,
+            directory_sets=self.memsys.directory.num_sets,
+            can_coreside=self.memsys.l1[core].can_coreside,
+            ert_entries=config.ert_entries,
+            crt_entries=config.crt_entries,
+            crt_assoc=config.crt_assoc,
+            alt_entries=config.alt_entries,
+            sq_capacity=config.sq_entries,
+            scl_lock_policy=config.scl_lock_policy,
+            crt_enabled=config.crt_enabled,
+        )
 
     # -- trace observer hooks -------------------------------------------------
 
@@ -192,6 +205,21 @@ class Machine:
             power_core=self.power.holder,
             requester_unstoppable=requester_unstoppable,
         )
+
+    def select_retry_mode(self, counting_retries, proposed):
+        """The next attempt's mode after an abort.
+
+        ``proposed`` is what the per-mode logic suggested (CLEAR's
+        decision tree, or a plain speculative retry); the paper's
+        counting-retry budget has the final word and sends the region
+        to the fallback path once ``retry_threshold`` aborts counted.
+        The executor looks this method up on the instance at every
+        abort, so replacing it on a machine (a planted retry-policy
+        bug) reaches every retry decision.
+        """
+        if counting_retries >= self.config.retry_threshold:
+            return ExecMode.FALLBACK
+        return proposed
 
     def abort_all_speculative(self, reason, exclude):
         """Fallback acquisition: doom every in-flight speculative AR."""
@@ -355,9 +383,6 @@ class Machine:
             if executor.finish_time is not None
         ]
         self.stats.makespan_cycles = max(finish_times) if finish_times else now
-        annotations = self.design.stat_annotations(machine=self)
-        if annotations:
-            self.stats.design_annotations = dict(annotations)
         if self.monitor is not None:
             self.monitor.finalize()
         return self.stats

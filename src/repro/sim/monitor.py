@@ -73,10 +73,9 @@ checked at the two events that can break it:
   :data:`NS_CL_ALLOWED_REASONS`.
 - **fallback-threshold**, at the commit: a fallback commit spent at
   least ``retry_threshold`` counting retries and any other commit
-  fewer. An invocation that aborted for one of the design's
-  ``early_fallback_reasons`` may fall back before the budget is spent;
-  that one flag per core is the monitor's only bound state, and the
-  commit clears it.
+  fewer, on every design and whatever the invocation aborted for. The
+  check reads only the commit's own arguments, so the monitor keeps no
+  bound state between an invocation's aborts and its commit.
 
 A count of speculative attempts after the first NS-CL attempt would
 add nothing: a later attempt means the NS-CL attempt aborted, and that
@@ -230,10 +229,6 @@ class OnlineMonitor:
         self.tail = deque(maxlen=COMMIT_TAIL)
         self.reads_checked = 0
         self._retry_threshold = machine.config.retry_threshold
-        self._early_reasons = machine.design.early_fallback_reasons
-        #: Per core: the open invocation aborted for one of the design's
-        #: early-fallback reasons (cleared at its commit).
-        self._early_fallback = [False] * machine.config.num_cores
         # Mirror out-of-AR pokes (workload node refills etc.) into the
         # value map.
         machine.memory.poke_mirror = self._note_poke
@@ -256,8 +251,6 @@ class OnlineMonitor:
                 core, self.machine.executors[core].invocation.region_id,
                 mode=mode.value, reason=reason.value,
             )
-        if reason in self._early_reasons:
-            self._early_fallback[core] = True
 
     def record_commit(self, core, invocation, mode, rwsets, counting_retries,
                       via_abort=False):
@@ -274,15 +267,9 @@ class OnlineMonitor:
         self.tail.append(
             CommitRecord(clock, core, invocation.region_id, mode, via_abort)
         )
-        early_fallback = self._early_fallback[core]
-        self._early_fallback[core] = False
         threshold = self._retry_threshold
-        fallback = mode is ExecMode.FALLBACK
-        # Fall back exactly when the budget is spent; an early-fallback
-        # abort lets the invocation fall back sooner.
-        if fallback != (counting_retries >= threshold) and not (
-            fallback and early_fallback
-        ):
+        # Fall back exactly when the budget is spent.
+        if (mode is ExecMode.FALLBACK) != (counting_retries >= threshold):
             self._bound_violation(
                 "fallback-threshold",
                 "{} commit after {} counting retries against a fallback "

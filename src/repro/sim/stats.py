@@ -96,10 +96,6 @@ class MachineStats(Serializable):
         # Run outcome.
         self.makespan_cycles = 0
         self.truncated = False
-        # Design-specific counters (HtmDesign.stat_annotations); empty
-        # for the four legacy designs, and serialized only when set so
-        # legacy result payloads stay byte-identical.
-        self.design_annotations = {}
 
     def _bind_metrics(self):
         """Bind the named registry metrics to attributes (idempotent)."""
@@ -345,7 +341,7 @@ class MachineStats(Serializable):
         stay duplicated under their legacy keys so older readers keep
         working). :meth:`from_dict` inverts all of it losslessly.
         """
-        data = {
+        return {
             "num_cores": self.num_cores,
             "cores": [core.to_dict() for core in self.cores],
             "commits_by_mode": {
@@ -386,9 +382,6 @@ class MachineStats(Serializable):
             "makespan_cycles": self.makespan_cycles,
             "truncated": self.truncated,
         }
-        if self.design_annotations:
-            data["design_annotations"] = dict(self.design_annotations)
-        return data
 
     @classmethod
     def from_dict(cls, data):
@@ -441,7 +434,6 @@ class MachineStats(Serializable):
         )
         stats.makespan_cycles = data["makespan_cycles"]
         stats.truncated = data["truncated"]
-        stats.design_annotations = dict(data.get("design_annotations", {}))
         return stats
 
     def summary(self):

@@ -5,12 +5,12 @@ implementation. The general op path it replaced survives as the test
 reference in ``tests/reference_step.py``, installed by the
 ``general_path()`` patch from ``tests/conftest.py``; both must give
 identical stats, event counts, and final architectural memory, run for
-run, on every registered design. Evidence layers:
+run, on each of the four designs. Evidence layers:
 
-1. pairwise differentials: every registered design (the paper's four
-   plus ``lrw``/``bigatomics``) runs representative workloads on both
-   paths; stats JSON, ``event_count``, ``memory.snapshot()`` and the
-   memory's load/store counters must match exactly — and, in the slow
+1. pairwise differentials: each of the paper's four designs runs
+   representative workloads on both paths; stats JSON,
+   ``event_count``, ``memory.snapshot()`` and the memory's load/store
+   counters must match exactly — and, in the slow
    profile, the full 19-workload x all-designs grid does the same, once
    plain and once with a fault plan and the online monitor armed;
 2. the full micro experiment matrix run on the reference produces
@@ -99,13 +99,6 @@ class TestPairwiseDifferential:
 
     def test_sle_speculation_matches(self):
         fast, general = both_cells("clear", "genome", speculation="sle")
-        assert fast == general
-
-    def test_lrw_bounded_sets_match(self):
-        # Tiny budgets make the bounded sets overflow constantly; the
-        # step tracks them through their own record_read/record_write.
-        fast, general = both_cells("lrw", "genome", lrw_read_lines=2,
-                                   lrw_write_lines=1)
         assert fast == general
 
     @pytest.mark.parametrize("design", ["clear", "clear+powertm"])

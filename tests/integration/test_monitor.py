@@ -109,7 +109,7 @@ class TestMonitorPasses:
         assert machine.run().total_commits > 0
 
     # The micro cells of scripts/bench_perf.py (hashmap, genome and
-    # mwobject at 4 cores and 4 ops), on every registered design.
+    # mwobject at 4 cores and 4 ops), on each of the four designs.
     @pytest.mark.parametrize("workload", ["hashmap", "genome", "mwobject"])
     @pytest.mark.parametrize("design", sorted(DESIGN_REGISTRY))
     def test_monitored_run_matches_plain_run(self, design, workload):

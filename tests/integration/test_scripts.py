@@ -287,8 +287,9 @@ class TestGenCorpus:
         one-line parser error, not a traceback."""
         for name in ("nope", "trace:" + str(tmp_path)):
             result = subprocess.run(
-                [sys.executable, str(SCRIPTS / "bench_designs.py"),
-                 "--scale", "micro", "--workloads", name, "--no-write"],
+                [sys.executable, str(SCRIPTS / "run_experiments.py"),
+                 "micro", str(tmp_path / "out.json"), "--no-cache",
+                 "--benchmarks", "mwobject," + name],
                 capture_output=True, text=True,
             )
             assert result.returncode == 2
@@ -297,32 +298,25 @@ class TestGenCorpus:
             assert "gen:" in listed and "trace:" not in listed
 
 
-class TestBenchDesignsJournal:
-    def test_matrix_journal_resumes_identical(self, tmp_path):
-        """One job folder journals the whole cross-design matrix."""
+class TestCoverageGate:
+    def test_unknown_options_reach_pytest(self, monkeypatch, capsys):
+        """Options the gate does not know are pytest's, not errors."""
         sys.path.insert(0, str(SCRIPTS))
         try:
-            import bench_designs
+            import coverage_gate
 
-            job = tmp_path / "job"
-            outputs = {}
-            for label, journal_flag in (
-                ("first", ["--journal", str(job)]),
-                ("resumed", ["--resume", str(job)]),
-            ):
-                json_path = tmp_path / (label + ".json")
-                md_path = tmp_path / (label + ".md")
-                bench_designs.main(
-                    ["--scale", "micro", "--workloads", "mwobject",
-                     "--designs", "baseline", "powertm",
-                     "--jobs", "1", "--no-cache",
-                     "--json", str(json_path), "--markdown", str(md_path)]
-                    + journal_flag
-                )
-                outputs[label] = json.loads(json_path.read_text())
+            seen = []
+
+            def measure(pytest_args):
+                seen.append(list(pytest_args))
+                return {"src/repro/api.py": (9, 10)}
+
+            monkeypatch.setattr(coverage_gate, "measure", measure)
+            status = coverage_gate.main(
+                ["-p", "no:cacheprovider", "tests/unit/test_config.py"]
+            )
         finally:
             sys.path.remove(str(SCRIPTS))
-        assert outputs["first"] == outputs["resumed"]
-        # Both engine calls merged their cells into one manifest.
-        manifest = json.loads((job / "manifest.json").read_text())
-        assert len(manifest["cells"]) == 4  # 1 workload x 2 designs x 2 seeds
+        assert seen == [["-p", "no:cacheprovider", "tests/unit/test_config.py"]]
+        assert status == 0
+        assert "total line coverage: 90.00%" in capsys.readouterr().out

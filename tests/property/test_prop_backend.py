@@ -9,7 +9,7 @@ architectural memory. This catches equivalence bugs the pinned matrices
 cannot — odd core counts, unusual retry thresholds, the SLE speculation
 substrate, the online monitor, a fault plan, and CLEAR's ablations
 (no failed mode, S-CL locking every line, no CRT) crossed with the
-post-paper designs.
+four designs.
 """
 
 from hypothesis import given, settings

@@ -73,7 +73,7 @@ def test_same_spec_and_seed_is_byte_identical(spec, design, seed, num_cores):
 
 @given(
     spec=gen_specs,
-    design=st.sampled_from(["baseline", "powertm", "clear", "lrw"]),
+    design=st.sampled_from(["baseline", "powertm", "clear", "clear+powertm"]),
     seed=st.integers(min_value=1, max_value=10_000),
     num_cores=st.integers(min_value=2, max_value=8),
 )

@@ -21,7 +21,7 @@ from tests.shadow import run_with_shadow
 pytestmark = pytest.mark.slow
 
 WORKLOADS = ["hashmap", "bst", "mwobject", "genome", "labyrinth"]
-DESIGNS = ["baseline", "powertm", "clear", "clear+powertm", "lrw", "bigatomics"]
+DESIGNS = ["baseline", "powertm", "clear", "clear+powertm"]
 
 
 def build(workload, design, seed, cores, oracle="online"):

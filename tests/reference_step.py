@@ -168,10 +168,7 @@ def exec_memory_op(self, op, is_store):
             try:
                 rwsets.record_write(line)
             except CapacityExceeded as exc:
-                return self._abort_attempt(
-                    self.design.classify_capacity_abort(executor=self, exc=exc),
-                    line=exc.line,
-                )
+                return self._abort_attempt(AbortReason.CAPACITY, line=exc.line)
             rwsets.buffer_store(word_addr, op.store_value)
         if discovery.exhausted:
             return self._conclude_exhausted_failed_discovery()

@@ -15,9 +15,7 @@ subsumed (DESIGN.md §11.3):
   aborts, at most :data:`MAX_SPECULATIVE_AFTER_NS_CL` speculative
   attempts begin after the first NS-CL attempt;
 - **fallback-threshold**: a fallback commit spent at least
-  ``retry_threshold`` counting retries and any other commit fewer,
-  unless the invocation aborted for one of the design's
-  ``early_fallback_reasons``.
+  ``retry_threshold`` counting retries and any other commit fewer.
 
 It attaches to any machine by wrapping three methods of the machine's
 :class:`~repro.sim.stats.MachineStats`, which the executor calls at
@@ -114,7 +112,6 @@ class RetryReference:
         """``(kind, record)`` per violated rule, in commit order."""
         found = []
         threshold = self.machine.config.retry_threshold
-        early = self.machine.design.early_fallback_reasons
         for record in self.completed:
             for mode, reason in record.aborts:
                 if (mode is ExecMode.NS_CL
@@ -129,13 +126,8 @@ class RetryReference:
                 )
                 if speculative_after > MAX_SPECULATIVE_AFTER_NS_CL:
                     found.append(("retry-bound", record))
-            retries = record.commit_retries
-            if record.commit_mode is ExecMode.FALLBACK:
-                early_fallback = any(reason in early
-                                     for _, reason in record.aborts)
-                if retries < threshold and not early_fallback:
-                    found.append(("fallback-threshold", record))
-            elif retries >= threshold:
+            fallback = record.commit_mode is ExecMode.FALLBACK
+            if fallback != (record.commit_retries >= threshold):
                 found.append(("fallback-threshold", record))
         return found
 
@@ -171,16 +163,15 @@ def fall_back_one_retry_early(machine):
     Breaks ``fallback-threshold`` at the first invocation that falls
     back (with ``retry_threshold=1`` every abort does).
     """
-    design = machine.design
     threshold = machine.config.retry_threshold
-    real = design.select_retry_mode
+    real = machine.select_retry_mode
 
-    def select_retry_mode(*, executor, reason, proposed):
-        if executor.counting_retries >= threshold - 1:
+    def select_retry_mode(counting_retries, proposed):
+        if counting_retries >= threshold - 1:
             return ExecMode.FALLBACK
-        return real(executor=executor, reason=reason, proposed=proposed)
+        return real(counting_retries, proposed)
 
-    design.select_retry_mode = select_retry_mode
+    machine.select_retry_mode = select_retry_mode
 
 
 def never_fall_back(machine):
@@ -189,7 +180,7 @@ def never_fall_back(machine):
     Breaks ``fallback-threshold`` at the first invocation that commits
     after ``retry_threshold`` counting retries without falling back.
     """
-    def select_retry_mode(*, executor, reason, proposed):
+    def select_retry_mode(counting_retries, proposed):
         return proposed
 
-    machine.design.select_retry_mode = select_retry_mode
+    machine.select_retry_mode = select_retry_mode

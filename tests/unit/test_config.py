@@ -5,7 +5,6 @@ import warnings
 import pytest
 
 from repro.common.errors import ConfigurationError
-from repro.htm.design import DESIGN_REGISTRY
 from repro.sim.config import ORACLE_MODES, SimConfig
 
 
@@ -51,30 +50,17 @@ class TestDesignSelection:
     def test_design_round_trip(self, design, letter, powertm, clear):
         config = SimConfig.for_design(design)
         assert config.design == design
-        assert config.design_class.powertm == powertm
-        assert config.design_class.clear == clear
+        assert config.design_row.powertm == powertm
+        assert config.design_row.clear == clear
         assert config.config_letter == letter
 
     def test_unknown_design_rejected(self):
-        with pytest.raises(ConfigurationError):
-            SimConfig(design="nonesuch")
-        with pytest.raises(ConfigurationError):
-            SimConfig.for_design("nonesuch")
-
-    def test_new_designs_registered(self):
-        assert "lrw" in DESIGN_REGISTRY
-        assert "bigatomics" in DESIGN_REGISTRY
-        assert SimConfig.for_design("lrw").design == "lrw"
-
-    def test_new_design_letter_falls_back_to_name(self):
-        assert SimConfig.for_design("lrw").config_letter == "lrw"
-        assert SimConfig.for_design("bigatomics").config_letter == "bigatomics"
-
-    def test_design_knob_validation(self):
-        for knob in ("lrw_read_lines", "lrw_write_lines",
-                     "bigatomics_lines", "bigatomics_commit_cycles"):
+        # The two post-paper designs are gone with the rest.
+        for name in ("nonesuch", "lrw", "bigatomics"):
             with pytest.raises(ConfigurationError):
-                SimConfig(**{knob: 0})
+                SimConfig(design=name)
+            with pytest.raises(ConfigurationError):
+                SimConfig.for_design(name)
 
 
 class TestRemovedSpellings:
@@ -165,8 +151,8 @@ class TestReplaced:
         assert config.design == "clear"
 
     def test_replaced_keeps_design(self):
-        config = SimConfig.for_design("lrw").replaced(num_cores=2)
-        assert config.design == "lrw"
+        config = SimConfig.for_design("clear+powertm").replaced(num_cores=2)
+        assert config.design == "clear+powertm"
 
     def test_original_unchanged(self):
         original = SimConfig()
@@ -178,9 +164,9 @@ class TestDictMigration:
     """Payloads must spell the current fields; nothing is migrated."""
 
     def test_round_trip_serializes_design(self):
-        config = SimConfig.for_design("lrw", num_cores=4)
+        config = SimConfig.for_design("clear+powertm", num_cores=4)
         data = config.to_dict()
-        assert data["design"] == "lrw"
+        assert data["design"] == "clear+powertm"
         assert "powertm" not in data and "clear" not in data
         assert SimConfig.from_dict(data) == config
 
@@ -207,9 +193,15 @@ class TestDictMigration:
         with pytest.raises(ConfigurationError):
             SimConfig.from_dict(data)
 
-    def test_removed_field_rejected(self):
+    @pytest.mark.parametrize("field", [
+        "oracle_validate_interval", "lrw_read_lines", "lrw_write_lines",
+        "bigatomics_lines", "bigatomics_commit_cycles",
+    ])
+    def test_removed_field_rejected(self, field):
+        # A stored result or a saved report from before a field went
+        # fails loudly instead of loading.
         data = SimConfig().to_dict()
-        data["oracle_validate_interval"] = 4096
+        data[field] = 4
         with pytest.raises(ConfigurationError, match="unknown"):
             SimConfig.from_dict(data)
 

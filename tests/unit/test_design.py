@@ -1,105 +1,54 @@
-"""Unit tests for the pluggable HTM design protocol (repro.htm.design)."""
+"""Unit tests for the design table (repro.htm.design) and its rules.
 
-import inspect
+Each design is a row of flags; the rule each flag gates lives at its
+one call site (DESIGN.md §12). These tests pin each rule there.
+"""
 
 import pytest
 
 from repro.core.modes import ExecMode
 from repro.htm.abort import AbortReason
-from repro.htm.design import (
-    DESIGN_REGISTRY,
-    LEGACY_LETTER_DESIGNS,
-    BigAtomicsDesign,
-    HtmDesign,
-    LrwDesign,
-    design_name,
-    register_design,
-)
-from repro.htm.rwset import CapacityExceeded, LimitedReadWriteSets
-from repro.sim.config import SimConfig
-from tests.reference_rwset import counters_consistent
-
-#: Hooks of the design protocol; every argument after self must be
-#: keyword-only so subclasses can override a subset without positional
-#: drift.
-PROTOCOL_HOOKS = (
-    "build_fallback_lock",
-    "make_controller",
-    "build_rwsets",
-    "wants_power_token",
-    "select_retry_mode",
-    "classify_capacity_abort",
-    "conflict_nacker",
-    "commit_cycles",
-    "stat_annotations",
-)
+from repro.htm.arbiter import ConflictArbiter
+from repro.htm.design import DESIGN_REGISTRY, LEGACY_LETTER_DESIGNS, design_name
 
 
 class TestRegistry:
-    def test_all_six_designs_registered(self):
+    def test_the_papers_four_designs(self):
         assert set(DESIGN_REGISTRY) == {
             "baseline", "powertm", "clear", "clear+powertm",
-            "lrw", "bigatomics",
         }
 
     def test_letters_map_to_registered_designs(self):
+        assert LEGACY_LETTER_DESIGNS == {
+            "B": "baseline", "P": "powertm", "C": "clear",
+            "W": "clear+powertm",
+        }
         for letter, name in LEGACY_LETTER_DESIGNS.items():
             assert DESIGN_REGISTRY[name].letter == letter
 
     def test_design_name_translates_letters_only(self):
         assert design_name("B") == "baseline"
         assert design_name("W") == "clear+powertm"
-        assert design_name("lrw") == "lrw"
+        assert design_name("clear") == "clear"
         assert design_name("nonesuch") == "nonesuch"
-
-    def test_register_design_rejects_anonymous(self):
-        class Nameless(HtmDesign):
-            pass
-
-        with pytest.raises(ValueError):
-            register_design(Nameless)
-
-    def test_register_design_adds_and_config_accepts(self):
-        @register_design
-        class Probe(HtmDesign):
-            name = "probe-design"
-
-        try:
-            assert SimConfig(design="probe-design").design_class is Probe
-        finally:
-            del DESIGN_REGISTRY["probe-design"]
 
     def test_legacy_flags_match_registry(self):
         assert not DESIGN_REGISTRY["baseline"].powertm
+        assert not DESIGN_REGISTRY["baseline"].clear
         assert DESIGN_REGISTRY["powertm"].powertm
+        assert not DESIGN_REGISTRY["powertm"].clear
         assert DESIGN_REGISTRY["clear"].clear
+        assert not DESIGN_REGISTRY["clear"].powertm
         cw = DESIGN_REGISTRY["clear+powertm"]
         assert cw.powertm and cw.clear
 
 
-class TestProtocolSignatures:
-    @pytest.mark.parametrize("cls", sorted(
-        DESIGN_REGISTRY.values(), key=lambda c: c.name
-    ), ids=lambda c: c.name)
-    @pytest.mark.parametrize("hook", PROTOCOL_HOOKS)
-    def test_hook_arguments_keyword_only(self, cls, hook):
-        signature = inspect.signature(getattr(cls, hook))
-        parameters = list(signature.parameters.values())[1:]  # drop self
-        for parameter in parameters:
-            assert parameter.kind is inspect.Parameter.KEYWORD_ONLY, (
-                "{}.{} parameter {!r} must be keyword-only".format(
-                    cls.name, hook, parameter.name
-                )
-            )
-
+class TestExports:
     def test_exported_from_repro_and_htm(self):
         import repro
         import repro.htm
 
-        assert repro.HtmDesign is HtmDesign
         assert repro.DESIGN_REGISTRY is DESIGN_REGISTRY
-        assert repro.register_design is register_design
-        assert repro.htm.HtmDesign is HtmDesign
         assert repro.htm.DESIGN_REGISTRY is DESIGN_REGISTRY
 
     def test_deprecated_runner_trio_no_longer_reexported(self):
@@ -111,171 +60,101 @@ class TestProtocolSignatures:
             assert not hasattr(repro, stale)
 
 
+def power_requests(micro_machine, design):
+    """Counting retries at each power-token request of one run.
+
+    Injected spurious aborts make even W retry speculatively.
+    """
+    machine = micro_machine("sorted-list", design, cores=4,
+                            ops_per_thread=6, fault_spurious_rate=0.3)
+    requests = []
+    try_acquire = machine.power.try_acquire
+
+    def recording(core):
+        requests.append(machine.executors[core].counting_retries)
+        return try_acquire(core)
+
+    machine.power.try_acquire = recording
+    machine.run()
+    assert machine.stats.total_aborts > 0
+    return requests
+
+
 class TestDefaultPolicy:
-    def make(self, name="baseline", **overrides):
-        config = SimConfig.for_design(name, num_cores=4, **overrides)
-        return DESIGN_REGISTRY[name](config)
+    def test_baseline_never_wants_power(self, micro_machine):
+        # B and C never request the power token.
+        for design in ("baseline", "clear"):
+            assert power_requests(micro_machine, design) == []
 
-    def test_baseline_never_wants_power(self):
-        design = self.make("baseline")
-        assert not design.wants_power_token(counting_retries=0)
-        assert not design.wants_power_token(counting_retries=5)
-
-    def test_powertm_wants_power_on_retry(self):
-        design = self.make("powertm")
-        assert not design.wants_power_token(counting_retries=0)
-        assert design.wants_power_token(counting_retries=1)
+    def test_powertm_wants_power_on_retry(self, micro_machine):
+        # P and W request it on a retry, never on a first attempt.
+        for design in ("powertm", "clear+powertm"):
+            requests = power_requests(micro_machine, design)
+            assert requests
+            assert all(retries > 0 for retries in requests)
 
     def test_conflict_nacker_power_rule(self):
-        design = self.make("powertm")
-        assert design.conflict_nacker(
-            power_core=3, requester_unstoppable=False
-        ) == 3
-        assert design.conflict_nacker(
-            power_core=3, requester_unstoppable=True
-        ) is None
-
-    def test_capacity_classification(self):
-        design = self.make("baseline")
-        exc = CapacityExceeded("read", 7)
-        assert design.classify_capacity_abort(
-            executor=None, exc=exc
-        ) is AbortReason.CAPACITY
-
-    def test_early_fallback_reasons_default_empty(self):
-        for name in ("baseline", "powertm", "clear", "clear+powertm",
-                     "bigatomics"):
-            assert not DESIGN_REGISTRY[name].early_fallback_reasons
-
-    def test_lrw_early_fallback_is_capacity(self):
-        assert LrwDesign.early_fallback_reasons == frozenset(
-            {AbortReason.CAPACITY}
+        # The power core NACKs only stoppable requesters.
+        arbiter = ConflictArbiter()
+        nacked = arbiter.resolve_line(
+            0, 7, True, False, (0b1000, 0), power_core=3,
         )
+        assert nacked.requester_abort_reason is AbortReason.NACKED
+        assert nacked.nacking_core == 3
+        assert not nacked.victims
+        unstoppable = arbiter.resolve_line(
+            0, 7, True, False, (0b1000, 0), power_core=3,
+            requester_unstoppable=True,
+        )
+        assert unstoppable.requester_proceeds
+        assert unstoppable.victims == [3]
+        # A power core outside the conflict changes nothing.
+        bystander = arbiter.resolve_line(
+            0, 7, True, False, (0b0100, 0), power_core=3,
+        )
+        assert bystander.requester_proceeds
+        assert bystander.victims == [2]
 
-
-class _FakeExecutor:
-    def __init__(self, config, counting_retries=0, mode=None, rwsets=None):
-        self.config = config
-        self.counting_retries = counting_retries
-        self.mode = mode
-        self.rwsets = rwsets
+    def test_capacity_classification(self, micro_machine):
+        # A 2-set 2-way L1 and a 4-set 2-way L2: genome's regions
+        # overflow them, and the monitor accepts every commit.
+        for design in ("baseline", "clear"):
+            machine = micro_machine(
+                "genome", design, l1_size=64 * 2 * 2, l1_assoc=2,
+                l2_size=64 * 4 * 2, l2_assoc=2,
+            )
+            machine.run()
+            assert machine.stats.aborts_by_reason[AbortReason.CAPACITY] > 0
 
 
 class TestRetryModeSelection:
-    def test_default_respects_threshold(self):
-        config = SimConfig.for_design("baseline", num_cores=4,
-                                      retry_threshold=3)
-        design = DESIGN_REGISTRY["baseline"](config)
-        below = _FakeExecutor(config, counting_retries=2)
-        at = _FakeExecutor(config, counting_retries=3)
-        assert design.select_retry_mode(
-            executor=below, reason=AbortReason.MEMORY_CONFLICT,
-            proposed=ExecMode.SPECULATIVE,
-        ) is ExecMode.SPECULATIVE
-        assert design.select_retry_mode(
-            executor=at, reason=AbortReason.MEMORY_CONFLICT,
-            proposed=ExecMode.SPECULATIVE,
-        ) is ExecMode.FALLBACK
+    def test_default_respects_threshold(self, micro_machine):
+        machine = micro_machine(retry_threshold=3)
+        for proposed in (ExecMode.SPECULATIVE, ExecMode.NS_CL):
+            assert machine.select_retry_mode(2, proposed) is proposed
+            assert machine.select_retry_mode(3, proposed) is ExecMode.FALLBACK
+            assert machine.select_retry_mode(4, proposed) is ExecMode.FALLBACK
 
-    def test_lrw_capacity_goes_straight_to_fallback(self):
-        config = SimConfig.for_design("lrw", num_cores=4, retry_threshold=5)
-        design = LrwDesign(config)
-        fresh = _FakeExecutor(config, counting_retries=0)
-        assert design.select_retry_mode(
-            executor=fresh, reason=AbortReason.CAPACITY,
-            proposed=ExecMode.SPECULATIVE,
-        ) is ExecMode.FALLBACK
-        assert design.select_retry_mode(
-            executor=fresh, reason=AbortReason.MEMORY_CONFLICT,
-            proposed=ExecMode.SPECULATIVE,
-        ) is ExecMode.SPECULATIVE
+    def test_rule_is_replaceable_on_the_instance(self, micro_machine):
+        # The planted rule falls back early, which the monitor flags.
+        machine = micro_machine(retry_threshold=3, oracle="off")
+        asked = []
+
+        def select_retry_mode(counting_retries, proposed):
+            asked.append(counting_retries)
+            return ExecMode.FALLBACK
+
+        machine.select_retry_mode = select_retry_mode
+        machine.run()
+        assert asked
+        assert machine.stats.commits_by_mode[ExecMode.FALLBACK] > 0
 
 
-class TestBigAtomicsCommit:
-    def make(self, **overrides):
-        config = SimConfig.for_design("bigatomics", num_cores=4, **overrides)
-        return config, BigAtomicsDesign(config)
-
-    class _Sets:
-        def __init__(self, lines):
-            self._lines = set(lines)
-
-        def touched_lines(self):
-            return set(self._lines)
-
-    def test_small_speculative_footprint_commits_multiword(self):
-        config, design = self.make(bigatomics_lines=4,
-                                   bigatomics_commit_cycles=6)
-        executor = _FakeExecutor(config, mode=ExecMode.SPECULATIVE,
-                                 rwsets=self._Sets({1, 2, 3}))
-        assert design.commit_cycles(executor=executor) == 6
-        assert design.multiword_commits == 1
-        assert design.stat_annotations(machine=None) == {
-            "multiword_commits": 1
-        }
-
-    def test_large_footprint_pays_full_commit(self):
-        config, design = self.make(bigatomics_lines=2)
-        executor = _FakeExecutor(config, mode=ExecMode.SPECULATIVE,
-                                 rwsets=self._Sets({1, 2, 3}))
-        assert design.commit_cycles(executor=executor) \
-            == config.tx_commit_cycles
-        assert design.multiword_commits == 0
-        assert design.stat_annotations(machine=None) == {}
-
-    def test_non_speculative_modes_pay_full_commit(self):
-        config, design = self.make(bigatomics_lines=8)
-        for mode in (ExecMode.NS_CL, ExecMode.S_CL, ExecMode.FALLBACK):
-            executor = _FakeExecutor(config, mode=mode,
-                                     rwsets=self._Sets({1}))
-            assert design.commit_cycles(executor=executor) \
-                == config.tx_commit_cycles
-        assert design.multiword_commits == 0
-
-
-class TestLimitedReadWriteSets:
-    def make(self, reads=2, writes=2):
-        return LimitedReadWriteSets(
-            max_read_lines=reads, max_write_lines=writes,
-            l1_sets=None, l2_sets=None,
-        )
-
-    def test_budget_validated(self):
-        with pytest.raises(ValueError):
-            self.make(reads=0)
-        with pytest.raises(ValueError):
-            self.make(writes=0)
-
-    def test_read_budget_enforced(self):
-        sets = self.make(reads=2)
-        sets.record_read(1)
-        sets.record_read(2)
-        sets.record_read(1)  # already tracked: free
-        with pytest.raises(CapacityExceeded) as excinfo:
-            sets.record_read(3)
-        assert excinfo.value.which == "read"
-        assert excinfo.value.line == 3
-
-    def test_write_budget_enforced(self):
-        sets = self.make(writes=1)
-        sets.record_write(1)
-        sets.record_write(1)
-        with pytest.raises(CapacityExceeded) as excinfo:
-            sets.record_write(2)
-        assert excinfo.value.which == "write"
-
-    def test_rejected_line_never_tracked(self):
-        sets = self.make(reads=1)
-        sets.record_read(1)
-        with pytest.raises(CapacityExceeded):
-            sets.record_read(2)
-        assert 2 not in sets.read_set
-        assert counters_consistent(sets)
-
-    def test_budgets_independent(self):
-        sets = self.make(reads=1, writes=2)
-        sets.record_read(1)
-        sets.record_write(2)
-        sets.record_write(3)
-        with pytest.raises(CapacityExceeded):
-            sets.record_read(4)
+class TestControllers:
+    @pytest.mark.parametrize("design", sorted(DESIGN_REGISTRY))
+    def test_only_clear_family_builds_controllers(self, micro_machine,
+                                                  design):
+        machine = micro_machine(design=design, cores=4)
+        built = [executor.controller is not None
+                 for executor in machine.executors]
+        assert built == [DESIGN_REGISTRY[design].clear] * 4

@@ -229,8 +229,8 @@ class TestRetryBoundOracle:
 
     @pytest.fixture
     def monitor(self, micro_machine):
-        def make(threshold=4, design="baseline"):
-            machine = micro_machine(design=design, retry_threshold=threshold)
+        def make(threshold=4):
+            machine = micro_machine(retry_threshold=threshold)
             for executor in machine.executors:
                 executor.invocation = Invoke(self.REGION, lambda: iter(()))
             return machine.monitor
@@ -277,28 +277,23 @@ class TestRetryBoundOracle:
         self._commit(checker, mode=ExecMode.SPECULATIVE, retries=1)
 
     def test_premature_fallback_is_flagged(self, monitor):
-        kind, details = self._kind(
-            self._commit, monitor(threshold=4), mode=ExecMode.FALLBACK,
-            retries=1,
-        )
-        assert kind == "fallback-threshold"
-        assert (details["retries"], details["threshold"]) == (1, 4)
-        assert details["commits"][-1]["mode"] == "fallback"
+        # No abort reason exempts a fallback below the threshold, a
+        # capacity abort included.
+        for preceding in ((), (AbortReason.CAPACITY,)):
+            checker = monitor(threshold=4)
+            for reason in preceding:
+                checker.note_abort(0, ExecMode.SPECULATIVE, reason)
+            kind, details = self._kind(
+                self._commit, checker, mode=ExecMode.FALLBACK, retries=1,
+            )
+            assert kind == "fallback-threshold"
+            assert (details["retries"], details["threshold"]) == (1, 4)
+            assert details["commits"][-1]["mode"] == "fallback"
 
     def test_overdue_non_fallback_commit_is_flagged(self, monitor):
         kind, _ = self._kind(
             self._commit, monitor(threshold=4), mode=ExecMode.SPECULATIVE,
             retries=4,
-        )
-        assert kind == "fallback-threshold"
-
-    def test_early_fallback_flag_ends_at_commit(self, monitor):
-        checker = monitor(threshold=4, design="lrw")
-        checker.note_abort(0, ExecMode.SPECULATIVE, AbortReason.CAPACITY)
-        self._commit(checker, mode=ExecMode.FALLBACK, retries=1)
-        # The next invocation aborted for no early-fallback reason.
-        kind, _ = self._kind(
-            self._commit, checker, mode=ExecMode.FALLBACK, retries=1
         )
         assert kind == "fallback-threshold"
 

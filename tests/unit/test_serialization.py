@@ -157,7 +157,6 @@ class TestMachineStatsRoundTrip:
         stats.record_first_retry(True)
         stats.add_busy(1, 90, failed_discovery=True)
         stats.makespan_cycles = 1234
-        stats.design_annotations = {"lrw_overflows": 2, "note": "x"}
         data = stats.to_dict()
         assert data["metrics"]["histograms"]
         rebuilt = MachineStats.from_dict(data)

@@ -1,7 +1,7 @@
 """Golden-pinned corpus smoke: the committed kernel, every design.
 
 ``tests/workloads/corpus/`` commits one generated kernel folder. This
-suite runs it through ``api.simulate`` across every registered design
+suite runs it through ``api.simulate`` across each of the four designs
 with the online serializability monitor armed and pins the results
 byte-for-byte against ``tests/goldens/corpus_micro.json`` — so the
 on-disk format, the namespace resolution, and the designs' behaviour
