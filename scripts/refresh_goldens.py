@@ -7,11 +7,9 @@ The test suite pins three goldens:
   micro experiment matrix (all benchmarks x B/P/C/W at 4 cores).
 - ``tests/goldens/trace_micro.json`` — the exact event stream of one
   micro cell (genome/W/4c seed 1).
-- ``tests/goldens/corpus_micro.json`` — the committed workload corpus
-  (``tests/workloads/corpus/``: one generated kernel folder) run
-  through each of the four designs with the online serializability
-  monitor armed, digests pinned per cell. The kernel folder is a fixed
-  committed input; only the result digests are recomputed here.
+- ``tests/goldens/corpus_micro.json`` — one generated kernel
+  (``gen:footprint=3``) run through each of the four designs with the
+  online serializability monitor armed, digests pinned per cell.
 
 All three must only ever change when simulated behaviour *intentionally*
 changes. This script recomputes each golden, prints a summary of what
@@ -73,8 +71,7 @@ def compute_corpus():
     from repro.sim.machine import build_machine
     from repro.workloads import make_workload
 
-    name = "gen:" + os.path.join(REPO, "tests", "workloads", "corpus",
-                                 "kernel")
+    name = "gen:footprint=3"
     per_design = {}
     for design in sorted(DESIGN_REGISTRY):
         config = SimConfig.for_design(design, num_cores=4,
@@ -101,8 +98,8 @@ def compute_corpus():
         }
     return {
         "description": (
-            "Committed corpus (tests/workloads/corpus/) through every "
-            "design, online monitor armed; refresh with "
+            "Generated kernel gen:footprint=3 through every design, "
+            "online monitor armed; refresh with "
             "scripts/refresh_goldens.py --only corpus --apply"
         ),
         "num_cores": 4,

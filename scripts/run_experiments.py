@@ -71,9 +71,9 @@ def parse_args(argv):
     parser.add_argument(
         "--benchmarks", default=None, metavar="A,B,...",
         help="comma-separated benchmark subset: built-in names or "
-             "gen:<spec|fingerprint|folder> "
-             "(default: all 19 built-ins). Multi-axis gen specs contain "
-             "commas — pass those by fingerprint or saved kernel folder",
+             "gen:<spec> names, whose key=value axes may follow one "
+             "another (mwobject,gen:footprint=2,mutability=immutable); "
+             "default: all 19 built-ins",
     )
     parser.add_argument(
         "--chaos", nargs="?", type=float, const=0.05, default=None,
@@ -103,7 +103,7 @@ def parse_args(argv):
         parser.error("--cell-timeout must be positive")
     if args.benchmarks:
         args.benchmark_list = cli.resolve_workload_names(
-            parser, args.benchmarks.split(",")
+            parser, args.benchmarks
         )
     else:
         args.benchmark_list = None

@@ -34,8 +34,8 @@ def parse_args(argv):
     parser.add_argument(
         "workloads", nargs="?", default=",".join(DEFAULT_WORKLOADS),
         metavar="A,B,...",
-        help="comma-separated workloads, or 'all' for every data-structure "
-             "benchmark (default: %(default)s)",
+        help="comma-separated built-in or gen:<spec> names, or 'all' for "
+             "every data-structure benchmark (default: %(default)s)",
     )
     parser.add_argument(
         "--config", default="baseline", metavar="DESIGN",
@@ -72,7 +72,7 @@ def parse_args(argv):
         # Any namespace is explorable: built-ins and gen: specs.
         # Unknown names exit with a one-line message.
         args.workload_list = cli.resolve_workload_names(
-            parser, args.workloads.split(",")
+            parser, args.workloads
         )
     return args
 

@@ -10,14 +10,13 @@ Configurations follow the paper's naming: **B** requester-wins,
 PowerTM (Fig. 8-13 group bars as B P C W).
 """
 
-from repro.core.modes import ExecMode
 from repro.htm.abort import AbortCategory
 from repro.analysis.report import geometric_mean
 from repro.htm.design import design_name
 from repro.sim.config import SimConfig
 from repro.sim.engine import ExperimentEngine, RunSpec
-from repro.sim.runner import AggregateResult, select_best_threshold
-from repro.workloads import ALL_NAMES, make_workload
+from repro.sim.runner import AggregateResult
+from repro.workloads import ALL_NAMES
 
 CONFIG_LETTERS = ("B", "P", "C", "W")
 
@@ -87,10 +86,6 @@ class ExperimentSettings:
             retry_threshold=retry_threshold, **self.config_overrides
         )
 
-    def workload_factory(self, name):
-        """Factory building a fresh scaled workload instance."""
-        return lambda: make_workload(name, ops_per_thread=self.ops_per_thread)
-
     def cell_thresholds(self):
         """Retry thresholds simulated per cell (one unless sweeping)."""
         if self.retry_sweep:
@@ -141,6 +136,23 @@ def settings_for(scale):
     if scale == "micro":
         return ExperimentSettings.micro()
     return ExperimentSettings.quick()
+
+
+def select_best_threshold(aggregates_by_threshold):
+    """Pick the best (by mean cycles) entry of a threshold -> aggregate map.
+
+    Iterates in mapping order; ties keep the earliest threshold, which
+    preserves the historical sweep behaviour of preferring the lowest
+    tied threshold. A lone threshold is returned without computing its
+    mean, which is what every cell of a non-sweeping matrix has.
+    """
+    best = None
+    best_threshold = None
+    for threshold, candidate in aggregates_by_threshold.items():
+        if best is None or candidate.cycles < best.cycles:
+            best = candidate
+            best_threshold = threshold
+    return best, best_threshold
 
 
 def run_config_matrix(settings=None, progress=None, *, jobs=1,

@@ -15,14 +15,16 @@ Quickstart::
     report.write_chrome_trace("trace.json")      # load in Perfetto
     print(report.forensic_report())
 
-A single run is ``simulate(f, cfg, seeds=3).run``, a multi-seed
-aggregate is ``simulate(f, cfg, seeds=S).aggregate()``, and the
-paper's retry-threshold sweep is :func:`sweep_retry_threshold`.
+A single run is ``simulate(f, cfg, seeds=3).run`` and a multi-seed
+aggregate is ``simulate(f, cfg, seeds=S).aggregate()``; the paper's
+retry-threshold sweep is
+:func:`~repro.analysis.experiments.run_config_matrix` with
+``ExperimentSettings(retry_sweep=True)``.
 """
 
 import numbers
 
-from repro.common.constants import PAPER_TRIM, SWEEP_TRIM
+from repro.common.constants import PAPER_TRIM
 from repro.common.errors import ConfigurationError
 from repro.common.serialize import Serializable
 from repro.htm.design import DESIGN_REGISTRY
@@ -31,12 +33,7 @@ from repro.obs.report import forensic_report as _forensic_report
 from repro.obs.report import write_forensic_report
 from repro.obs.trace import EventTrace, TraceSink
 from repro.sim.config import SimConfig
-from repro.sim.runner import (
-    AggregateResult,
-    RunResult,
-    _simulate_one,
-    _sweep_retry_threshold,
-)
+from repro.sim.runner import AggregateResult, RunResult, _simulate_one
 
 
 def _resolve_config(config, oracle=None):
@@ -212,8 +209,8 @@ def simulate(workload, config=None, *, seeds=1, trim=PAPER_TRIM, trace=False,
     ----------
     workload:
         A benchmark name from the registry (``repro.ALL_NAMES``), a
-        ``gen:<spec|fingerprint|folder>`` name for a seeded generated
-        workload, or a zero-argument workload factory.
+        ``gen:<spec>`` name for a seeded generated workload, or a
+        zero-argument workload factory.
     config:
         A :class:`~repro.sim.config.SimConfig`, a design name
         (``"baseline"``/``"powertm"``/``"clear"``/``"clear+powertm"``),
@@ -289,9 +286,7 @@ def simulate(workload, config=None, *, seeds=1, trim=PAPER_TRIM, trace=False,
         from repro.sim.engine import RunSpec
         from repro.workloads import canonical_workload_name
 
-        # Worker processes resolve the name from scratch, so ship the
-        # self-contained spelling (gen fingerprints/folders become full
-        # spec strings, trace folders become absolute paths).
+        # Ship the canonical spelling, so equal gen: specs share cells.
         workload = canonical_workload_name(workload)
         specs = [
             RunSpec(workload=workload, config=config, seed=seed,
@@ -347,26 +342,8 @@ def verify(workload, config=None, **kwargs):
     return _verify(workload, config, **kwargs)
 
 
-def sweep_retry_threshold(workload, config=None, thresholds=range(1, 11),
-                          seeds=(1, 2, 3), trim=SWEEP_TRIM, *,
-                          ops_per_thread=None, engine=None, oracle=None):
-    """Best retry threshold per application (paper §6 methodology).
-
-    ``workload`` is a benchmark name (fanned out through ``engine``,
-    or an inline single-process engine) or a zero-argument factory
-    (run inline); ``config`` resolves like :func:`simulate`'s. Returns
-    ``(best_aggregate, best_threshold)``.
-    """
-    config = _resolve_config(config, oracle)
-    return _sweep_retry_threshold(
-        workload, config, thresholds=thresholds, seeds=seeds, trim=trim,
-        ops_per_thread=ops_per_thread, engine=engine,
-    )
-
-
 __all__ = [
     "SimulationReport",
     "simulate",
     "verify",
-    "sweep_retry_threshold",
 ]

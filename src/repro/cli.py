@@ -203,18 +203,31 @@ def validate_explore_flags(parser, args):
     return args
 
 
-def resolve_workload_names(parser, names):
-    """Canonicalize workload names from any namespace, or exit cleanly.
+def resolve_workload_names(parser, text):
+    """Canonicalize a comma-separated workload list, or exit cleanly.
 
-    Accepts built-in benchmark names and
-    ``gen:<spec|fingerprint|folder>`` spellings; returns the list of
-    self-contained canonical names. An unknown or malformed name
-    becomes ``parser.error`` (a one-line message and exit status 2)
-    instead of a traceback.
+    Entries are built-in benchmark names and ``gen:<spec>`` names. A
+    multi-axis spec has commas of its own, so every ``key=value`` token
+    joins the ``gen:`` entry before it: built-in names never contain
+    ``=``, so the split is unambiguous. Returns the canonical names. An
+    unknown or malformed name, or a ``key=value`` token with no ``gen:``
+    entry before it, becomes ``parser.error`` (a one-line message and
+    exit status 2) instead of a traceback.
     """
     from repro.common.errors import ConfigurationError
-    from repro.workloads import canonical_workload_name
+    from repro.workloads import GEN_PREFIX, canonical_workload_name
 
+    names = []
+    for token in text.split(","):
+        if "=" in token and not token.startswith(GEN_PREFIX):
+            if not names or not names[-1].startswith(GEN_PREFIX):
+                parser.error(
+                    "gen spec entry {!r} has no gen: workload before "
+                    "it".format(token)
+                )
+            names[-1] += "," + token
+        else:
+            names.append(token)
     resolved = []
     for name in names:
         try:

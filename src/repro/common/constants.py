@@ -15,8 +15,3 @@ WORDS_PER_LINE = CACHELINE_BYTES // WORD_BYTES
 #: must not be restated at call sites.
 PAPER_TRIM = 3
 
-#: The retry-threshold sweep deliberately aggregates *un*-trimmed: it
-#: runs 3 seeds per threshold, and trimming 3 of 3 values would warn
-#: and degrade to a plain mean anyway (see trimmed_mean).
-SWEEP_TRIM = 0
-

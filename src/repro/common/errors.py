@@ -14,7 +14,7 @@ class UnknownWorkloadError(ConfigurationError, KeyError):
 
     Raised by :func:`repro.workloads.make_workload` (and the name
     canonicalization helpers) when a name is neither a built-in
-    benchmark nor a ``gen:<spec|fingerprint|folder>`` generated
+    benchmark nor a ``gen:<spec>`` generated
     workload. Subclasses ``KeyError`` for backward compatibility with
     callers that catch the registry's historical exception.
     """

@@ -18,9 +18,9 @@ import json
 def canonical_digest(obj):
     """SHA-256 hex digest of ``obj``'s canonical JSON encoding.
 
-    The one digest convention shared by the workload-corpus formats
-    (gen-spec fingerprints, trace manifests) and the determinism test
-    suites: keys sorted, separators minimal, UTF-8 bytes hashed.
+    The one digest convention shared by gen-spec fingerprints and the
+    determinism test suites: keys sorted, separators minimal, UTF-8
+    bytes hashed.
     """
     payload = json.dumps(obj, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
@@ -31,9 +31,9 @@ class Serializable:
 
     Subclasses implement :meth:`to_dict` (JSON-serializable dict out)
     and :meth:`from_dict` (equivalent object back); the mixin supplies
-    ``to_json``/``from_json`` strings and ``write_json``/``read_json``
-    files on top. ``from_dict(to_dict())`` must reconstruct an object
-    whose ``to_dict()`` is equal — tests assert exactly that.
+    ``to_json``/``from_json`` strings on top. ``from_dict(to_dict())``
+    must reconstruct an object whose ``to_dict()`` is equal — tests
+    assert exactly that.
     """
 
     def to_dict(self):
@@ -57,16 +57,3 @@ class Serializable:
     def from_json(cls, text):
         """Rebuild an equivalent object from :meth:`to_json` output."""
         return cls.from_dict(json.loads(text))
-
-    def write_json(self, path, *, indent=2):
-        """Serialize to a file; returns ``path`` for chaining."""
-        with open(path, "w") as handle:
-            json.dump(self.to_dict(), handle, indent=indent)
-            handle.write("\n")
-        return path
-
-    @classmethod
-    def read_json(cls, path):
-        """Rebuild an equivalent object from a :meth:`write_json` file."""
-        with open(path) as handle:
-            return cls.from_dict(json.load(handle))

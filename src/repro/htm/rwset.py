@@ -164,7 +164,3 @@ class ReadWriteSets:
         self._write_counts.clear()
         self._write_over = 0
 
-    def touched_lines(self):
-        """All lines in either set."""
-        return self.read_set | self.write_set
-

@@ -12,7 +12,7 @@ The record form (:func:`region_records`) is what tests assert against;
 """
 
 from repro.core.modes import ExecMode
-from repro.htm.abort import AbortReason
+from repro.htm.abort import INJECTED_REASONS, AbortReason
 
 _MODE_LABELS = {
     ExecMode.SPECULATIVE: "speculative",
@@ -22,11 +22,6 @@ _MODE_LABELS = {
     ExecMode.FALLBACK: "fallback",
     None: "pre-begin",
 }
-
-#: Reasons the chaos layer injects; their aborts carry no enemy core.
-_INJECTED_REASONS = frozenset(
-    reason for reason in AbortReason if reason.value.startswith("injected")
-)
 
 
 def _region_label(region):
@@ -117,7 +112,7 @@ def describe_abort(attempt):
         return "{} conflict on line 0x{:x} with core {}, cycle {}".format(
             access, line, enemy, cycle
         )
-    if reason in _INJECTED_REASONS:
+    if reason in INJECTED_REASONS:
         return "injected {}, cycle {}".format(reason.value, cycle)
     return "{}, cycle {}".format(reason.value, cycle)
 

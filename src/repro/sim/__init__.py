@@ -10,7 +10,7 @@
 - :mod:`repro.sim.machine` — the assembled multicore machine and its
   event loop.
 - :mod:`repro.sim.runner` — run results, the paper's trimmed mean, and
-  the retry-threshold design-space sweep behind :mod:`repro.api`.
+  the one-run simulation behind :mod:`repro.api`.
 - :mod:`repro.sim.engine` — the parallel, cached experiment engine
   fanning independent (workload, config, seed) cells over worker
   processes with content-addressed on-disk memoization.

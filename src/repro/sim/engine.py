@@ -111,10 +111,10 @@ class RunSpec:
             "config": self.config.fingerprint(),
             "trace": self.trace,
         }
-        # A gen: workload contributes its spec fingerprint so a
-        # regenerated spec cannot alias a cached result; built-in names
-        # add nothing, keeping their keys byte-identical to every
-        # earlier release.
+        # A gen: workload contributes its spec fingerprint, which also
+        # covers the defaults its name omits; built-in names add
+        # nothing, keeping their keys byte-identical to every earlier
+        # release.
         token = workload_cache_token(self.workload)
         if token is not None:
             key_input["workload_token"] = token

@@ -12,7 +12,7 @@ cache (:mod:`repro.sim.engine`) stores exactly that representation.
 
 import warnings
 
-from repro.common.constants import PAPER_TRIM, SWEEP_TRIM
+from repro.common.constants import PAPER_TRIM
 from repro.common.serialize import Serializable
 from repro.core.modes import ExecMode
 from repro.energy.model import EnergyBreakdown, EnergyModel
@@ -218,69 +218,3 @@ def _simulate_one(workload_factory, config, *, seed=1, energy_model=None,
     attached = trace if isinstance(trace, EventTrace) else None
     return RunResult(workload.name, config, seed, stats, energy,
                      trace=attached)
-
-
-def select_best_threshold(aggregates_by_threshold):
-    """Pick the best (by mean cycles) entry of a threshold -> aggregate map.
-
-    Iterates in mapping order; ties keep the earliest threshold, which
-    preserves the historical sweep behaviour of preferring the lowest
-    tied threshold.
-    """
-    best = None
-    best_threshold = None
-    for threshold, candidate in aggregates_by_threshold.items():
-        if best is None or candidate.cycles < best.cycles:
-            best = candidate
-            best_threshold = threshold
-    return best, best_threshold
-
-
-def _sweep_retry_threshold(workload, config, thresholds=range(1, 11),
-                           seeds=(1, 2, 3), trim=SWEEP_TRIM, *,
-                           ops_per_thread=None, engine=None):
-    """Design-space exploration: best retry threshold per application.
-
-    The paper runs "from 1 to 10 retries for all benchmarks and selects
-    the best-performing one in each case". Returns the best aggregate
-    (by mean cycles) and the threshold that produced it.
-
-    ``workload`` is either a zero-argument factory (runs inline,
-    in-process) or a benchmark name from the registry, in which case the
-    sweep fans out through the experiment engine — parallel and cached
-    when ``engine`` is configured that way (``ops_per_thread`` scales
-    the named workload; ``None`` keeps its default).
-    """
-    if callable(workload):
-        aggregates = {}
-        for threshold in thresholds:
-            swept = config.replaced(retry_threshold=threshold)
-            runs = [_simulate_one(workload, swept, seed=seed) for seed in seeds]
-            aggregates[threshold] = AggregateResult(
-                runs[0].workload_name, swept, runs, trim
-            )
-        return select_best_threshold(aggregates)
-
-    # Imported lazily: the engine module imports this one.
-    from repro.sim.engine import ExperimentEngine, RunSpec
-
-    engine = engine or ExperimentEngine(jobs=1, cache_dir=None)
-    thresholds = tuple(thresholds)
-    seeds = tuple(seeds)
-    swept = [config.replaced(retry_threshold=threshold)
-             for threshold in thresholds]
-    specs = [
-        RunSpec(workload=workload, config=threshold_config, seed=seed,
-                ops_per_thread=ops_per_thread)
-        for threshold_config in swept
-        for seed in seeds
-    ]
-    results = engine.run_specs(specs)
-    aggregates = {}
-    for index, threshold in enumerate(thresholds):
-        runs = results[index * len(seeds):(index + 1) * len(seeds)]
-        aggregates[threshold] = AggregateResult(
-            runs[0].workload_name, runs[0].config, runs, trim
-        )
-    return select_best_threshold(aggregates)
-

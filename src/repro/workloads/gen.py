@@ -10,27 +10,20 @@ deterministic and whose stores are all commutative increments — so the
 final shared-memory state is schedule-invariant and generated workloads
 pass the state-equality oracle on every explored schedule.
 
-Specs have three interchangeable spellings, all resolved by
-``make_workload("gen:<...>")``:
+A generated kernel is named by its spec string:
+``make_workload("gen:footprint=8,mutability=mutable")``; omitted keys
+take their defaults, and the empty string is the default spec. A spec
+has two identities, and neither reads a file or any process state:
 
-- a compact spec string (``footprint=8,mutability=mutable``; omitted
-  keys take their defaults, and the empty string is the default spec);
-- a kernel folder (or ``genspec.json`` path) written by
-  :func:`save_gen_spec` / ``scripts/gen_corpus.py``;
-- a fingerprint (hex prefix, >= 12 chars) of a spec previously
-  registered in this process via :func:`register_spec` /
-  :func:`load_corpus`.
-
-The fingerprint is a SHA-256 over the spec's canonical JSON (all
-fields, plus the format version), so it is stable across processes and
-machines; the canonical *spec string* is self-contained and is what the
-experiment engine ships to worker processes.
+- the canonical string (:meth:`GenSpec.canonical`: non-default fields
+  in declaration order) is the workload's name and what the experiment
+  engine ships to worker processes;
+- the fingerprint (:meth:`GenSpec.fingerprint`: a SHA-256 over every
+  field plus the format version) is the token the engine folds into
+  cache keys, stable across processes and machines.
 """
 
 import dataclasses
-import json
-import os
-import re
 
 from repro.common.constants import WORDS_PER_LINE
 from repro.common.errors import ConfigurationError, UnknownWorkloadError
@@ -38,9 +31,10 @@ from repro.common.serialize import canonical_digest
 from repro.sim.program import Branch, Load, Store
 from repro.workloads.base import Mutability, RegionSpec, Workload
 
+# Both go into every fingerprint; changing either re-keys every cached
+# gen: result.
 GENSPEC_FORMAT = "repro-genspec"
 GENSPEC_VERSION = 1
-GENSPEC_FILENAME = "genspec.json"
 
 #: Legal values of :attr:`GenSpec.mutability`. ``"mixed"`` cycles the
 #: three §3 classes across the spec's regions.
@@ -49,8 +43,6 @@ MUTABILITY_CLASSES = ("immutable", "likely_immutable", "mutable", "mixed")
 _MIXED_CYCLE = (
     Mutability.IMMUTABLE, Mutability.LIKELY_IMMUTABLE, Mutability.MUTABLE,
 )
-
-_FINGERPRINT_RE = re.compile(r"[0-9a-f]{12,64}")
 
 #: Stride of the mutable regions' moving window (coprime with the pool
 #: sizes in practice, so successive windows genuinely move).
@@ -120,7 +112,7 @@ class GenSpec:
                 )
             )
 
-    # -- spellings -----------------------------------------------------------
+    # -- identities ----------------------------------------------------------
 
     def canonical(self):
         """Self-contained spec string: non-default fields, declaration order.
@@ -136,55 +128,22 @@ class GenSpec:
                 parts.append("{}={}".format(field.name, value))
         return ",".join(parts)
 
-    def to_dict(self):
-        """All fields (defaults included) as a JSON-serializable dict."""
-        return dataclasses.asdict(self)
-
-    @classmethod
-    def from_dict(cls, data):
-        """Rebuild a spec from :meth:`to_dict` output (extra keys rejected)."""
-        known = {field.name for field in dataclasses.fields(cls)}
-        unknown = set(data) - known
-        if unknown:
-            raise ConfigurationError(
-                "gen spec has unknown field(s) {}".format(sorted(unknown))
-            )
-        return cls(**data)
-
     def fingerprint(self):
-        """Stable SHA-256 content address of this spec."""
+        """Stable SHA-256 content address of this spec (every field)."""
         return canonical_digest(
             {"format": GENSPEC_FORMAT, "version": GENSPEC_VERSION,
-             "spec": self.to_dict()}
+             "spec": dataclasses.asdict(self)}
         )
 
 
-# Fingerprint (full and 12-char prefix) -> registered GenSpec, for the
-# ``gen:<fingerprint>`` spelling. Process-local by design: the engine
-# canonicalizes fingerprints to full spec strings before fan-out, so
-# worker processes never need the index populated.
-_SPEC_INDEX = {}
+def parse_gen_spec(text):
+    """Resolve a ``gen:`` argument, a spec string, to a :class:`GenSpec`.
 
-
-def register_spec(spec):
-    """Make ``spec`` resolvable as ``gen:<fingerprint>``; returns the fingerprint."""
-    fingerprint = spec.fingerprint()
-    _SPEC_INDEX[fingerprint] = spec
-    _SPEC_INDEX[fingerprint[:12]] = spec
-    return fingerprint
-
-
-def _coerce(field, text):
-    if field.type is int or field.default.__class__ is int:
-        return int(text)
-    if field.default.__class__ is float:
-        return float(text)
-    return text
-
-
-def _parse_spec_string(text):
-    values = {}
+    ``text`` is comma-separated ``key=value`` entries; omitted keys
+    take their defaults and the empty string is the default spec.
+    """
     fields = {field.name: field for field in dataclasses.fields(GenSpec)}
+    values = {}
     for part in text.split(","):
         part = part.strip()
         if not part:
@@ -197,129 +156,12 @@ def _parse_spec_string(text):
                 "{}".format(part, "/".join(sorted(fields)))
             )
         try:
-            values[key] = _coerce(fields[key], raw.strip())
+            values[key] = type(fields[key].default)(raw.strip())
         except ValueError:
             raise UnknownWorkloadError(
                 "bad gen spec value {!r} for key {!r}".format(raw.strip(), key)
             ) from None
     return GenSpec(**values)
-
-
-def save_gen_spec(spec, folder, io=None):
-    """Write ``folder/genspec.json`` for ``spec``; returns the file path.
-
-    The file is the on-disk kernel format's spec leaf: a versioned
-    manifest carrying the full field dict and the fingerprint, written
-    atomically so readers never see a torn spec.
-    """
-    if io is None:
-        from repro.common.diskio import DiskIO
-
-        io = DiskIO()
-    payload = {
-        "format": GENSPEC_FORMAT,
-        "version": GENSPEC_VERSION,
-        "spec": spec.to_dict(),
-        "fingerprint": spec.fingerprint(),
-    }
-    path = os.path.join(folder, GENSPEC_FILENAME)
-    io.write_atomic(
-        path, json.dumps(payload, indent=1, sort_keys=True).encode("utf-8")
-    )
-    return path
-
-
-def load_gen_spec(path):
-    """Load a spec from a kernel folder or a ``genspec.json`` path.
-
-    Registers the spec's fingerprint as a side effect, so a loaded
-    corpus is immediately addressable by prefix.
-    """
-    if os.path.isdir(path):
-        path = os.path.join(path, GENSPEC_FILENAME)
-    try:
-        with open(path) as handle:
-            payload = json.load(handle)
-    except FileNotFoundError:
-        raise UnknownWorkloadError(
-            "no gen spec at {!r} (expected a kernel folder containing "
-            "{} or the file itself)".format(path, GENSPEC_FILENAME)
-        ) from None
-    except json.JSONDecodeError as exc:
-        raise ConfigurationError(
-            "gen spec {!r} is not valid JSON: {}".format(path, exc)
-        ) from None
-    if payload.get("format") != GENSPEC_FORMAT:
-        raise ConfigurationError(
-            "{!r} is not a gen spec (format {!r})".format(
-                path, payload.get("format")
-            )
-        )
-    if payload.get("version") != GENSPEC_VERSION:
-        raise ConfigurationError(
-            "gen spec {!r} has version {!r}; this build reads version "
-            "{}".format(path, payload.get("version"), GENSPEC_VERSION)
-        )
-    spec = GenSpec.from_dict(payload.get("spec", {}))
-    recorded = payload.get("fingerprint")
-    if recorded is not None and recorded != spec.fingerprint():
-        raise ConfigurationError(
-            "gen spec {!r} is corrupt: recorded fingerprint {} does not "
-            "match the spec's {}".format(path, recorded, spec.fingerprint())
-        )
-    register_spec(spec)
-    return spec
-
-
-def load_corpus(directory):
-    """Register every kernel folder under ``directory``.
-
-    Returns ``{fingerprint: GenSpec}`` for each immediate subfolder (or
-    ``directory`` itself) containing a ``genspec.json``.
-    """
-    specs = {}
-    candidates = [directory]
-    try:
-        entries = sorted(os.listdir(directory))
-    except FileNotFoundError:
-        raise UnknownWorkloadError(
-            "no corpus directory at {!r}".format(directory)
-        ) from None
-    candidates.extend(os.path.join(directory, entry) for entry in entries)
-    for folder in candidates:
-        if os.path.isfile(os.path.join(folder, GENSPEC_FILENAME)):
-            spec = load_gen_spec(folder)
-            specs[spec.fingerprint()] = spec
-    return specs
-
-
-def parse_gen_spec(text):
-    """Resolve the ``gen:`` namespace argument to a :class:`GenSpec`.
-
-    Accepts a spec string (possibly empty: the default spec), a kernel
-    folder / ``genspec.json`` path, or a registered fingerprint prefix.
-    """
-    text = text.strip()
-    if not text:
-        return GenSpec()
-    if _FINGERPRINT_RE.fullmatch(text):
-        spec = _SPEC_INDEX.get(text)
-        if spec is None:
-            for fingerprint, candidate in _SPEC_INDEX.items():
-                if fingerprint.startswith(text):
-                    return candidate
-            raise UnknownWorkloadError(
-                "gen fingerprint {!r} is not registered in this process; "
-                "pass the full spec string, the kernel folder, or load "
-                "the corpus first (repro.workloads.gen.load_corpus)".format(
-                    text
-                )
-            )
-        return spec
-    if (os.sep in text or text.endswith(".json")
-            or os.path.exists(os.path.join(text, GENSPEC_FILENAME))):
-        return load_gen_spec(text)
-    return _parse_spec_string(text)
 
 
 def make_generated(arg, **kwargs):

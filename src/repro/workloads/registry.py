@@ -5,13 +5,14 @@ Two namespaces resolve through :func:`make_workload`:
 - **built-in names** — the paper's 19 kernels, matching its figures
   exactly (including the ``kmeans-h``/``kmeans-l`` and
   ``vacation-h``/``vacation-l`` input variants);
-- ``gen:<spec|fingerprint|folder>`` — seeded parametric workloads from
-  :mod:`repro.workloads.gen`.
+- ``gen:<spec>`` — seeded parametric workloads from
+  :mod:`repro.workloads.gen`, named by their spec string
+  (``gen:footprint=8,mutability=mutable``).
 
-:func:`canonical_workload_name` rewrites a name to its self-contained
-spelling (the one worker processes can resolve without shared state),
-and :func:`workload_cache_token` supplies the extra content-address
-material a ``gen:`` workload contributes to engine cache keys.
+:func:`canonical_workload_name` rewrites a name to its canonical
+spelling, and :func:`workload_cache_token` supplies the extra
+content-address material a ``gen:`` workload contributes to engine
+cache keys. Neither reads a file or any process state.
 """
 
 from repro.common.errors import UnknownWorkloadError
@@ -79,7 +80,7 @@ GEN_PREFIX = "gen:"
 #: the unknown-name error and the CLI help strings.
 WORKLOAD_NAMESPACES = (
     "a built-in benchmark name",
-    "gen:<spec|fingerprint|folder> (seeded generator)",
+    "gen:<key=value,...> (seeded generator)",
 )
 
 
@@ -106,11 +107,11 @@ def make_workload(name, **kwargs):
 
 
 def canonical_workload_name(name):
-    """The self-contained spelling of ``name``.
+    """The canonical spelling of ``name``.
 
-    Built-in names pass through; ``gen:`` arguments (spec strings,
-    fingerprints, kernel folders) become the canonical spec string. The
-    result resolves in any process — this is what the experiment engine
+    Built-in names pass through; a ``gen:`` spec string becomes its
+    canonical form (defaults dropped, keys in declaration order), so
+    equal specs get equal names. This is what the experiment engine
     ships to workers. Raises
     :class:`~repro.common.errors.UnknownWorkloadError` when the name
     matches no namespace.
@@ -130,8 +131,8 @@ def workload_cache_token(name):
     Built-in names are fully described by the name itself, so they
     contribute nothing (their cache keys stay byte-identical to every
     earlier release). A ``gen:`` name contributes the spec fingerprint,
-    so a re-generated spec behind the same fingerprint prefix can never
-    alias a cached result.
+    which covers every field (the defaults its canonical name omits
+    included) and the spec format's version.
     """
     if isinstance(name, str) and name.startswith(GEN_PREFIX):
         from repro.workloads.gen import parse_gen_spec

@@ -1,5 +1,7 @@
 """Integration tests for the experiment harness (tiny scale)."""
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.analysis.experiments import (
@@ -14,6 +16,7 @@ from repro.analysis.experiments import (
     fig13_retry_bound,
     headline_summary,
     run_config_matrix,
+    select_best_threshold,
 )
 from repro.core.modes import ExecMode
 
@@ -133,3 +136,16 @@ class TestSettings:
     def test_config_for_letter(self):
         settings = ExperimentSettings.quick()
         assert settings.config_for("W").design == "clear+powertm"
+
+
+class TestSelectBestThreshold:
+    def test_fewest_cycles_wins(self):
+        slow, fast = SimpleNamespace(cycles=120.0), SimpleNamespace(cycles=90.0)
+        assert select_best_threshold({1: slow, 4: fast}) == (fast, 4)
+
+    def test_lowest_tied_threshold_wins(self):
+        # run_config_matrix lists thresholds in ascending order.
+        by_threshold = {1: SimpleNamespace(cycles=101.0)}
+        by_threshold.update((threshold, SimpleNamespace(cycles=100.0))
+                            for threshold in (2, 4, 8))
+        assert select_best_threshold(by_threshold) == (by_threshold[2], 2)

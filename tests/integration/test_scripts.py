@@ -244,44 +244,7 @@ class TestJournalFlags:
         assert payload["failures"]["failed"] == 1
 
 
-class TestGenCorpus:
-    def test_generate_check_pipeline(self, tmp_path, capsys):
-        """gen_corpus.py: sweep axes to folders, and check them."""
-        sys.path.insert(0, str(SCRIPTS))
-        try:
-            import gen_corpus
-
-            status = gen_corpus.main([
-                str(tmp_path / "corpus"),
-                "--footprints", "2", "--mutability", "immutable,mutable",
-                "--contention", "0.5", "--check",
-                "--cores", "2", "--ops", "3",
-            ])
-        finally:
-            sys.path.remove(str(SCRIPTS))
-        assert status == 0
-        out = capsys.readouterr().out
-        assert out.count("ok   ") == 2  # one per kernel
-        index = json.loads((tmp_path / "corpus" / "corpus.json").read_text())
-        assert len(index) == 2
-        for entry in index.values():
-            assert (tmp_path / "corpus" / entry["folder"].split("/")[-1]
-                    / "genspec.json").exists()
-            assert entry["spec"]
-
-    def test_bad_axis_exits_two(self, tmp_path, capsys):
-        sys.path.insert(0, str(SCRIPTS))
-        try:
-            import gen_corpus
-
-            status = gen_corpus.main([
-                str(tmp_path / "corpus"), "--mutability", "sometimes",
-            ])
-        finally:
-            sys.path.remove(str(SCRIPTS))
-        assert status == 2
-        assert "bad spec axis" in capsys.readouterr().err
-
+class TestWorkloadLists:
     def test_unknown_workload_exits_cleanly(self, tmp_path):
         """Caller-facing scripts turn UnknownWorkloadError into a
         one-line parser error, not a traceback."""
@@ -296,6 +259,28 @@ class TestGenCorpus:
             assert "Traceback" not in result.stderr
             listed = result.stderr.split("; expected ", 1)[1]
             assert "gen:" in listed and "trace:" not in listed
+
+    def test_run_experiments_takes_a_multi_axis_spec(self, tmp_path):
+        out = tmp_path / "out.json"
+        result = subprocess.run(
+            [sys.executable, str(SCRIPTS / "run_experiments.py"),
+             "micro", str(out), "--jobs", "2", "--no-cache",
+             "--benchmarks", "mwobject,gen:footprint=2,mutability=immutable"],
+            capture_output=True, text=True,
+        )
+        assert result.returncode == 0, result.stderr
+        times = json.loads(out.read_text())["fig8_times"]
+        assert {"mwobject", "gen:footprint=2,mutability=immutable"} <= set(
+            times)
+
+    def test_verify_schedules_takes_a_multi_axis_spec(self):
+        result = subprocess.run(
+            [sys.executable, str(SCRIPTS / "verify_schedules.py"),
+             "gen:footprint=2,mutability=immutable", "--explore", "1"],
+            capture_output=True, text=True,
+        )
+        assert result.returncode == 0, result.stderr
+        assert "all 1 workload(s) verified clean" in result.stdout
 
 
 class TestCoverageGate:

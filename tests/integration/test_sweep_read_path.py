@@ -29,7 +29,7 @@ from repro.analysis.experiments import (
 from repro.sim import config as config_module
 from repro.sim.config import SimConfig
 from repro.sim.engine import ExperimentEngine, execute_spec
-from repro.sim.runner import RunResult, _sweep_retry_threshold
+from repro.sim.runner import RunResult
 
 GOLDEN_PATH = os.path.join(
     os.path.dirname(__file__), "..", "goldens", "figures_micro.json"
@@ -118,19 +118,6 @@ class TestOncePerConfiguration:
         assert len({id(spec.config) for spec in specs}) == distinct
         assert len(specs) == distinct * len(settings.benchmarks) * 3
         assert counters["configs"] == distinct
-
-    def test_engine_threshold_sweep_builds_one_config_per_threshold(
-            self, counters, tmp_path):
-        config = SimConfig.for_design("clear", num_cores=2)
-        counters["configs"] = 0
-        best, threshold = _sweep_retry_threshold(
-            "mwobject", config, thresholds=(1, 3), seeds=(1, 2),
-            ops_per_thread=3,
-            engine=ExperimentEngine(jobs=1, cache_dir=str(tmp_path)),
-        )
-        assert counters == {"configs": 2, "hashes": 2}
-        assert best.config.retry_threshold == threshold
-        assert all(run.config is best.config for run in best.runs)
 
 
 class TestFingerprintMemo:

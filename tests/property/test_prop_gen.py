@@ -9,9 +9,7 @@ promises the ``gen:`` namespace makes:
   hidden process state;
 - the executor's one body step and the reference op path
   (``tests/reference_step.py``) are indistinguishable on generated
-  kernels, exactly as they are on the built-ins;
-- the canonical spec string and the registered fingerprint resolve to
-  the same behaviour, so cache keys built from either are equivalent.
+  kernels, exactly as they are on the built-ins.
 
 A non-hypothesis engine test pins jobs=1 vs jobs=2 fan-out equality:
 worker processes re-resolve the canonical name from scratch, so the
@@ -26,7 +24,7 @@ from hypothesis import strategies as st
 from repro.sim.config import SimConfig
 from repro.sim.machine import build_machine
 from repro.workloads import make_workload
-from repro.workloads.gen import MUTABILITY_CLASSES, GenSpec, register_spec
+from repro.workloads.gen import MUTABILITY_CLASSES, GenSpec
 from tests.conftest import general_path
 
 
@@ -86,19 +84,6 @@ def test_backends_indistinguishable_on_generated(spec, design, seed,
     with general_path():
         general = run_digest(config, name, 4, seed)
     assert fast == general
-
-
-@given(
-    spec=gen_specs,
-    seed=st.integers(min_value=1, max_value=10_000),
-)
-@settings(max_examples=10, deadline=None)
-def test_fingerprint_and_spec_string_agree(spec, seed):
-    fingerprint = register_spec(spec)
-    config = SimConfig(num_cores=2, design="clear")
-    by_spec = run_digest(config, "gen:" + spec.canonical(), 3, seed)
-    by_fingerprint = run_digest(config, "gen:" + fingerprint[:12], 3, seed)
-    assert by_fingerprint == by_spec
 
 
 def test_engine_fanout_is_schedule_free(tmp_path):

@@ -207,16 +207,8 @@ class TestRemovedEntryPoints:
         assert "run_seeds" not in api.__all__
 
     def test_runner_trio_gone(self):
-        for stale in ("run_workload", "run_seeds", "sweep_retry_threshold"):
+        for stale in ("run_workload", "run_seeds"):
             assert not hasattr(runner, stale)
-
-    def test_sweep_retry_threshold_resolves_design_names(self):
-        best, threshold = api.sweep_retry_threshold(
-            "arrayswap", "baseline", thresholds=(1, 2), seeds=(1,),
-            ops_per_thread=OPS,
-        )
-        assert threshold in (1, 2)
-        assert best.config.design == "baseline"
 
 
 class TestJournalParameter:

@@ -162,3 +162,25 @@ class TestJournalFlags:
         )
         with pytest.raises(SystemExit):
             cli.validate_journal_flags(parser, args)
+
+
+class TestWorkloadNames:
+    def resolve(self, text):
+        return cli.resolve_workload_names(cli.argparse.ArgumentParser(), text)
+
+    def test_spec_axes_join_the_gen_entry_before_them(self):
+        assert self.resolve(
+            "mwobject,gen:footprint=2,mutability=immutable,queue"
+        ) == ["mwobject", "gen:footprint=2,mutability=immutable", "queue"]
+
+    def test_bare_gen_is_the_default_spec(self):
+        assert self.resolve("gen:,mwobject") == ["gen:", "mwobject"]
+
+    def test_dangling_spec_entry_exits_two(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            self.resolve("mutability=immutable,mwobject")
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        [line] = [line for line in err.splitlines() if "error:" in line]
+        assert "'mutability=immutable'" in line

@@ -54,8 +54,7 @@ class TestExports:
     def test_deprecated_runner_trio_no_longer_reexported(self):
         import repro
 
-        for stale in ("run_workload", "run_seeds", "sweep_retry_threshold",
-                      "trimmed_mean"):
+        for stale in ("run_workload", "run_seeds", "trimmed_mean"):
             assert stale not in repro.__all__
             assert not hasattr(repro, stale)
 

@@ -111,36 +111,3 @@ class TestKeywordOnlyParams:
     def test_run_seeds_rejects_positional_seeds(self):
         with pytest.raises(TypeError):
             api.simulate(quick_factory(), quick_config(), (1, 2))
-
-
-class TestRetrySweep:
-    def test_sweep_returns_best(self):
-        best, threshold = api.sweep_retry_threshold(
-            quick_factory(ops=4), quick_config(), thresholds=(1, 4), seeds=(1,), trim=0
-        )
-        assert threshold in (1, 4)
-        alternatives = [
-            api.simulate(
-                quick_factory(ops=4),
-                quick_config(retry_threshold=candidate),
-                seeds=(1,),
-                trim=0,
-            ).aggregate().cycles
-            for candidate in (1, 4)
-        ]
-        assert best.cycles == min(alternatives)
-
-    def test_named_workload_sweeps_through_engine(self):
-        # The engine path (workload given by name) must agree with the
-        # inline factory path cell for cell.
-        by_factory = api.sweep_retry_threshold(
-            quick_factory(ops=4), quick_config(), thresholds=(1, 4),
-            seeds=(1,), trim=0,
-        )
-        by_name = api.sweep_retry_threshold(
-            "mwobject", quick_config(), thresholds=(1, 4), seeds=(1,),
-            trim=0, ops_per_thread=4,
-        )
-        assert by_factory[1] == by_name[1]
-        assert by_factory[0].cycles == by_name[0].cycles
-        assert by_factory[0].to_dict() == by_name[0].to_dict()

@@ -30,12 +30,6 @@ class TestTracking:
         sets.record_read(1)
         assert len(sets.read_set) == 1
 
-    def test_touched_lines_unions(self):
-        sets = unlimited()
-        sets.record_read(1)
-        sets.record_write(2)
-        assert sets.touched_lines() == {1, 2}
-
 
 class TestConflicts:
     def test_remote_write_conflicts_with_read(self):

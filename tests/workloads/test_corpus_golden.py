@@ -1,12 +1,13 @@
-"""Golden-pinned corpus smoke: the committed kernel, every design.
+"""Golden-pinned generated kernel, every design.
 
-``tests/workloads/corpus/`` commits one generated kernel folder. This
-suite runs it through ``api.simulate`` across each of the four designs
-with the online serializability monitor armed and pins the results
-byte-for-byte against ``tests/goldens/corpus_micro.json`` — so the
-on-disk format, the namespace resolution, and the designs' behaviour
-on corpus workloads are all frozen together. Refresh intentionally
-moved results with ``scripts/refresh_goldens.py --only corpus --apply``.
+This suite runs one generated kernel, ``gen:footprint=3``, through
+``api.simulate`` across each of the four designs with the online
+serializability monitor armed and pins the results byte-for-byte
+against ``tests/goldens/corpus_micro.json`` — so the generator, the
+namespace resolution, and the designs' behaviour on generated
+workloads are all frozen together, and so is the spec's fingerprint,
+the engine's cache token. Refresh intentionally moved results with
+``scripts/refresh_goldens.py --only corpus --apply``.
 """
 
 import hashlib
@@ -19,14 +20,13 @@ from repro import api
 from repro.htm.design import DESIGN_REGISTRY
 from repro.sim.config import SimConfig
 from repro.sim.machine import build_machine
-from repro.workloads import make_workload
-from repro.workloads.gen import load_gen_spec
+from repro.workloads import make_workload, workload_cache_token
 
-TESTS_DIR = os.path.join(os.path.dirname(__file__), "..")
-CORPUS_DIR = os.path.join(TESTS_DIR, "workloads", "corpus")
-GOLDEN_PATH = os.path.join(TESTS_DIR, "goldens", "corpus_micro.json")
+GOLDEN_PATH = os.path.join(
+    os.path.dirname(__file__), "..", "goldens", "corpus_micro.json"
+)
 
-TARGETS = {"gen": "gen:" + os.path.join(CORPUS_DIR, "kernel")}
+TARGETS = {"gen": "gen:footprint=3"}
 
 
 def load_golden():
@@ -46,10 +46,12 @@ def test_golden_covers_every_design_and_target():
         assert set(golden["results"][label]) == set(DESIGN_REGISTRY)
 
 
-def test_committed_folders_are_intact():
-    # Loading performs the full format/fingerprint validation.
-    spec = load_gen_spec(os.path.join(CORPUS_DIR, "kernel"))
-    assert spec.regions == 2
+def test_kernel_fingerprint_is_pinned():
+    # The fingerprint is the engine's cache token: if it drifts, every
+    # cached gen: result silently goes stale.
+    assert workload_cache_token(TARGETS["gen"]) == (
+        "1eb8e4d1818e825b4573d100e91f1b3cfbce75a63c8880092b7fb176174fef54"
+    )
 
 
 @pytest.mark.parametrize("label", sorted(TARGETS))

@@ -1,7 +1,5 @@
 """The seeded workload generator: specs, namespaces, and behaviour."""
 
-import json
-
 import pytest
 
 from repro.common.errors import ConfigurationError, UnknownWorkloadError
@@ -13,14 +11,7 @@ from repro.workloads import (
     make_workload,
     workload_cache_token,
 )
-from repro.workloads.gen import (
-    GenSpec,
-    GeneratedWorkload,
-    load_corpus,
-    parse_gen_spec,
-    register_spec,
-    save_gen_spec,
-)
+from repro.workloads.gen import GenSpec, GeneratedWorkload, parse_gen_spec
 
 
 class TestGenSpec:
@@ -28,7 +19,6 @@ class TestGenSpec:
         spec = GenSpec()
         assert spec.canonical() == ""
         assert parse_gen_spec("") == spec
-        assert GenSpec.from_dict(spec.to_dict()) == spec
 
     def test_canonical_omits_defaults_and_round_trips(self):
         spec = GenSpec(footprint=8, mutability="mutable", contention=0.9)
@@ -99,60 +89,19 @@ class TestNamespaces:
         assert (workload_cache_token("gen:footprint=8")
                 == GenSpec(footprint=8).fingerprint())
 
-    def test_fingerprint_resolution(self):
-        spec = GenSpec(footprint=6, mutability="immutable")
-        fingerprint = register_spec(spec)
-        assert parse_gen_spec(fingerprint) == spec
-        assert parse_gen_spec(fingerprint[:12]) == spec
-        assert canonical_workload_name(
-            "gen:" + fingerprint[:12]
-        ) == "gen:" + spec.canonical()
-
     def test_unregistered_fingerprint_rejected(self):
-        with pytest.raises(UnknownWorkloadError):
-            parse_gen_spec("0" * 16)
+        # A fingerprint names no kernel, not even a known spec's.
+        fingerprint = GenSpec(footprint=6).fingerprint()
+        for text in ("0" * 16, fingerprint, fingerprint[:12]):
+            with pytest.raises(UnknownWorkloadError, match="key=value"):
+                parse_gen_spec(text)
 
-
-class TestOnDiskSpecs:
-    def test_save_load_round_trip(self, tmp_path):
-        spec = GenSpec(footprint=8, contention=0.9)
-        save_gen_spec(spec, str(tmp_path / "kernel"))
-        assert parse_gen_spec(str(tmp_path / "kernel")) == spec
-        loaded = make_workload(
-            "gen:" + str(tmp_path / "kernel"), ops_per_thread=2
-        )
-        assert loaded.spec == spec
-
-    def test_missing_folder_rejected(self, tmp_path):
-        with pytest.raises(UnknownWorkloadError):
-            parse_gen_spec(str(tmp_path / "absent"))
-
-    def test_corrupt_spec_rejected(self, tmp_path):
-        folder = tmp_path / "kernel"
-        save_gen_spec(GenSpec(), str(folder))
-        payload = json.loads((folder / "genspec.json").read_text())
-        payload["spec"]["footprint"] = 7  # fingerprint now stale
-        (folder / "genspec.json").write_text(json.dumps(payload))
-        with pytest.raises(ConfigurationError):
-            parse_gen_spec(str(folder))
-
-    def test_version_gate(self, tmp_path):
-        folder = tmp_path / "kernel"
-        save_gen_spec(GenSpec(), str(folder))
-        payload = json.loads((folder / "genspec.json").read_text())
-        payload["version"] = 99
-        (folder / "genspec.json").write_text(json.dumps(payload))
-        with pytest.raises(ConfigurationError):
-            parse_gen_spec(str(folder))
-
-    def test_load_corpus_registers_fingerprints(self, tmp_path):
-        specs = [GenSpec(footprint=2), GenSpec(footprint=4)]
-        for index, spec in enumerate(specs):
-            save_gen_spec(spec, str(tmp_path / "k{}".format(index)))
-        loaded = load_corpus(str(tmp_path))
-        assert set(loaded.values()) == set(specs)
-        for fingerprint in loaded:
-            assert parse_gen_spec(fingerprint[:12]) in specs
+    def test_folder_path_rejected(self, tmp_path):
+        # A path is a malformed spec string: nothing on disk is read.
+        (tmp_path / "kernel").mkdir()
+        for path in (tmp_path / "absent", tmp_path / "kernel"):
+            with pytest.raises(UnknownWorkloadError, match="key=value"):
+                make_workload("gen:" + str(path))
 
 
 class TestGeneratedWorkload:
