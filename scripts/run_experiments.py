@@ -182,10 +182,17 @@ def main(argv=None):
         payload["failures"] = report.failure_report()
     with open(args.out, "w") as handle:
         json.dump(payload, handle, indent=1)
-    print("wrote {} after {:.0f}s ({} jobs, cache {})".format(
+    summary = "wrote {} after {:.0f}s ({} jobs, cache {})".format(
         args.out, payload["elapsed_seconds"], jobs,
         journal.path if journal is not None else cache_dir or "disabled",
-    ))
+    )
+    # What the store did: a warm run shows hits for every cell and no
+    # stores, so a check can tell that nothing was simulated.
+    store = journal if journal is not None else engine.cache
+    if store is not None:
+        summary += " hits={} misses={} stores={}".format(
+            store.stats.hits, store.stats.misses, store.stats.stores)
+    print(summary)
     if report is not None and report.journal is not None:
         counters = report.journal
         print("journal {}: replayed={} replayed_failures={} executed={} "

@@ -10,7 +10,8 @@ Configurations follow the paper's naming: **B** requester-wins,
 PowerTM (Fig. 8-13 group bars as B P C W).
 """
 
-from repro.htm.abort import AbortCategory
+from repro.core.modes import MODE_VALUE
+from repro.htm.abort import ABORT_CATEGORIES, CATEGORY_VALUE, AbortCategory
 from repro.analysis.report import geometric_mean
 from repro.htm.design import design_name
 from repro.sim.config import SimConfig
@@ -332,7 +333,7 @@ def fig11_abort_breakdown(matrix):
                 category: shares.get(category, 0.0)
                 for category in FIG11_PAPER_CATEGORIES
             }
-            for category in AbortCategory:
+            for category in ABORT_CATEGORIES:
                 if category not in row and shares.get(category, 0.0) > 0.0:
                     row[category] = shares[category]
             rows[name][letter] = row
@@ -423,14 +424,16 @@ def figure_payload(matrix):
         "fig10": energy,
         "fig11": {
             name: {
-                letter: {cat.value: share for cat, share in shares.items()}
+                letter: {CATEGORY_VALUE[cat]: share
+                         for cat, share in shares.items()}
                 for letter, shares in per_config.items()
             }
             for name, per_config in fig11_abort_breakdown(matrix).items()
         },
         "fig12": {
             name: {
-                letter: {mode.value: share for mode, share in shares.items()}
+                letter: {MODE_VALUE[mode]: share
+                         for mode, share in shares.items()}
                 for letter, shares in per_config.items()
             }
             for name, per_config in fig12_commit_modes(matrix).items()

@@ -19,6 +19,11 @@ class ExecMode(enum.Enum):
     NS_CL = "ns_cl"
     FALLBACK = "fallback"
 
+    # Members are singletons compared by identity, so they hash by
+    # identity: a C slot instead of ``Enum.__hash__`` hashing the name
+    # in Python, on every mode-keyed counter update and lookup.
+    __hash__ = object.__hash__
+
     @property
     def is_cacheline_locked(self):
         """True for the NS-CL and S-CL retry modes."""
@@ -28,3 +33,11 @@ class ExecMode(enum.Enum):
     def is_speculative(self):
         """Conflict detection active and state rollback possible."""
         return self in (ExecMode.SPECULATIVE, ExecMode.FAILED_DISCOVERY, ExecMode.S_CL)
+
+
+#: Every mode in definition order, and the value <-> member maps that
+#: the stats decode and the figure projections read instead of calling
+#: ``ExecMode(value)``, iterating the class or reading ``.value``.
+EXEC_MODES = tuple(ExecMode)
+MODE_BY_VALUE = {mode.value: mode for mode in EXEC_MODES}
+MODE_VALUE = {mode: mode.value for mode in EXEC_MODES}

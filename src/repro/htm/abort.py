@@ -31,6 +31,9 @@ class AbortReason(enum.Enum):
     INJECTED_SPURIOUS = "injected_spurious"
     INJECTED_CAPACITY = "injected_capacity"
 
+    # Identity hash, as for ``ExecMode``: members are singletons.
+    __hash__ = object.__hash__
+
 
 class AbortCategory(enum.Enum):
     """Fig. 11 reporting buckets, plus the chaos-run injection bucket."""
@@ -41,8 +44,18 @@ class AbortCategory(enum.Enum):
     OTHERS = "Others"
     INJECTED = "Injected"  # chaos-layer faults; empty without --chaos
 
+    __hash__ = object.__hash__
 
-_CATEGORY_OF = {
+
+#: Every category in definition order, and the value <-> member maps
+#: the stats decode and the figure projections read instead of calling
+#: the classes, iterating them or reading ``.value``.
+ABORT_CATEGORIES = tuple(AbortCategory)
+CATEGORY_VALUE = {category: category.value for category in ABORT_CATEGORIES}
+REASON_BY_VALUE = {reason.value: reason for reason in AbortReason}
+
+#: Each reason's Fig. 11 category (:func:`categorize_abort` as a map).
+CATEGORY_OF = {
     AbortReason.MEMORY_CONFLICT: AbortCategory.MEMORY_CONFLICT,
     AbortReason.NACKED: AbortCategory.MEMORY_CONFLICT,
     AbortReason.EXPLICIT_FALLBACK: AbortCategory.EXPLICIT_FALLBACK,
@@ -99,7 +112,7 @@ NON_MEMORY_REASONS = frozenset(
 
 def categorize_abort(reason):
     """Map a precise abort reason to its Fig. 11 category."""
-    return _CATEGORY_OF[reason]
+    return CATEGORY_OF[reason]
 
 
 def counts_toward_retry_limit(reason):

@@ -26,9 +26,11 @@ machinery everything above it builds on:
   bit-for-bit), and streams :class:`ProgressEvent` updates to a
   callback.
 
-Results cross the process boundary (and the cache) as the
+Results cross the process boundary (and the cache, which names the
+config by fingerprint instead of storing it) as the
 ``RunResult.to_dict()`` JSON form; the engine reconstructs
-:class:`~repro.sim.runner.RunResult` objects on the way out. The
+:class:`~repro.sim.runner.RunResult` objects on the way out, each
+against its spec's config. The
 inline ``jobs=1`` path round-trips through the same representation, so
 serial, parallel, and cached runs are indistinguishable downstream.
 """
@@ -45,7 +47,7 @@ import os
 import time
 
 from repro.common.diskio import DiskIO
-from repro.common.errors import ExperimentCellError
+from repro.common.errors import ConfigurationError, ExperimentCellError
 from repro.common.retry import RetryPolicy
 from repro.common.serialize import Serializable
 from repro.obs.trace import EventTrace
@@ -72,7 +74,11 @@ from repro.workloads import make_workload, workload_cache_token
 #: v7: SimConfig lost the four fields of the two post-paper designs
 #: (limited read/write sets, Big Atomics) and MachineStats its design
 #: annotations; v6 cache entries miss and v6 job folders are refused.
-SCHEMA_VERSION = 7
+#: v8: an entry stores its config's fingerprint beside a result dict
+#: without the config (``{"schema_version", "config", "result"}``), and
+#: a load compares that fingerprint with the spec's; v7 cache entries
+#: miss and v7 job folders are refused.
+SCHEMA_VERSION = 8
 
 DEFAULT_CACHE_DIR = ".exp_cache"
 
@@ -185,7 +191,10 @@ class DiskCache:
     """Content-addressed JSON store under one root directory.
 
     Entries live at ``<root>/<key[:2]>/<key>.json`` (fan-out keeps any
-    single directory small) as ``{"schema_version", "result"}``. Writes
+    single directory small) as ``{"schema_version", "config",
+    "result"}``: ``config`` is the cell's ``SimConfig.fingerprint()``
+    and ``result`` its ``RunResult`` dict without the config, which
+    the key already covers and the reader already holds. Writes
     are atomic (temp file + fsync + rename, through the injectable
     :class:`~repro.common.diskio.DiskIO` seam), so a crashed run never
     leaves a truncated entry. An entry's bytes are a pure function of
@@ -212,24 +221,27 @@ class DiskCache:
     def _path(self, key):
         return os.path.join(self.root, key[:2], key + ".json")
 
-    def load(self, key, config=None):
-        """The stored dict for ``key``, or None on miss/corruption.
+    def load(self, key, fingerprint=None):
+        """The stored result dict for ``key``, or None on miss/corruption.
 
-        A missing file or a stale ``schema_version`` is a plain miss.
-        An *unparseable or malformed* entry is quarantined (moved to
-        ``quarantine/``, counted) — the atomic write protocol means it
-        cannot be a torn write of ours, so it is evidence worth keeping.
-        Given ``config`` (the spec's ``SimConfig.to_dict()``), a result
-        that stores any other config is malformed too.
+        The dict carries no ``"config"``. A missing file or a stale
+        ``schema_version`` is a plain miss. An *unparseable or
+        malformed* entry is quarantined (moved to ``quarantine/``,
+        counted) — the atomic write protocol means it cannot be a torn
+        write of ours, so it is evidence worth keeping. Given
+        ``fingerprint`` (the spec's ``SimConfig.fingerprint()``), an
+        entry that names any other config is malformed too.
         """
         if self.disabled:
             return None
         try:
-            with open(self._path(key)) as handle:
-                payload = json.load(handle)
+            with open(self._path(key), "rb") as handle:
+                data = handle.read()
         except OSError:
             self.stats.misses += 1
             return None
+        try:
+            payload = json.loads(data)
         except ValueError:
             self._quarantine(key)
             return None
@@ -240,8 +252,8 @@ class DiskCache:
             self.stats.misses += 1
             return None
         result = payload["result"]
-        if config is not None and (not isinstance(result, dict)
-                                   or result.get("config") != config):
+        if fingerprint is not None and (payload.get("config") != fingerprint
+                                        or not isinstance(result, dict)):
             self._quarantine(key)
             return None
         self.stats.hits += 1
@@ -258,16 +270,23 @@ class DiskCache:
         except OSError:
             pass  # racing writer already replaced/removed it
 
-    def store(self, key, result):
+    def store(self, key, result, fingerprint):
         """Atomically persist ``result`` (a RunResult dict) under ``key``.
 
-        No-op once the cache has degraded to off (ENOSPC). A failed
-        serialization or write never leaves a temp file behind (the
-        DiskIO seam cleans up), so the cache directory cannot fill with
-        ``*.tmp`` litter from crashed or erroring sweeps.
+        ``fingerprint`` is the fingerprint of the config that produced
+        ``result``; the entry stores it in place of the result's
+        ``"config"`` dict. No-op once the cache has degraded to off
+        (ENOSPC). A failed serialization or write never leaves a temp
+        file behind (the DiskIO seam cleans up), so the cache directory
+        cannot fill with ``*.tmp`` litter from crashed or erroring
+        sweeps.
         """
-        data = json.dumps({"schema_version": SCHEMA_VERSION, "result": result},
-                          separators=(",", ":")).encode("utf-8")
+        data = json.dumps({
+            "schema_version": SCHEMA_VERSION,
+            "config": fingerprint,
+            "result": {name: value for name, value in result.items()
+                       if name != "config"},
+        }, separators=(",", ":")).encode("utf-8")
         if self._write(self._path(key), data):
             self.stats.stores += 1
 
@@ -634,14 +653,13 @@ class ExperimentEngine:
             self.cache if use_cache else None)
         if store is not None:
             keys = [spec.cache_key() for spec in specs]
-            # A stored result serves a spec only if it stores the spec's
-            # config: one dict per config object, not one per cell.
-            configs = {id(spec.config): spec.config for spec in specs}
-            stored_configs = {ident: config.to_dict()
-                              for ident, config in configs.items()}
+            # A stored result serves a spec only if its entry names the
+            # spec's config fingerprint (memoized per config object).
+            fingerprints = [spec.config.fingerprint() for spec in specs]
         remembered = {}
         if journal is not None:
-            remembered = journal.ensure(specs, SCHEMA_VERSION)["failures"]
+            remembered = journal.ensure(specs, SCHEMA_VERSION,
+                                        keys)["failures"]
             quarantined_before = journal.stats.corrupt_quarantined
         self.retry_policy.begin()
 
@@ -665,7 +683,7 @@ class ExperimentEngine:
                     "cache_hits" if journal is None else "replayed"] += 1
             else:
                 if store is not None:
-                    store.store(keys[index], result)
+                    store.store(keys[index], result, fingerprints[index])
                 progress_state["executed"] += 1
             emit(index, stored)
 
@@ -674,18 +692,23 @@ class ExperimentEngine:
         misses = []
         for index in range(total):
             if store is not None:
-                stored_config = stored_configs[id(specs[index].config)]
-                cached = store.load(keys[index], stored_config)
+                cached = store.load(keys[index], fingerprints[index])
                 if cached is not None:
                     record(index, cached, stored=True)
                     continue
                 failure = remembered.get(keys[index])
                 if (failure is not None
-                        and failure.get("spec_config") == stored_config):
+                        and failure.get("config") == fingerprints[index]):
                     # A remembered quarantine: deterministic retries
                     # already failed; re-append without re-recording.
-                    list.append(failures, CellFailure.from_dict(failure))
-                    continue
+                    # A record whose spec no longer parses is skipped.
+                    try:
+                        failure = CellFailure.from_dict(failure)
+                    except ConfigurationError:
+                        pass
+                    else:
+                        list.append(failures, failure)
+                        continue
             misses.append(index)
         replayed_failures = len(failures)
 
@@ -752,30 +775,37 @@ class ExperimentEngine:
         At most ``workers`` cells are in flight at once, so every
         submitted cell is actually *running* and its wall-clock deadline
         is meaningful (an unbounded submit queue would start the clock
-        while cells sit unscheduled).
+        while cells sit unscheduled). Finished cells are recorded only
+        after the pool is refilled: recording writes and fsyncs an
+        entry, and a worker that waits for it idles.
         """
         workers = min(self.jobs, len(misses))
         pending = collections.deque(misses)
         attempts = collections.Counter()
         pool = concurrent.futures.ProcessPoolExecutor(workers)
         inflight = {}  # future -> (spec index, deadline or None)
+        finished = collections.deque()  # (spec index, result) to record
         pool_restarts = 0
         # Cells requeued after a worker crash. A crash poisons every
         # future sharing the pool, so the culprit is unknowable; retry
         # the involved cells one at a time so an innocent cell completes
         # instead of being quarantined as collateral damage.
         suspects = set()
+
+        def refill():
+            cap = 1 if suspects else workers
+            while pending and len(inflight) < cap:
+                index = pending.popleft()
+                attempts[index] += 1
+                future = pool.submit(execute, specs[index])
+                deadline = None
+                if self.cell_timeout is not None:
+                    deadline = time.monotonic() + self.cell_timeout
+                inflight[future] = (index, deadline)
+
         try:
             while pending or inflight:
-                cap = 1 if suspects else workers
-                while pending and len(inflight) < cap:
-                    index = pending.popleft()
-                    attempts[index] += 1
-                    future = pool.submit(execute, specs[index])
-                    deadline = None
-                    if self.cell_timeout is not None:
-                        deadline = time.monotonic() + self.cell_timeout
-                    inflight[future] = (index, deadline)
+                refill()
                 wait_timeout = None
                 if self.cell_timeout is not None:
                     nearest = min(d for _, d in inflight.values())
@@ -836,7 +866,7 @@ class ExperimentEngine:
                             diagnostic=getattr(exc, "diagnostic", None),
                         ))
                         continue
-                    record(index, result)
+                    finished.append((index, result))
                     suspects.discard(index)
                 if broken:
                     # The whole pool is poisoned: every remaining
@@ -855,17 +885,25 @@ class ExperimentEngine:
                     pool_restarts += 1
                     self._backoff(pool_restarts)
                     pool = concurrent.futures.ProcessPoolExecutor(workers)
+                else:
+                    refill()
+                while finished:
+                    record(*finished.popleft())
             pool.shutdown(wait=True)
         except KeyboardInterrupt:
             # Persist whatever already finished, drop the rest, and let
             # the interrupt propagate: the next run resumes from cache.
-            for future, (index, _) in inflight.items():
-                if future.done() and not future.cancelled():
-                    try:
-                        record(index, future.result())
-                    except Exception:
-                        pass
-            self._kill_pool(pool)
+            try:
+                for index, result in finished:
+                    record(index, result)
+                for future, (index, _) in inflight.items():
+                    if future.done() and not future.cancelled():
+                        try:
+                            record(index, future.result())
+                        except Exception:
+                            pass
+            finally:
+                self._kill_pool(pool)
             raise
         except BaseException:
             self._kill_pool(pool)

@@ -83,16 +83,20 @@ class SweepJournal(DiskCache):
         """True when the folder already holds a manifest (resumable)."""
         return os.path.exists(self.manifest_path)
 
-    def ensure(self, specs, schema_version):
+    def ensure(self, specs, schema_version, keys=None):
         """Create the job folder, or validate and extend an existing one.
 
         ``schema_version`` is the engine's result schema
         (:data:`repro.sim.engine.SCHEMA_VERSION`), pinned into the
         manifest so a resume against incompatible result payloads
         raises :class:`~repro.common.errors.JournalSchemaError` instead
-        of silently serving them. Returns the manifest.
+        of silently serving them. ``keys``, when given, are the specs'
+        cache keys, already computed by the caller. Returns the
+        manifest.
         """
-        cells = {spec.cache_key(): spec_summary(spec) for spec in specs}
+        if keys is None:
+            keys = [spec.cache_key() for spec in specs]
+        cells = {key: spec_summary(spec) for key, spec in zip(keys, specs)}
         if self.exists():
             manifest = self._load_manifest()
             if manifest.get("journal_version") != JOURNAL_VERSION:

@@ -14,7 +14,7 @@ import warnings
 
 from repro.common.constants import PAPER_TRIM
 from repro.common.serialize import Serializable
-from repro.core.modes import ExecMode
+from repro.core.modes import EXEC_MODES
 from repro.energy.model import EnergyBreakdown, EnergyModel
 from repro.obs.trace import EventTrace
 from repro.sim.config import SimConfig
@@ -28,7 +28,14 @@ def trimmed_mean(values, trim=PAPER_TRIM):
     Falls back to a plain mean when too few values remain — and warns
     when it does, because a silently un-trimmed mean at low seed counts
     is easy to mistake for the paper's methodology.
+
+    With nothing to drop and at most two values the sort is skipped: a
+    sum of two IEEE terms does not depend on their order, so the mean
+    is bit-identical (a warm sweep at one seed takes this path for
+    every metric of every aggregate).
     """
+    if trim < 1 and len(values) <= 2:
+        return sum(values) / len(values) if values else 0.0
     ordered = sorted(values)
     if trim >= 1 and 0 < len(ordered) <= trim:
         warnings.warn(
@@ -91,7 +98,9 @@ class RunResult(Serializable):
 
         ``config``, when given, is the run's :class:`SimConfig`, equal
         to the one ``data`` stores; it is used as is instead of parsing
-        and validating ``data["config"]`` again.
+        and validating ``data["config"]`` again. A result read from the
+        engine's cache stores no config (the entry names it by
+        fingerprint), so it decodes only with ``config``.
         """
         trace_dicts = data.get("trace")
         return cls(
@@ -151,15 +160,18 @@ class AggregateResult(Serializable):
         return {
             mode: trimmed_mean([shares.get(mode, 0.0) for shares in per_run],
                                self.trim)
-            for mode in ExecMode
+            for mode in EXEC_MODES
         }
 
     def abort_category_shares(self):
-        """Mean share of aborts per category (Fig. 11)."""
+        """Mean share of aborts per category (Fig. 11).
+
+        Keyed in the order the categories first appear over the runs.
+        """
         per_run = [run.stats.abort_category_shares() for run in self.runs]
-        categories = set()
-        for shares in per_run:
-            categories.update(shares)
+        categories = dict.fromkeys(
+            category for shares in per_run for category in shares
+        )
         return {
             category: trimmed_mean(
                 [shares.get(category, 0.0) for shares in per_run], self.trim

@@ -29,22 +29,28 @@ exactly like an unchecked one.
 from collections import Counter
 
 from repro.common.serialize import Serializable
-from repro.core.modes import ExecMode
-from repro.htm.abort import AbortCategory, AbortReason, categorize_abort
+from repro.core.modes import MODE_BY_VALUE, ExecMode
+from repro.htm.abort import CATEGORY_OF, REASON_BY_VALUE, AbortCategory
 from repro.obs.metrics import MetricRegistry
+
+_new = object.__new__
+
+
+def _counter(mapping):
+    """A :class:`Counter` holding ``mapping``, without ``Counter.__init__``.
+
+    ``Counter(mapping)`` runs ``__init__`` and ``update`` in Python;
+    these are the two C calls they end in.
+    """
+    counter = dict.__new__(Counter)
+    dict.update(counter, mapping)
+    return counter
 
 
 def _region_key_to_list(region_id):
     """JSON-safe form of a region id (tuples become lists)."""
     if isinstance(region_id, tuple):
         return list(region_id)
-    return region_id
-
-
-def _region_key_from_list(region_id):
-    """Inverse of :func:`_region_key_to_list`."""
-    if isinstance(region_id, list):
-        return tuple(region_id)
     return region_id
 
 
@@ -69,9 +75,13 @@ class CoreStats:
     @classmethod
     def from_dict(cls, data):
         """Rebuild per-core counters from :meth:`to_dict` output."""
-        stats = cls.__new__(cls)
-        for slot in cls.__slots__:
-            setattr(stats, slot, data[slot])
+        stats = _new(cls)
+        stats.busy_cycles = data["busy_cycles"]
+        stats.discovery_failed_cycles = data["discovery_failed_cycles"]
+        stats.wait_cycles = data["wait_cycles"]
+        stats.lock_acquire_cycles = data["lock_acquire_cycles"]
+        stats.commits = data["commits"]
+        stats.aborts = data["aborts"]
         return stats
 
 
@@ -253,9 +263,11 @@ class MachineStats(Serializable):
         a second enum-keyed counter updated per abort would be redundant
         work on the hot path; deriving at read time is lossless.
         """
-        categories = Counter()
+        categories = dict.__new__(Counter)
+        get = categories.get
         for reason, count in self.aborts_by_reason.items():
-            categories[categorize_abort(reason)] += count
+            category = CATEGORY_OF[reason]
+            categories[category] = get(category, 0) + count
         return categories
 
     @property
@@ -388,38 +400,43 @@ class MachineStats(Serializable):
         """Rebuild a :class:`MachineStats` from :meth:`to_dict` output.
 
         Sets every attribute ``__init__`` sets, without its defaults.
+        A warm sweep decodes one per cell, so no field costs a
+        Python-level call: the counters are filled in C, and enum keys
+        come from the value maps, not ``ExecMode(value)``.
         """
-        stats = cls.__new__(cls)
+        stats = _new(cls)
         stats.num_cores = data["num_cores"]
-        stats.cores = [CoreStats.from_dict(core) for core in data["cores"]]
-        stats.commits_by_mode = Counter(
-            {ExecMode(mode): count
-             for mode, count in data["commits_by_mode"].items()}
-        )
-        stats.commits_by_retries = Counter(
-            {int(retries): count
-             for retries, count in data["commits_by_retries"].items()}
-        )
-        stats.fallback_commit_retries = Counter(
-            {int(retries): count
-             for retries, count in data["fallback_commit_retries"].items()}
-        )
-        stats.aborts_by_reason = Counter(
-            {AbortReason(reason): count
-             for reason, count in data["aborts_by_reason"].items()}
-        )
+        core_from_dict = CoreStats.from_dict
+        stats.cores = [core_from_dict(core) for core in data["cores"]]
+        stats.commits_by_mode = _counter({
+            MODE_BY_VALUE[mode]: count
+            for mode, count in data["commits_by_mode"].items()
+        })
+        stats.commits_by_retries = _counter({
+            int(retries): count
+            for retries, count in data["commits_by_retries"].items()
+        })
+        stats.fallback_commit_retries = _counter({
+            int(retries): count
+            for retries, count in data["fallback_commit_retries"].items()
+        })
+        stats.aborts_by_reason = _counter({
+            REASON_BY_VALUE[reason]: count
+            for reason, count in data["aborts_by_reason"].items()
+        })
         # aborts_by_category is derived from aborts_by_reason (the stored
         # copy was generated by the same pure function, so dropping it is
-        # lossless and keeps the roundtrip exact).
-        stats.per_region_commits = Counter(
-            {_region_key_from_list(region): count
-             for region, count in data["per_region_commits"]}
-        )
-        stats.per_region_aborts = Counter(
-            {_region_key_from_list(region): count
-             for region, count in data["per_region_aborts"]}
-        )
-        stats.accesses_by_level = Counter(data["accesses_by_level"])
+        # lossless and keeps the roundtrip exact). A region id stored as
+        # a list was a tuple (the inverse of _region_key_to_list).
+        stats.per_region_commits = _counter({
+            (tuple(region) if region.__class__ is list else region): count
+            for region, count in data["per_region_commits"]
+        })
+        stats.per_region_aborts = _counter({
+            (tuple(region) if region.__class__ is list else region): count
+            for region, count in data["per_region_aborts"]
+        })
+        stats.accesses_by_level = _counter(data["accesses_by_level"])
         stats.metrics = MetricRegistry.from_dict(data["metrics"])
         stats._bind_metrics()
         # The scalar keys duplicate registry counters; they are restored

@@ -51,10 +51,12 @@ class TestExperimentPipeline:
         # so the renderer evaluates no claim and still succeeds.
         assert "**not evaluated**" in text and "**holds**" not in text
 
-    def test_rerun_from_cache_is_identical(self, tmp_path, monkeypatch):
+    def test_rerun_from_cache_is_identical(self, tmp_path, monkeypatch,
+                                           capsys):
         cold_path = tmp_path / "cold.json"
         warm_path = tmp_path / "warm.json"
         cache_dir = tmp_path / "cache"
+        summaries = []
         sys.path.insert(0, str(SCRIPTS))
         try:
             import run_experiments
@@ -71,6 +73,9 @@ class TestExperimentPipeline:
                     ["micro", str(out), "--jobs", "1",
                      "--cache-dir", str(cache_dir)]
                 )
+                summaries += [line for line in
+                              capsys.readouterr().out.splitlines()
+                              if line.startswith("wrote ")]
         finally:
             sys.path.remove(str(SCRIPTS))
         cold = json.loads(cold_path.read_text())
@@ -78,6 +83,9 @@ class TestExperimentPipeline:
         cold.pop("elapsed_seconds")
         warm.pop("elapsed_seconds")
         assert cold == warm
+        # The summary line proves the warm run simulated nothing.
+        assert summaries[0].endswith(" hits=0 misses=8 stores=8")
+        assert summaries[1].endswith(" hits=8 misses=0 stores=0")
 
     def test_trace_flags_export_without_touching_figures(
         self, tmp_path, monkeypatch

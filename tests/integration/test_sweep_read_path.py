@@ -10,9 +10,14 @@ it does by counting, not timing:
   :class:`SimConfig` once, however many cells share it, and reproduces
   the cold payload;
 - the fingerprint memo never leaks into a config's copies, pickles,
-  serialized form, equality or hash.
+  serialized form, equality or hash;
+- a warm pass decodes and projects without a Python-level call per
+  field: no ``Counter.__init__``, no ``Enum.__hash__`` (the enums hash
+  by identity) and no ``EnumMeta.__call__`` (value maps instead).
 """
 
+import collections
+import enum
 import hashlib
 import json
 import os
@@ -118,6 +123,49 @@ class TestOncePerConfiguration:
         assert len({id(spec.config) for spec in specs}) == distinct
         assert len(specs) == distinct * len(settings.benchmarks) * 3
         assert counters["configs"] == distinct
+
+
+@pytest.fixture
+def per_field_calls(monkeypatch):
+    """Count the Python-level calls a decode used to make per field."""
+    counts = {"Counter.__init__": 0, "Enum.__hash__": 0,
+              "EnumMeta.__call__": 0}
+
+    def counting(name, original):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(collections.Counter, "__init__", counting(
+        "Counter.__init__", collections.Counter.__init__))
+    monkeypatch.setattr(enum.Enum, "__hash__", counting(
+        "Enum.__hash__", enum.Enum.__hash__))
+    monkeypatch.setattr(enum.EnumMeta, "__call__", counting(
+        "EnumMeta.__call__", enum.EnumMeta.__call__))
+    return counts
+
+
+class TestNoPerFieldCalls:
+    def test_counting_sees_the_calls_it_counts(self, per_field_calls):
+        collections.Counter({"a": 1})
+        hash(enum.Enum("Probe", "A").A)
+        assert per_field_calls == {"Counter.__init__": 1,
+                                   "Enum.__hash__": 1,
+                                   "EnumMeta.__call__": 1}
+
+    def test_warm_pass_makes_no_per_field_calls(self, cold_micro,
+                                                per_field_calls):
+        cache_dir, cold_payload, _ = cold_micro
+        engine = ExperimentEngine(jobs=1, cache_dir=cache_dir)
+        matrix, report = run_config_matrix(ExperimentSettings.micro(),
+                                           engine=engine, allow_partial=True)
+        payload = figure_payload(matrix)
+        assert report.cache_hits == report.total == 152
+        assert payload == cold_payload
+        assert per_field_calls == {"Counter.__init__": 0,
+                                   "Enum.__hash__": 0,
+                                   "EnumMeta.__call__": 0}
 
 
 class TestFingerprintMemo:

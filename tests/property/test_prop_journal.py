@@ -26,6 +26,7 @@ from repro.sim.config import SimConfig
 from repro.sim.engine import SCHEMA_VERSION, ExperimentEngine, RunSpec
 from repro.sim.enginefaults import EngineFaultPlan, FaultyIO
 from repro.sim.journal import SweepJournal
+from tests.conftest import FINGERPRINT
 
 record_values = st.dictionaries(
     st.sampled_from(["cycles", "aborts", "pad"]),
@@ -37,7 +38,7 @@ record_values = st.dictionaries(
 def build_journal(root, records):
     journal = SweepJournal(os.path.join(root, "job"))
     for index, value in enumerate(records):
-        journal.store("key-{}".format(index), value)
+        journal.store("key-{}".format(index), value, FINGERPRINT)
     return journal
 
 
@@ -73,7 +74,7 @@ def test_truncation_anywhere_in_an_entry_is_quarantined(records, cut_seed):
         assert recovered.stats.corrupt_quarantined == 1
         for index, value in enumerate(records[:-1]):
             assert recovered.load("key-{}".format(index)) == value
-        recovered.store(last_key, records[-1])
+        recovered.store(last_key, records[-1], FINGERPRINT)
         assert SweepJournal(journal.path).load(last_key) == records[-1]
 
 
@@ -87,8 +88,8 @@ def test_arbitrary_entry_garbage_never_crashes_load(garbage):
             handle.write(garbage)
         # Must not raise, and never serves bytes that do not hold the
         # spec's config.
-        assert journal.load("key", {"num_cores": 2}) is None
-        journal.store("key", {"v": 1})
+        assert journal.load("key", FINGERPRINT) is None
+        journal.store("key", {"v": 1}, FINGERPRINT)
         assert SweepJournal(journal.path).load("key") == {"v": 1}
 
 

@@ -14,13 +14,15 @@ from repro.sim.engine import (
     RunSpec,
 )
 from repro.sim.enginefaults import EngineFaultPlan, FaultyIO
+from tests.conftest import FINGERPRINT
 
 
 class TestTempFileHygiene:
     def test_failed_serialization_leaves_no_temp_litter(self, tmp_path):
         cache = DiskCache(str(tmp_path / "cache"))
         with pytest.raises(TypeError):
-            cache.store("badkey", {"payload": object()})  # not serializable
+            # not serializable
+            cache.store("badkey", {"payload": object()}, FINGERPRINT)
         litter = [
             name
             for _, _, names in os.walk(str(tmp_path / "cache"))
@@ -32,15 +34,15 @@ class TestTempFileHygiene:
     def test_failed_store_then_good_store_works(self, tmp_path):
         cache = DiskCache(str(tmp_path / "cache"))
         with pytest.raises(TypeError):
-            cache.store("key", {"payload": object()})
-        cache.store("key", {"payload": 1})
+            cache.store("key", {"payload": object()}, FINGERPRINT)
+        cache.store("key", {"payload": 1}, FINGERPRINT)
         assert cache.load("key") == {"payload": 1}
 
 
 class TestQuarantine:
     def test_corrupt_entry_moved_and_counted(self, tmp_path):
         cache = DiskCache(str(tmp_path / "cache"))
-        cache.store("deadbeef", {"v": 1})
+        cache.store("deadbeef", {"v": 1}, FINGERPRINT)
         with open(cache._path("deadbeef"), "wb") as handle:
             handle.write(b"\x00not json at all")
         assert cache.load("deadbeef") is None
@@ -53,7 +55,7 @@ class TestQuarantine:
 
     def test_malformed_object_quarantined(self, tmp_path):
         cache = DiskCache(str(tmp_path / "cache"))
-        cache.store("deadbeef", {"v": 1})
+        cache.store("deadbeef", {"v": 1}, FINGERPRINT)
         with open(cache._path("deadbeef"), "w") as handle:
             json.dump({"schema_version": SCHEMA_VERSION}, handle)  # no result
         assert cache.load("deadbeef") is None
@@ -61,7 +63,7 @@ class TestQuarantine:
 
     def test_stale_schema_is_plain_miss_not_quarantine(self, tmp_path):
         cache = DiskCache(str(tmp_path / "cache"))
-        cache.store("deadbeef", {"v": 1})
+        cache.store("deadbeef", {"v": 1}, FINGERPRINT)
         with open(cache._path("deadbeef"), "w") as handle:
             json.dump({"schema_version": SCHEMA_VERSION - 1, "result": {}},
                       handle)
@@ -72,11 +74,11 @@ class TestQuarantine:
 
     def test_quarantined_key_rewritable(self, tmp_path):
         cache = DiskCache(str(tmp_path / "cache"))
-        cache.store("deadbeef", {"v": 1})
+        cache.store("deadbeef", {"v": 1}, FINGERPRINT)
         with open(cache._path("deadbeef"), "wb") as handle:
             handle.write(b"garbage")
         assert cache.load("deadbeef") is None
-        cache.store("deadbeef", {"v": 2})
+        cache.store("deadbeef", {"v": 2}, FINGERPRINT)
         assert cache.load("deadbeef") == {"v": 2}
 
 
@@ -84,7 +86,7 @@ class TestEnospcDegradation:
     def make_degraded(self, tmp_path):
         io = FaultyIO(EngineFaultPlan(seed=1, enospc_rate=1.0))
         cache = DiskCache(str(tmp_path / "cache"), io=io)
-        cache.store("key", {"v": 1})
+        cache.store("key", {"v": 1}, FINGERPRINT)
         return cache
 
     def test_enospc_disables_cache(self, tmp_path):
@@ -94,7 +96,7 @@ class TestEnospcDegradation:
 
     def test_disabled_cache_is_inert(self, tmp_path):
         cache = self.make_degraded(tmp_path)
-        cache.store("other", {"v": 2})  # must not raise
+        cache.store("other", {"v": 2}, FINGERPRINT)  # must not raise
         assert cache.load("other") is None
         assert cache.load("key") is None
 
@@ -106,7 +108,7 @@ class TestEnospcDegradation:
         cache = DiskCache(str(tmp_path / "cache"),
                           io=ExplodingIO(EngineFaultPlan()))
         with pytest.raises(OSError):
-            cache.store("key", {"v": 1})
+            cache.store("key", {"v": 1}, FINGERPRINT)
         assert not cache.disabled
 
 
@@ -120,7 +122,7 @@ def store_keys(root, keys, barrier, rounds=3):
     barrier.wait(timeout=60)
     for _ in range(rounds):
         for key in keys:
-            cache.store(key, entry_value(key))
+            cache.store(key, entry_value(key), FINGERPRINT)
 
 
 class TestSharedRoot:
@@ -134,8 +136,8 @@ class TestSharedRoot:
     def test_two_handles_same_root_interleave(self, tmp_path):
         a = DiskCache(str(tmp_path / "cache"))
         b = DiskCache(str(tmp_path / "cache"))
-        a.store("key-a", {"v": 1})
-        b.store("key-b", {"v": 2})
+        a.store("key-a", {"v": 1}, FINGERPRINT)
+        b.store("key-b", {"v": 2}, FINGERPRINT)
         assert a.load("key-b") == {"v": 2}
         assert b.load("key-a") == {"v": 1}
 
@@ -174,6 +176,11 @@ class TestEntryFormat:
         engine.run_spec(spec)
         with open(engine.cache._path(spec.cache_key()), "rb") as handle:
             data = handle.read()
-        assert set(json.loads(data)) == {"schema_version", "result"}
+        # Once, as its fingerprint: the result dict holds no config.
+        entry = json.loads(data)
+        assert set(entry) == {"schema_version", "config", "result"}
+        assert entry["config"] == spec.config.fingerprint()
+        assert "config" not in entry["result"]
+        assert data.count(spec.config.fingerprint().encode("utf-8")) == 1
         config = json.dumps(spec.config.to_dict(), separators=(",", ":"))
-        assert data.count(config.encode("utf-8")) == 1
+        assert config.encode("utf-8") not in data

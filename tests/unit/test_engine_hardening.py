@@ -11,6 +11,7 @@ any other start method).
 """
 
 import builtins
+import functools
 import json
 import multiprocessing
 import os
@@ -18,6 +19,7 @@ import time
 
 import pytest
 
+from repro.common.diskio import DiskIO
 from repro.common.errors import ExperimentCellError
 from repro.common.retry import RetryPolicy
 from repro.sim import engine as engine_module
@@ -29,6 +31,7 @@ from repro.sim.engine import (
     ExperimentEngine,
     RunSpec,
 )
+from tests.conftest import FINGERPRINT
 
 needs_fork = pytest.mark.skipif(
     multiprocessing.get_start_method() != "fork",
@@ -96,7 +99,7 @@ class TestDiskCacheCorruption:
     def _seeded(self, tmp_path):
         cache = DiskCache(str(tmp_path))
         key = "ab" * 32
-        cache.store(key, {"cycles": 7})
+        cache.store(key, {"cycles": 7}, FINGERPRINT)
         return cache, key
 
     def test_truncated_json_reads_as_miss(self, tmp_path):
@@ -106,7 +109,8 @@ class TestDiskCacheCorruption:
         with open(cache._path(key), "w") as handle:
             handle.write(content[: len(content) // 2])
         assert cache.load(key) is None
-        cache.store(key, {"cycles": 8})  # overwritten on the next store
+        # overwritten on the next store
+        cache.store(key, {"cycles": 8}, FINGERPRINT)
         assert cache.load(key) == {"cycles": 8}
 
     def test_wrong_schema_version_reads_as_miss(self, tmp_path):
@@ -117,7 +121,7 @@ class TestDiskCacheCorruption:
                 handle,
             )
         assert cache.load(key) is None
-        cache.store(key, {"cycles": 8})
+        cache.store(key, {"cycles": 8}, FINGERPRINT)
         assert cache.load(key) == {"cycles": 8}
 
     def test_missing_result_reads_as_miss(self, tmp_path):
@@ -125,7 +129,7 @@ class TestDiskCacheCorruption:
         with open(cache._path(key), "w") as handle:
             json.dump({"schema_version": SCHEMA_VERSION}, handle)
         assert cache.load(key) is None
-        cache.store(key, {"cycles": 8})
+        cache.store(key, {"cycles": 8}, FINGERPRINT)
         assert cache.load(key) == {"cycles": 8}
 
     def test_unreadable_entry_reads_as_miss(self, tmp_path, monkeypatch):
@@ -141,7 +145,7 @@ class TestDiskCacheCorruption:
         monkeypatch.setattr(builtins, "open", deny)
         assert cache.load(key) is None
         monkeypatch.undo()
-        cache.store(key, {"cycles": 8})
+        cache.store(key, {"cycles": 8}, FINGERPRINT)
         assert cache.load(key) == {"cycles": 8}
 
     @pytest.mark.skipif(os.geteuid() == 0, reason="root ignores file modes")
@@ -197,6 +201,58 @@ class TestKeyboardInterrupt:
         ]
         assert stored  # at least the harvested cell survived
         assert len(stored) < len(specs)  # ... and the sweep really stopped
+
+
+MARKER_SEED = 3
+
+
+def mark_on_sentinel(spec, marker):
+    """``execute_spec`` that first drops a marker file for one cell."""
+    if spec.seed == MARKER_SEED:
+        with open(marker, "w"):
+            pass
+    return engine_module.execute_spec(spec)
+
+
+class WaitForMarkerIO(DiskIO):
+    """Holds the first entry write until a marker file exists.
+
+    The wait is bounded; ``saw_marker`` says whether it ended on the
+    marker or ran to the bound.
+    """
+
+    def __init__(self, marker, bound):
+        self.marker = marker
+        self.bound = bound
+        self.saw_marker = None
+
+    def write_atomic(self, path, data):
+        if self.saw_marker is None:
+            deadline = time.monotonic() + self.bound
+            while (not os.path.exists(self.marker)
+                   and time.monotonic() < deadline):
+                time.sleep(0.01)
+            self.saw_marker = os.path.exists(self.marker)
+        super().write_atomic(path, data)
+
+
+class TestRefillBeforeRecord:
+    def test_pool_is_refilled_before_a_finished_cell_is_written(
+            self, tmp_path):
+        # The first entry write waits for the third cell to start. It
+        # can only start if the pool is refilled before that write.
+        marker = str(tmp_path / "third-cell-started")
+        io = WaitForMarkerIO(marker, bound=30.0)
+        cache = DiskCache(str(tmp_path / "cache"), io=io)
+        engine = ExperimentEngine(
+            jobs=2, cache_dir=cache,
+            execute=functools.partial(mark_on_sentinel, marker=marker))
+        specs = [tiny_spec(seed=seed) for seed in (1, 2, MARKER_SEED, 4)]
+        report = engine.run_specs_report(specs)
+        assert io.saw_marker is True
+        assert report.ok and cache.stats.stores == len(specs)
+        assert [result.to_dict() for result in report.results] \
+            == [engine_module.execute_spec(spec) for spec in specs]
 
 
 @needs_fork

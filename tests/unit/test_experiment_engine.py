@@ -1,5 +1,6 @@
 """Unit tests for the experiment engine's cache and spec machinery."""
 
+import hashlib
 import json
 import os
 
@@ -16,6 +17,7 @@ from repro.sim.engine import (
     execute_spec,
 )
 from repro.sim.journal import SweepJournal
+from tests.conftest import FINGERPRINT
 
 
 def tiny_spec(**overrides):
@@ -67,13 +69,13 @@ class TestDiskCache:
 
     def test_store_then_load(self, tmp_path):
         cache = DiskCache(str(tmp_path))
-        cache.store("ab" * 32, {"cycles": 7})
+        cache.store("ab" * 32, {"cycles": 7}, FINGERPRINT)
         assert cache.load("ab" * 32) == {"cycles": 7}
 
     def test_corrupt_entry_reads_as_miss(self, tmp_path):
         cache = DiskCache(str(tmp_path))
         key = "cd" * 32
-        cache.store(key, {"cycles": 7})
+        cache.store(key, {"cycles": 7}, FINGERPRINT)
         with open(cache._path(key), "w") as handle:
             handle.write("{not json")
         assert cache.load(key) is None
@@ -81,7 +83,7 @@ class TestDiskCache:
     def test_entry_without_result_reads_as_miss(self, tmp_path):
         cache = DiskCache(str(tmp_path))
         key = "ef" * 32
-        cache.store(key, {"cycles": 7})
+        cache.store(key, {"cycles": 7}, FINGERPRINT)
         with open(cache._path(key), "w") as handle:
             json.dump({"unrelated": True}, handle)
         assert cache.load(key) is None
@@ -89,7 +91,7 @@ class TestDiskCache:
     def test_fanout_layout(self, tmp_path):
         cache = DiskCache(str(tmp_path))
         key = "12" * 32
-        cache.store(key, {})
+        cache.store(key, {}, FINGERPRINT)
         assert cache._path(key).endswith("/12/" + key + ".json")
 
 
@@ -144,16 +146,22 @@ class TestEngineCaching:
 
 
 def other_configs_result():
-    """A clear cell's result, to be stored under a baseline spec's key."""
-    return execute_spec(
-        tiny_spec(config=SimConfig.for_design("clear", num_cores=2)))
+    """A clear cell's result and fingerprint, stored under a baseline key."""
+    spec = tiny_spec(config=SimConfig.for_design("clear", num_cores=2))
+    return execute_spec(spec), spec.config.fingerprint()
 
 
 def unparseable_config_result():
-    """A baseline result whose config carries a field no longer known."""
+    """A baseline result whose config carries a field no longer known.
+
+    Its fingerprint is hashed as ``SimConfig.fingerprint`` hashes, over
+    the config dict that an older build would have held.
+    """
     result = execute_spec(tiny_spec())
     result["config"]["backend"] = "batch"
-    return result
+    canonical = json.dumps(result["config"], sort_keys=True,
+                           separators=(",", ":"))
+    return result, hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
 STORED_MISMATCHES = {
@@ -163,18 +171,19 @@ STORED_MISMATCHES = {
 
 
 class TestStoredConfigCheck:
-    """A stored result serves a spec only if it stores the spec's config.
+    """A stored result serves a spec only if it names the spec's config.
 
     Anything else is corrupt: the cache, or the job folder that
-    replaces it, quarantines and counts a stored result, the job folder
-    ignores a remembered quarantine, and the cell simulates again.
+    replaces it, quarantines and counts a stored result whose entry
+    names another config fingerprint, the job folder ignores a
+    remembered quarantine it cannot use, and the cell simulates again.
     """
 
     @pytest.mark.parametrize("stored", sorted(STORED_MISMATCHES))
     def test_cache_quarantines_and_resimulates(self, tmp_path, stored):
         spec = tiny_spec()
         cache = DiskCache(str(tmp_path))
-        cache.store(spec.cache_key(), STORED_MISMATCHES[stored]())
+        cache.store(spec.cache_key(), *STORED_MISMATCHES[stored]())
         report = ExperimentEngine(jobs=1, cache_dir=cache).run_specs_report(
             [spec])
         assert report.ok and report.cache_hits == 0
@@ -195,7 +204,7 @@ class TestStoredConfigCheck:
         job = str(tmp_path / "job")
         journal = SweepJournal(job)
         journal.ensure([spec], engine_module.SCHEMA_VERSION)
-        journal.store(spec.cache_key(), STORED_MISMATCHES[stored]())
+        journal.store(spec.cache_key(), *STORED_MISMATCHES[stored]())
         report = ExperimentEngine(jobs=1, cache_dir=None).run_specs_report(
             [spec], journal=job)
         assert report.ok

@@ -24,6 +24,7 @@ from repro.sim.journal import (
     SweepJournal,
     spec_summary,
 )
+from tests.conftest import FINGERPRINT
 
 
 def tiny_spec(**overrides):
@@ -153,15 +154,19 @@ class TestRecordReplay:
         ).run_specs_report(specs, journal=SweepJournal(job))
         fresh = SweepJournal(job)
         manifest = fresh.ensure(specs, SCHEMA_VERSION)
-        assert fresh.load(specs[0].cache_key()) == first.results[0].to_dict()
+        # The entry names its config by fingerprint instead of storing it.
+        stored = first.results[0].to_dict()
+        del stored["config"]
+        assert fresh.load(specs[0].cache_key(),
+                          specs[0].config.fingerprint()) == stored
         assert manifest["failures"] == {
             specs[1].cache_key(): first.failures[0].to_dict(),
         }
 
     def test_last_record_per_key_wins(self, tmp_path):
         journal = SweepJournal(tmp_path / "job")
-        journal.store("k", {"v": 1})
-        journal.store("k", {"v": 2})
+        journal.store("k", {"v": 1}, FINGERPRINT)
+        journal.store("k", {"v": 2}, FINGERPRINT)
         assert SweepJournal(journal.path).load("k") == {"v": 2}
 
     def test_finished_entry_beats_a_remembered_failure(self, tmp_path):
@@ -170,7 +175,8 @@ class TestRecordReplay:
         journal.ensure([spec], SCHEMA_VERSION)
         journal.record_failure(CellFailure(
             spec=spec, kind="timeout", attempts=3, message="slow host"))
-        journal.store(spec.cache_key(), execute_spec(spec))
+        journal.store(spec.cache_key(), execute_spec(spec),
+                      spec.config.fingerprint())
         report = ExperimentEngine(
             jobs=1, cache_dir=None, execute=bomb,
         ).run_specs_report([spec], journal=journal.path)
@@ -182,7 +188,7 @@ class TestRecordReplay:
         journal = SweepJournal(tmp_path / "job")
         journal.ensure([spec], SCHEMA_VERSION)
         assert journal.load("k") is None
-        journal.store("k", {"v": 1})
+        journal.store("k", {"v": 1}, FINGERPRINT)
         assert journal.load("k") == {"v": 1}
         journal.record_failure(CellFailure(
             spec=spec, kind="error", attempts=1, message="boom"))

@@ -3,8 +3,10 @@
 import pytest
 
 from repro import api
+from repro.htm.abort import AbortCategory, AbortReason
 from repro.sim.config import SimConfig
-from repro.sim.runner import AggregateResult, trimmed_mean
+from repro.sim.runner import AggregateResult, RunResult, trimmed_mean
+from repro.sim.stats import MachineStats
 from repro.workloads import make_workload
 
 
@@ -47,6 +49,26 @@ class TestTrimmedMean:
     def test_single_value(self):
         with pytest.warns(RuntimeWarning):
             assert trimmed_mean([7.0], trim=3) == 7.0
+
+    @pytest.mark.parametrize("values", [
+        [3], [3, 8], [8, 3], [7.25], [0.1, 0.2], [0.2, 0.1],
+        [1e16, 1.0], [1.0, 1e16], [5, 0.5], [0.5, 5],
+        [-0.0], [-0.0, -0.0], [-0.0, 0.0], [0.0, -0.0], [-0.0, 2.5],
+    ])
+    def test_unsorted_short_path_is_bit_identical(self, values):
+        # One or two values with nothing to trim skip the sort; a sum
+        # of two IEEE terms commutes, so the result is the same bits.
+        sorted_path = sum(sorted(values)) / len(values)
+        result = trimmed_mean(values, trim=0)
+        assert type(result) is type(sorted_path)
+        assert repr(result) == repr(sorted_path)
+
+    @pytest.mark.parametrize("values, trim", [
+        ([4.0], 1), ([4.0], 3), ([4.0, 2.0], 2), ([4.0, 2.0], 3),
+    ])
+    def test_short_lists_still_warn_when_trimming(self, values, trim):
+        with pytest.warns(RuntimeWarning, match="un-trimmed"):
+            assert trimmed_mean(values, trim=trim) == sum(values) / len(values)
 
 
 def quick_factory(name="mwobject", ops=6):
@@ -101,6 +123,31 @@ class TestRunSeeds:
     def test_empty_runs_rejected(self):
         with pytest.raises(ValueError):
             AggregateResult("x", quick_config(), [])
+
+    def test_abort_categories_keyed_in_first_seen_order(self):
+        # Not the string-hash or address order of a set: the order the
+        # categories first appear in, run by run.
+        def run_with(*reasons):
+            stats = MachineStats(num_cores=1)
+            for reason in reasons:
+                stats.record_abort(0, reason, "r")
+            return RunResult("x", quick_config(), 1, stats, energy=None)
+
+        runs = [
+            run_with(AbortReason.CAPACITY, AbortReason.NACKED),
+            run_with(),
+            run_with(AbortReason.OTHER_FALLBACK, AbortReason.MEMORY_CONFLICT,
+                     AbortReason.INJECTED_SPURIOUS),
+            run_with(AbortReason.EXPLICIT_FALLBACK),
+        ]
+        shares = AggregateResult("x", quick_config(), runs,
+                                 trim=0).abort_category_shares()
+        assert list(shares) == [
+            AbortCategory.OTHERS, AbortCategory.MEMORY_CONFLICT,
+            AbortCategory.OTHER_FALLBACK, AbortCategory.INJECTED,
+            AbortCategory.EXPLICIT_FALLBACK,
+        ]
+        assert shares[AbortCategory.OTHERS] == 0.5 / 4
 
 
 class TestKeywordOnlyParams:

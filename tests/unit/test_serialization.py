@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+from collections import Counter
 
 import pytest
 
@@ -9,7 +10,7 @@ from repro import api
 from repro.common.errors import ConfigurationError
 from repro.core.modes import ExecMode
 from repro.energy.model import EnergyBreakdown
-from repro.htm.abort import AbortReason
+from repro.htm.abort import AbortCategory, AbortReason
 from repro.htm.design import design_name
 from repro.sim.config import SimConfig
 from repro.sim.runner import AggregateResult, RunResult
@@ -193,3 +194,91 @@ class TestAggregateRoundTrip:
         assert rebuilt.trim == aggregate.trim
         assert len(rebuilt.runs) == 2
         assert rebuilt.to_dict() == aggregate.to_dict()
+
+
+DESIGNS = ("baseline", "powertm", "clear", "clear+powertm")
+DECODE_CELLS = DESIGNS + ("chaos", "truncated", "empty")
+
+
+@pytest.fixture(scope="module")
+def decode_cells():
+    """Stats dicts, as a cache entry holds them, covering every decode path.
+
+    The paper's four designs on a contended kernel (fallback, S-CL and
+    NS-CL commits), a chaos run (injected abort reasons and fallback
+    commits), a truncated run and an empty surface.
+    """
+    from repro.common.errors import CycleLimitExceeded
+    from repro.sim.machine import build_machine
+
+    def run(config, kernel="sorted-list", ops=8):
+        machine = build_machine(
+            config, make_workload(kernel, ops_per_thread=ops), seed=1)
+        try:
+            machine.run()
+        except CycleLimitExceeded:
+            assert machine.stats.truncated
+        return machine.stats
+
+    cells = {design: run(SimConfig.for_design(design, num_cores=4))
+             for design in DESIGNS}
+    cells["chaos"] = run(
+        SimConfig.for_design(
+            "clear", num_cores=4, retry_threshold=2,
+            fault_spurious_rate=0.3, fault_capacity_rate=0.1,
+            fault_jitter_cycles=4, fault_wakeup_delay_cycles=8),
+        kernel="arrayswap")
+    cells["truncated"] = run(
+        SimConfig.for_design("baseline", num_cores=4, max_cycles=500),
+        kernel="genome", ops=40)
+    cells["empty"] = MachineStats(4)
+    return {name: json.loads(json.dumps(stats.to_dict()))
+            for name, stats in cells.items()}
+
+
+class TestDirectDecode:
+    """``from_dict`` builds the surface directly, and loses nothing."""
+
+    def test_cells_cover_every_decode_path(self, decode_cells):
+        chaos = decode_cells["chaos"]
+        assert {"injected_spurious", "injected_capacity"} \
+            <= set(chaos["aborts_by_reason"])
+        assert chaos["fallback_commit_retries"]
+        assert decode_cells["truncated"]["truncated"]
+        modes = set()
+        for data in decode_cells.values():
+            modes.update(data["commits_by_mode"])
+        assert {"fallback", "s_cl", "ns_cl"} <= modes
+
+    @pytest.mark.parametrize("name", DECODE_CELLS)
+    def test_round_trip_is_byte_identical(self, decode_cells, name):
+        data = decode_cells[name]
+        rebuilt = MachineStats.from_dict(data).to_dict()
+        assert json.dumps(rebuilt, sort_keys=True) \
+            == json.dumps(data, sort_keys=True)
+
+    @pytest.mark.parametrize("name", DECODE_CELLS)
+    def test_counters_are_counters_keyed_by_members(self, decode_cells,
+                                                    name):
+        stats = MachineStats.from_dict(decode_cells[name])
+        members = {
+            "commits_by_mode": list(ExecMode),
+            "aborts_by_reason": list(AbortReason),
+            "aborts_by_category": list(AbortCategory),
+        }
+        for field, enum_members in members.items():
+            counter = getattr(stats, field)
+            assert type(counter) is Counter
+            assert all(any(key is member for member in enum_members)
+                       for key in counter)
+            for member in enum_members:
+                if member not in counter:
+                    assert counter[member] == 0
+        for field in ("commits_by_retries", "fallback_commit_retries",
+                      "per_region_commits", "per_region_aborts",
+                      "accesses_by_level"):
+            counter = getattr(stats, field)
+            assert type(counter) is Counter
+            assert counter["never-recorded"] == 0
+        assert all(type(retries) is int
+                   for retries in stats.commits_by_retries)
